@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -88,6 +89,45 @@ def _as_complex(value, path: str) -> complex:
     ):
         raise ParseError("complex numbers are [re, im] pairs", path)
     return complex(value[0], value[1])
+
+
+def _real(value, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError("option must be a number", path)
+    return float(value)
+
+
+def _integer(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError("option must be an integer", path)
+    return value
+
+
+def _check_options(options: Options, from_flags: bool = False) -> None:
+    """Range checks shared by the instance document and the command-line flags.
+
+    The document is checked when it is parsed, so a failure after the
+    flags are applied names the flag.
+    """
+
+    def path(key: str) -> str:
+        return "--" + key.replace("_", "-") if from_flags else f"$.options.{key}"
+
+    for key in ("psd_tol", "verify_tol", "feasibility_tol"):
+        value = getattr(options, key)
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValidationError(f"{key} must be finite and nonnegative", path(key))
+    if not 0.0 < options.sample_radius < 1.0:
+        raise ValidationError("sample_radius must lie in (0, 1)", path("sample_radius"))
+    for key in ("max_iter", "samples"):
+        if getattr(options, key) < 1:
+            raise ValidationError(f"{key} must be at least 1", path(key))
+    if options.seed < 0:
+        raise ValidationError("seed must be nonnegative", path("seed"))
+    try:
+        GridSpec(*options.grid)
+    except ValueError as exc:
+        raise ValidationError(str(exc), path("grid")) from None
 
 
 def _get(doc: dict, key: str, types, path: str, required: bool = True, default=None):
@@ -180,15 +220,20 @@ def parse_instance(text: str) -> ProblemInstance:
     raw_opts = _get(doc, "options", dict, "$", required=False, default={})
     for key in ("psd_tol", "verify_tol", "feasibility_tol", "sample_radius"):
         if key in raw_opts:
-            options.__setattr__(key, float(raw_opts[key]))
+            setattr(options, key, _real(raw_opts[key], f"$.options.{key}"))
     for key in ("max_iter", "samples", "seed"):
         if key in raw_opts:
-            options.__setattr__(key, int(raw_opts[key]))
+            setattr(options, key, _integer(raw_opts[key], f"$.options.{key}"))
     if "grid" in raw_opts:
         g = raw_opts["grid"]
         if not isinstance(g, list) or len(g) != 3:
             raise ValidationError("grid is [radii, angles, radius]", "$.options.grid")
-        options.grid = (int(g[0]), int(g[1]), float(g[2]))
+        options.grid = (
+            _integer(g[0], "$.options.grid[0]"),
+            _integer(g[1], "$.options.grid[1]"),
+            _real(g[2], "$.options.grid[2]"),
+        )
+    _check_options(options)
 
     return ProblemInstance(
         spec=spec,
@@ -340,15 +385,15 @@ def _finish_inconclusive(report: dict, outcome: Inconclusive) -> int:
     return EXIT_INCONCLUSIVE
 
 
-def _solve_ball_np(inst: ProblemInstance, report: dict) -> int:
+def _solve_ball_np(inst: ProblemInstance, report: dict):
     outcome = np_solve(inst.spec, inst.nodes, inst.targets, d_target=inst.d_target,
                        psd_base_tol=inst.options.psd_tol)
     if isinstance(outcome, Infeasible):
-        return _finish_infeasible(report, outcome)
-    return _finish_solved(report, inst, outcome, outcome.phi)
+        return _finish_infeasible(report, outcome), None
+    return _finish_solved(report, inst, outcome, outcome.phi), outcome.phi
 
 
-def _solve_lift_ball(inst: ProblemInstance, report: dict) -> int:
+def _solve_lift_ball(inst: ProblemInstance, report: dict):
     """Direct lift over the spans, without the interpolation pre-screen."""
     q1 = build_subspace(inst.spec, inst.nodes)
     q2 = build_subspace(inst.spec.with_coeff_dim(inst.d_target), inst.nodes)
@@ -362,21 +407,21 @@ def _solve_lift_ball(inst: ProblemInstance, report: dict) -> int:
             report,
             Infeasible(which="contractivity", pick_min_eig=1.0 - norm_x**2,
                        pick_matrix=np.zeros((0, 0))),
-        )
+        ), None
     pos = check_positivity(s, x, inst.spec.m)
     if pos.min_eig < -inst.options.psd_tol * (1.0 + opnorm(pos.matrix)):
         return _finish_infeasible(
             report,
             Infeasible(which="positivity-gap", pick_min_eig=pos.min_eig,
                        pick_matrix=pos.matrix, delta_min_eig=pos.min_eig),
-        )
+        ), None
     result = lift_ball(
         t, s, x, inst.spec.m,
         in_map=q2.coeff_map_at_zero(),
         out_map=q1.coeff_map_at_zero(),
     )
     result.certificate.verify_residual = verify_lift(result.phi, q2, x, q1)
-    return _finish_solved(report, inst, result, result.phi)
+    return _finish_solved(report, inst, result, result.phi), result.phi
 
 
 def _solve_lift_pm(inst: ProblemInstance, report: dict):
@@ -394,10 +439,10 @@ def _solve_lift_pm(inst: ProblemInstance, report: dict):
     inner = composite.inner
     inner.certificate.verify_residual = composite.verify_residual
     code = _finish_solved(report, inst, inner, composite.composite)
-    return code, composite
+    return code, composite.composite
 
 
-def _solve_polydisc(inst: ProblemInstance, report: dict) -> int:
+def _solve_polydisc(inst: ProblemInstance, report: dict):
     outcome = np_solve_polydisc(
         inst.spec,
         inst.nodes,
@@ -408,73 +453,66 @@ def _solve_polydisc(inst: ProblemInstance, report: dict) -> int:
         max_iter=inst.options.max_iter,
     )
     if isinstance(outcome, Infeasible):
-        return _finish_infeasible(report, outcome)
+        return _finish_infeasible(report, outcome), None
     if isinstance(outcome, Inconclusive):
-        return _finish_inconclusive(report, outcome)
-    return _finish_solved(report, inst, outcome, outcome.phi)
+        return _finish_inconclusive(report, outcome), None
+    return _finish_solved(report, inst, outcome, outcome.phi), outcome.phi
+
+
+def _sup_norm_scan(inst: ProblemInstance, phi_eval):
+    grid = GridSpec(*inst.options.grid)
+    return sup_norm_scan(phi_eval, grid_points(grid, inst.spec.geometry, inst.spec.n))
 
 
 def run(inst: ProblemInstance, *, csv_stream=None, certify: bool = False) -> tuple[dict, int]:
-    """Execute an instance and return (report document, exit code)."""
+    """Execute an instance and return (report document, exit code).
+
+    Each instance is solved once; the certification passes reuse the
+    evaluator the solve returned.
+    """
     report = _base_report(inst)
     try:
         if inst.mode == "np-ball":
-            code = _solve_ball_np(inst, report)
-            phi_holder = None
+            code, phi = _solve_ball_np(inst, report)
         elif inst.mode == "lift-ball":
-            code = _solve_lift_ball(inst, report)
-            phi_holder = None
+            code, phi = _solve_lift_ball(inst, report)
         elif inst.mode in ("lift-pm", "factorize"):
-            code, composite = _solve_lift_pm(inst, report)
+            code, phi = _solve_lift_pm(inst, report)
             if code == EXIT_SOLVED and inst.mode == "factorize":
                 points = _sample_points(inst, inst.options.samples)
                 crit = factorization_criterion(
-                    composite.composite, inst.spec.m, inst.p, points,
-                    tol=1e-7, n=inst.spec.n,
+                    phi, inst.spec.m, inst.p, points, tol=1e-7, n=inst.spec.n,
                 )
                 report["certificates"]["factorization"] = {
                     "min_eig": crit.min_eig,
                     "pass": crit.passed,
                     "samples": crit.sample_count,
                 }
-            phi_holder = composite.composite if code == EXIT_SOLVED else None
         elif inst.mode in ("lift-polydisc", "certify"):
             if inst.spec.geometry == "polydisc":
-                code = _solve_polydisc(inst, report)
+                code, phi = _solve_polydisc(inst, report)
             else:
-                code = _solve_ball_np(inst, report)
-            phi_holder = None
+                code, phi = _solve_ball_np(inst, report)
         else:  # pragma: no cover - parse_instance guards the mode set
             raise ValidationError(f"unsupported mode {inst.mode}")
-
-        needs_phi = code == EXIT_SOLVED and (certify or csv_stream is not None
-                                             or inst.mode == "certify")
-        if needs_phi and phi_holder is None:
-            phi_holder = _rebuild_phi(inst)
 
         if code == EXIT_SOLVED and (certify or inst.mode == "certify"):
             if inst.spec.geometry == "ball":
                 points = _sample_points(inst, inst.options.samples)
-                crit = schur_agler_certificate_ball(phi_holder, points, tol=1e-7)
+                crit = schur_agler_certificate_ball(phi, points, tol=1e-7)
                 report["certificates"]["schur_agler"] = {
                     "min_eig": crit.min_eig,
                     "pass": crit.passed,
                     "samples": crit.sample_count,
                 }
             else:
-                grid = GridSpec(*inst.options.grid)
-                scan = sup_norm_scan(
-                    phi_holder, grid_points(grid, inst.spec.geometry, inst.spec.n)
-                )
+                scan = _sup_norm_scan(inst, phi)
                 report["certificates"]["sup_norm"] = {
                     "max": scan.max_norm,
                     "points": len(scan.rows),
                 }
         if code == EXIT_SOLVED and csv_stream is not None:
-            grid = GridSpec(*inst.options.grid)
-            scan = sup_norm_scan(
-                phi_holder, grid_points(grid, inst.spec.geometry, inst.spec.n)
-            )
+            scan = _sup_norm_scan(inst, phi)
             write_scan_csv(scan, inst.spec.n, csv_stream)
             report["certificates"]["sup_norm"] = {
                 "max": scan.max_norm,
@@ -491,40 +529,18 @@ def run(inst: ProblemInstance, *, csv_stream=None, certify: bool = False) -> tup
         return report, EXIT_ERROR
 
 
-def _rebuild_phi(inst: ProblemInstance):
-    """Re-run the solve to obtain the evaluator for certification passes."""
-    if inst.spec.geometry == "ball":
-        if inst.mode in ("lift-pm", "factorize"):
-            q1 = build_subspace(inst.spec, inst.nodes)
-            q2 = build_subspace(
-                KernelSpec.ball(inst.p, inst.spec.n, inst.d_target), inst.nodes
-            )
-            x = np_target_operator(q1, inst.targets, q2)
-            return lift_p_gt_m(q1, q2, x).composite
-        outcome = np_solve(inst.spec, inst.nodes, inst.targets, d_target=inst.d_target)
-        return outcome.phi
-    outcome = np_solve_polydisc(
-        inst.spec,
-        inst.nodes,
-        inst.targets,
-        d_target=inst.d_target,
-        feasibility_tol=inst.options.feasibility_tol,
-        max_iter=inst.options.max_iter,
-    )
-    return outcome.phi
-
-
 def report_to_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2)
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("instance", help="path to the instance JSON document")
-    parser.add_argument("--psd-tol", type=float, default=None)
-    parser.add_argument("--verify-tol", type=float, default=None)
-    parser.add_argument("--max-iter", type=int, default=None)
-    parser.add_argument("--samples", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
+    # Numbers are converted in ``_apply_flags``, so a malformed one gets a JSON report.
+    parser.add_argument("--psd-tol", default=None)
+    parser.add_argument("--verify-tol", default=None)
+    parser.add_argument("--max-iter", default=None)
+    parser.add_argument("--samples", default=None)
+    parser.add_argument("--seed", default=None)
     parser.add_argument(
         "--grid", type=str, default=None, help="grid as RADII:ANGLES:RADIUS"
     )
@@ -532,21 +548,22 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _apply_flags(inst: ProblemInstance, args) -> None:
-    if args.psd_tol is not None:
-        inst.options.psd_tol = args.psd_tol
-    if args.verify_tol is not None:
-        inst.options.verify_tol = args.verify_tol
-    if args.max_iter is not None:
-        inst.options.max_iter = args.max_iter
-    if args.samples is not None:
-        inst.options.samples = args.samples
-    if args.seed is not None:
-        inst.options.seed = args.seed
+    for key, convert in (("psd_tol", float), ("verify_tol", float), ("max_iter", int),
+                         ("samples", int), ("seed", int)):
+        text = getattr(args, key)
+        if text is not None:
+            flag = "--" + key.replace("_", "-")
+            try:
+                setattr(inst.options, key, convert(text))
+            except ValueError:
+                raise ValidationError("must be a number", flag) from None
     if args.grid is not None:
-        parts = args.grid.split(":")
-        if len(parts) != 3:
-            raise ValidationError("grid flag is RADII:ANGLES:RADIUS", "--grid")
-        inst.options.grid = (int(parts[0]), int(parts[1]), float(parts[2]))
+        try:
+            radii, angles, radius = args.grid.split(":")
+            inst.options.grid = (int(radii), int(angles), float(radius))
+        except ValueError:
+            raise ValidationError("grid flag is RADII:ANGLES:RADIUS", "--grid") from None
+    _check_options(inst.options, from_flags=True)
 
 
 def main(argv=None) -> int:

@@ -28,6 +28,12 @@ from .model_space import TupleOperator
 #: Base factor for the scale-relative PSD acceptance threshold.
 PSD_BASE_TOL = 1e-9
 
+#: Joint eigenvectors whose condition number exceeds this are not trusted.
+JOINT_COND_LIMIT = 1e8
+
+#: Off-diagonal allowance of ``V^{-1} T_i V``, relative to ``1 + ||T_i||``.
+JOINT_DIAG_TOL = 1e-10
+
 
 def cp_map(t: TupleOperator, a: np.ndarray) -> np.ndarray:
     """The completely positive map ``A -> sum_i T_i A T_i*``."""
@@ -160,18 +166,57 @@ def purity_check(
     return PurityReport(pure=False, conclusive=False, decay=decay)
 
 
+def joint_eigenvalues(t: TupleOperator) -> np.ndarray | None:
+    """Joint eigenvalues of a diagonalizable tuple, one row ``lambda_a`` per
+    common eigenvector, or ``None`` when the tuple fails the self-check.
+
+    The eigenvectors ``V`` of one fixed generic combination ``sum c_i T_i``
+    diagonalize every ``T_i`` together when the tuple is diagonalizable
+    with separated joint eigenvalues; ``lambda_ai`` is then the diagonal
+    of ``V^{-1} T_i V``.  The check requires ``V`` to be well conditioned
+    and each ``V^{-1} T_i V`` to be diagonal within ``JOINT_DIAG_TOL``
+    relative to ``||T_i||``.
+    """
+    # Fixed generic weights: irrational phases and distinct moduli, no random state.
+    k = np.arange(1, t.n + 1)
+    weights = np.exp(1j * np.sqrt(2.0) * k) * (1.0 + 0.5 * k)
+    combo = sum(w * m for w, m in zip(weights, t.mats))
+    _, vecs = np.linalg.eig(combo)
+    if np.linalg.cond(vecs) > JOINT_COND_LIMIT:
+        return None
+    lam = np.empty((t.dim, t.n), dtype=complex)
+    for i, m in enumerate(t.mats):
+        conj = np.linalg.solve(vecs, m @ vecs)
+        lam[:, i] = np.diag(conj)
+        if opnorm(conj - np.diag(lam[:, i])) > JOINT_DIAG_TOL * (1.0 + opnorm(m)):
+            return None
+    return lam
+
+
 def is_pure(t: TupleOperator, spec: KernelSpec, margin: float = 1e-10) -> bool:
     """Spectral-radius purity gate.
 
     Equivalent to iterate decay on finite matrices but immune to slow
     transients near the boundary: the ball uses the spectral radius of the
     completely positive map itself, the polydisc the per-coordinate radii.
+
+    On the ball, commuting matrices triangularize together, so
+    ``sum conj(T_i) (x) T_i`` is triangular with diagonal entries
+    ``<lambda_a, lambda_b>`` and its spectral radius is the largest
+    ``||lambda_a||^2``.  That costs one ``q x q`` eigenproblem; only tuples
+    whose joint eigenvalues fail the self-check of ``joint_eigenvalues``
+    (non-diagonalizable or clustered) fall back to the eigenvalues of the
+    ``q^2 x q^2`` matrix itself.
     """
     if spec.geometry == BALL:
-        mat = np.zeros((t.dim * t.dim, t.dim * t.dim), dtype=complex)
-        for m in t.mats:
-            mat += np.kron(m.conj(), m)
-        radius = max(abs(np.linalg.eigvals(mat)))
+        lam = joint_eigenvalues(t)
+        if lam is not None:
+            radius = float(np.max(np.sum(np.abs(lam) ** 2, axis=1)))
+        else:
+            mat = np.zeros((t.dim * t.dim, t.dim * t.dim), dtype=complex)
+            for m in t.mats:
+                mat += np.kron(m.conj(), m)
+            radius = max(abs(np.linalg.eigvals(mat)))
     else:
         radius = max(max(abs(np.linalg.eigvals(m))) for m in t.mats)
     return bool(radius < 1.0 - margin)

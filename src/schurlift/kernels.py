@@ -81,9 +81,14 @@ class KernelSpec:
         z = np.asarray(z, dtype=complex).reshape(-1)
         if z.size != self.n:
             raise DimensionMismatch(f"point has {z.size} coordinates, spec expects {self.n}")
+        return float(self._gaps(z))
+
+    def _gaps(self, points: np.ndarray) -> np.ndarray:
+        """Boundary gap of each point along the last axis."""
+        squares = np.abs(points) ** 2
         if self.geometry == BALL:
-            return 1.0 - float(np.sum(np.abs(z) ** 2))
-        return 1.0 - float(np.max(np.abs(z) ** 2))
+            return 1.0 - np.sum(squares, axis=-1)
+        return 1.0 - np.max(squares, axis=-1)
 
     def contains(self, z) -> bool:
         return self.boundary_gap(z) > DOMAIN_MARGIN
@@ -95,6 +100,21 @@ class KernelSpec:
                 f"point {np.asarray(z)} is not strictly inside the {self.geometry} "
                 f"(boundary gap {gap:.3e})"
             )
+
+    def interior_points(self, points) -> np.ndarray:
+        """Stack ``points`` into an ``(N, n)`` array, each checked to be strictly
+        interior exactly as ``require_interior`` checks one point."""
+        rows = [np.asarray(z, dtype=complex).reshape(-1) for z in points]
+        for z in rows:
+            if z.size != self.n:
+                raise DimensionMismatch(
+                    f"point has {z.size} coordinates, spec expects {self.n}"
+                )
+        pts = np.array(rows, dtype=complex).reshape(len(rows), self.n)
+        bad = np.flatnonzero(self._gaps(pts) <= DOMAIN_MARGIN)
+        if bad.size:
+            self.require_interior(pts[bad[0]])
+        return pts
 
 
 def _check_index(k, n: int | None = None) -> MultiIndex:
@@ -158,6 +178,21 @@ def kernel_eval(spec: KernelSpec, z, w) -> complex:
     for zi, wi, g in zip(z, w, spec.gamma):
         value *= (1.0 - zi * wi.conjugate()) ** (-g)
     return value
+
+
+def kernel_matrix(spec: KernelSpec, p, q) -> np.ndarray:
+    """Scalar kernel values ``[K(p_a, q_b)]`` for two lists of points.
+
+    Every point is checked to be strictly interior, with the margin and
+    the error of ``require_interior``; the closed forms of ``kernel_eval``
+    are then evaluated for all pairs at once by broadcasting.
+    """
+    p = spec.interior_points(p)
+    q = spec.interior_points(q)
+    products = p[:, None, :] * q[None, :, :].conj()
+    if spec.geometry == BALL:
+        return (1.0 - np.sum(products, axis=-1)) ** (-spec.m)
+    return np.prod((1.0 - products) ** (-np.asarray(spec.gamma)), axis=-1)
 
 
 def inverse_kernel_coeffs(gamma) -> dict[MultiIndex, float]:

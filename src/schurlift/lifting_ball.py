@@ -27,8 +27,8 @@ from .hypercontraction import (
     is_pure,
     DefectData,
 )
-from .kernels import KernelSpec, kernel_eval
-from .linalg import as_matrix, herm, min_eig, opnorm, psd_tolerance
+from .kernels import KernelSpec, kernel_matrix
+from .linalg import as_matrix, herm, min_eig, opnorm, pick_blocks, psd_tolerance
 from .model_space import (
     KernelSubspace,
     TupleOperator,
@@ -183,18 +183,8 @@ def verify_lift(
 
 def target_pick_matrix(spec: KernelSpec, nodes, targets) -> np.ndarray:
     """Block matrix ``[(I - W_a W_b*) K(z_a, z_b)]`` for the spec's kernel."""
-    mats = [as_matrix(w) for w in targets]
-    d = mats[0].shape[0]
-    eye = np.eye(d, dtype=complex)
-    r = len(nodes)
-    out = np.zeros((r * d, r * d), dtype=complex)
-    for a in range(r):
-        for b in range(r):
-            block = kernel_eval(spec, nodes[a], nodes[b]) * (
-                eye - mats[a] @ mats[b].conj().T
-            )
-            out[a * d : (a + 1) * d, b * d : (b + 1) * d] = block
-    return herm(out)
+    values = np.stack([as_matrix(w) for w in targets])
+    return herm(pick_blocks(values, kernel_matrix(spec, nodes, nodes)))
 
 
 @dataclass
@@ -303,19 +293,11 @@ def dilate_p_to_m(q2: KernelSubspace, m: int) -> Dilation:
         raise ValueError(f"dilation requires p > m, got p={p}, m={m}")
     d = q2.spec.d_coeff
     coeff_space = build_subspace(KernelSpec.ball(p - m, n, d), q2.nodes)
-    f_dim = coeff_space.dim
 
     # Coefficient vectors of the image basis, one column per span vector.
     c_mat = coeff_space.ortho_factor_inv  # (f, f): column a = coords of basis vector a
-    spec_m = KernelSpec.ball(m, n, 1)
-    node_of = [a // d for a in range(f_dim)]
-    gram = np.zeros((f_dim, f_dim), dtype=complex)
-    for a in range(f_dim):
-        for b in range(f_dim):
-            gram[a, b] = kernel_eval(
-                spec_m, q2.nodes[node_of[a]], q2.nodes[node_of[b]]
-            ) * complex(np.vdot(c_mat[:, a], c_mat[:, b]))
-    gram = herm(gram)
+    kernel_m = kernel_matrix(KernelSpec.ball(m, n, 1), q2.nodes, q2.nodes)
+    gram = herm(np.kron(kernel_m, np.ones((d, d))) * (c_mat.conj().T @ c_mat))
     w, v = np.linalg.eigh(gram)
     if w[0] < 1e-10 * w[-1]:
         raise IllConditioned(
@@ -328,7 +310,7 @@ def dilate_p_to_m(q2: KernelSubspace, m: int) -> Dilation:
 
     mats = []
     for i in range(n):
-        diag = np.array([q2.nodes[j][i].conjugate() for j in node_of])
+        diag = np.repeat([node[i].conjugate() for node in q2.nodes], d)
         adj = ortho_inv @ (diag[:, None] * ortho)
         mats.append(adj.conj().T)
     s_prime = TupleOperator(tuple(mats))
@@ -437,18 +419,9 @@ def factorization_criterion(
         raise ValueError("at least one sample point is required")
     if n is None:
         n = points[0].size
-    values = [as_matrix(phi_eval(u)) for u in points]
-    d = values[0].shape[0]
-    eye = np.eye(d, dtype=complex)
-    spec_high = KernelSpec.ball(p - m + 1, n, 1)
-    spec_one = KernelSpec.ball(1, n, 1)
-    count = len(points)
-    mat = np.zeros((count * d, count * d), dtype=complex)
-    for a in range(count):
-        for b in range(count):
-            block = kernel_eval(spec_high, points[a], points[b]) * eye - kernel_eval(
-                spec_one, points[a], points[b]
-            ) * (values[a] @ values[b].conj().T)
-            mat[a * d : (a + 1) * d, b * d : (b + 1) * d] = block
+    values = np.stack([as_matrix(phi_eval(u)) for u in points])
+    kernel_high = kernel_matrix(KernelSpec.ball(p - m + 1, n, 1), points, points)
+    kernel_one = kernel_matrix(KernelSpec.ball(1, n, 1), points, points)
+    mat = pick_blocks(values, kernel_one, kernel_high)
     lam = float(np.linalg.eigvalsh(herm(mat))[0])
-    return CertificateResult(min_eig=lam, passed=lam >= -tol, sample_count=count)
+    return CertificateResult(min_eig=lam, passed=lam >= -tol, sample_count=len(points))

@@ -97,3 +97,21 @@ def block_diag(blocks) -> np.ndarray:
         r += b.shape[0]
         c += b.shape[1]
     return out
+
+
+def pick_blocks(values, kernel: np.ndarray, identity_kernel: np.ndarray | None = None) -> np.ndarray:
+    """Block matrix ``[c_ab I - k_ab V_a V_b*]`` from stacked values ``V_a``.
+
+    ``kernel`` holds the scalars ``k_ab``; ``identity_kernel`` holds
+    ``c_ab`` and defaults to ``kernel``.  All products ``V_a V_b*`` come
+    from one matrix product of the stacked values.
+    """
+    values = np.asarray(values, dtype=complex)
+    count, d, _ = values.shape
+    flat = values.reshape(count * d, -1)
+    products = (flat @ flat.conj().T).reshape(count, d, count, d)
+    if identity_kernel is None:
+        identity_kernel = kernel
+    eye = np.eye(d)[None, :, None, :]
+    out = identity_kernel[:, None, :, None] * eye - kernel[:, None, :, None] * products
+    return out.reshape(count * d, count * d)

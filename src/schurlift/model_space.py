@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, IllConditioned
-from .kernels import KernelSpec, kernel_eval
+from .kernels import KernelSpec, kernel_matrix
 from .linalg import as_matrix, block_diag, opnorm
 
 #: Relative eigenvalue floor below which a Gram matrix is rejected.
@@ -100,10 +100,8 @@ class KernelSubspace:
 
     def eval_map(self, z) -> np.ndarray:
         """Matrix sending orthonormal coordinates to the function value at ``z``."""
-        d = self.spec.d_coeff
-        eye = np.eye(d, dtype=complex)
-        row = np.hstack([kernel_eval(self.spec, z, node) * eye for node in self.nodes])
-        return row @ self.ortho_factor
+        row = kernel_matrix(self.spec, [z], self.nodes)
+        return np.kron(row, np.eye(self.spec.d_coeff)) @ self.ortho_factor
 
     def coeff_map_at_zero(self) -> np.ndarray:
         """Evaluation at the origin; its Gram reproduces the hereditary defect."""
@@ -119,11 +117,7 @@ def build_subspace(spec: KernelSpec, nodes) -> KernelSubspace:
     below ``GRAM_FLOOR`` times the largest (coincident or clustered
     nodes), and ``DomainViolation`` for nodes on or outside the boundary.
     """
-    node_list = []
-    for z in nodes:
-        z = np.asarray(z, dtype=complex).reshape(-1)
-        spec.require_interior(z)
-        node_list.append(tuple(z))
+    node_list = [tuple(z) for z in spec.interior_points(nodes)]
     if not node_list:
         raise ValueError("at least one node is required")
     r = len(node_list)
@@ -132,14 +126,8 @@ def build_subspace(spec: KernelSpec, nodes) -> KernelSubspace:
             if node_list[a] == node_list[b]:
                 raise ValueError(f"nodes {a} and {b} coincide")
 
-    d = spec.d_coeff
-    gram = np.zeros((r * d, r * d), dtype=complex)
-    eye = np.eye(d, dtype=complex)
-    for a in range(r):
-        for b in range(r):
-            gram[a * d : (a + 1) * d, b * d : (b + 1) * d] = (
-                kernel_eval(spec, node_list[a], node_list[b]) * eye
-            )
+    kernel = kernel_matrix(spec, node_list, node_list)
+    gram = np.kron(kernel, np.eye(spec.d_coeff))
     gram = (gram + gram.conj().T) / 2.0
 
     w, v = np.linalg.eigh(gram)

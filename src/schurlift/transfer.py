@@ -17,13 +17,12 @@ import numpy as np
 from .errors import DomainViolation, NearSingularResolvent
 from .colligation import BALL_ROW, Colligation
 from .hypercontraction import cp_map
-from .linalg import as_matrix, herm, opnorm
+from .kernels import KernelSpec, kernel_matrix
+from .linalg import as_matrix, herm, opnorm, pick_blocks
 from .model_space import TupleOperator
 
 #: Points where the resolvent condition number exceeds this are rejected.
 COND_LIMIT = 1e12
-
-DOMAIN_MARGIN = 1e-12
 
 
 @dataclass
@@ -40,10 +39,17 @@ class TransferFunction:
     cond_limit: float = COND_LIMIT
     d_in: int = field(init=False)
     d_out: int = field(init=False)
+    domain: KernelSpec = field(init=False)
 
     def __post_init__(self):
         self.d_in = self.colligation.out_defect_dim
         self.d_out = self.colligation.in_defect_dim
+        # Only the geometry of the weight-one spec matters: it carries the
+        # package's single interior check.
+        if self.geometry == BALL_ROW:
+            self.domain = KernelSpec.ball(1, self.n)
+        else:
+            self.domain = KernelSpec.polydisc((1,) * self.n)
 
     @property
     def geometry(self) -> str:
@@ -53,21 +59,13 @@ class TransferFunction:
     def n(self) -> int:
         return len(self.colligation.in_state_dims)
 
-    def _check_interior(self, z: np.ndarray) -> None:
-        if self.geometry == BALL_ROW:
-            gap = 1.0 - float(np.sum(np.abs(z) ** 2))
-        else:
-            gap = 1.0 - float(np.max(np.abs(z) ** 2))
-        if gap <= DOMAIN_MARGIN:
-            raise DomainViolation(f"evaluation point {z} is not strictly interior")
-
     def eval(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=complex).reshape(-1)
         if z.size != self.n:
             raise DomainViolation(
                 f"point has {z.size} coordinates, transfer function expects {self.n}"
             )
-        self._check_interior(z)
+        self.domain.require_interior(z)
         coll = self.colligation
         a_adj = coll.block_a.conj().T
         state_dim = sum(coll.in_state_dims)
@@ -154,20 +152,12 @@ def schur_agler_certificate_ball(phi_eval, samples, tol: float) -> CertificateRe
     in the Schur class on the samples.
     """
     points = [np.asarray(u, dtype=complex).reshape(-1) for u in samples]
-    values = [as_matrix(phi_eval(u)) for u in points]
-    if not values:
+    if not points:
         raise ValueError("at least one sample point is required")
-    d = values[0].shape[0]
-    m = len(points)
-    mat = np.zeros((m * d, m * d), dtype=complex)
-    eye = np.eye(d, dtype=complex)
-    for a in range(m):
-        for b in range(m):
-            pairing = complex(np.sum(points[a] * points[b].conj()))
-            block = (eye - values[a] @ values[b].conj().T) / (1.0 - pairing)
-            mat[a * d : (a + 1) * d, b * d : (b + 1) * d] = block
-    lam = float(np.linalg.eigvalsh(herm(mat))[0])
-    return CertificateResult(min_eig=lam, passed=lam >= -tol, sample_count=m)
+    values = np.stack([as_matrix(phi_eval(u)) for u in points])
+    kernel = kernel_matrix(KernelSpec.ball(1, points[0].size), points, points)
+    lam = float(np.linalg.eigvalsh(herm(pick_blocks(values, kernel)))[0])
+    return CertificateResult(min_eig=lam, passed=lam >= -tol, sample_count=len(points))
 
 
 @dataclass(frozen=True)

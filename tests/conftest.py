@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from schurlift import KernelSpec
+from schurlift.kernels import kernel_matrix
 from schurlift.lifting_ball import target_pick_matrix
 from schurlift.linalg import min_eig
 from schurlift.model_space import TupleOperator
@@ -40,11 +41,14 @@ def random_contraction(rng, d_out, d_in, norm_cap=0.8):
 
 
 def scaled_targets(rng, spec, nodes, d_out=1, margin=0.01, weight_one=True):
-    """Random targets rescaled so the weight-one block matrix clears ``margin``.
+    """Random nonzero targets rescaled so the weight-one block matrix clears ``margin``.
 
-    The scaling is found by bisection on a common factor; the returned
-    targets always admit the lift (the positivity gap is controlled by
-    the weight-one matrix).
+    The scaling is found by bisection on a common factor.  The tested gap
+    is the bottom eigenvalue of ``L^{-1} P L^{-*}``, where ``P`` is the
+    block matrix and ``G = L L*`` the Gram matrix of the same kernel: it is
+    1 at zero targets whatever the Gram conditioning, so the bisection
+    never collapses to zero.  The returned targets always admit the lift
+    (the positivity gap is controlled by the weight-one matrix).
     """
     raw = [random_contraction(rng, d_out, spec.d_coeff, norm_cap=0.95) for _ in nodes]
     test_spec = (
@@ -52,9 +56,12 @@ def scaled_targets(rng, spec, nodes, d_out=1, margin=0.01, weight_one=True):
         if (weight_one and spec.geometry == "ball")
         else spec
     )
+    chol = np.linalg.cholesky(np.kron(kernel_matrix(test_spec, nodes, nodes), np.eye(d_out)))
 
     def check(tau):
-        return min_eig(target_pick_matrix(test_spec, nodes, [tau * w for w in raw]))
+        pick = target_pick_matrix(test_spec, nodes, [tau * w for w in raw])
+        half = np.linalg.solve(chol, pick)
+        return min_eig(np.linalg.solve(chol, half.conj().T))
 
     if check(1.0) >= margin:
         return raw
@@ -66,6 +73,7 @@ def scaled_targets(rng, spec, nodes, d_out=1, margin=0.01, weight_one=True):
         else:
             hi = mid
     tau = lo * 0.999
+    assert tau > 0.0, "target scaling collapsed to zero"
     return [tau * w for w in raw]
 
 

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+import schurlift.cli as cli
 from schurlift.cli import (
+    EXIT_ERROR,
     EXIT_INCONCLUSIVE,
     EXIT_INFEASIBLE,
     EXIT_SOLVED,
@@ -215,3 +217,78 @@ def test_main_byte_identical_runs(tmp_path, capsys):
     main(["certify", str(path)])
     second = capsys.readouterr().out
     assert first == second
+
+
+def _forbid_solves(monkeypatch):
+    def solve(*args, **kwargs):
+        raise AssertionError("the instance was solved before its input was validated")
+
+    for name in ("np_solve", "np_solve_polydisc", "lift_p_gt_m"):
+        monkeypatch.setattr(cli, name, solve)
+
+
+@pytest.mark.parametrize(
+    "command, options, flags",
+    [
+        ("certify", {}, ["--grid", "2:x:0.9"]),
+        ("certify", {}, ["--grid", "2:2"]),
+        ("certify", {}, ["--grid", "2:2:1.5"]),
+        ("scan", {}, ["--grid", "2:2:1.5"]),
+        ("certify", {"grid": [2, 2, 1.5]}, []),
+        ("scan", {"grid": [2, 2, 0.0]}, []),
+        ("certify", {"seed": "abc"}, []),
+        ("solve", {"psd_tol": "1e-9"}, []),
+        ("solve", {"max_iter": 2.5}, []),
+        ("solve", {"samples": True}, []),
+        ("certify", {"sample_radius": [0.5]}, []),
+        ("certify", {"samples": 0}, []),
+        ("certify", {}, ["--seed", "-1"]),
+        ("certify", {}, ["--seed", "abc"]),
+        ("solve", {}, ["--psd-tol", "x"]),
+        ("solve", {}, ["--max-iter", "1.5"]),
+    ],
+)
+def test_malformed_options_are_rejected_before_solving(
+    tmp_path, capsys, monkeypatch, command, options, flags
+):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(dict(MOEBIUS, options=options)))
+    _forbid_solves(monkeypatch)
+    argv = [command, str(path), *flags]
+    if command == "scan":
+        argv += ["--csv-out", str(tmp_path / "scan.csv")]
+    code = main(argv)
+    report = json.loads(capsys.readouterr().out)
+    assert code == EXIT_ERROR
+    assert report["status"] == "error"
+    assert report["error"]["type"] == "ValidationError"
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("certify", dict(MOEBIUS, mode="certify")),
+        ("scan", MOEBIUS),
+        ("certify", dict(MOEBIUS, mode="lift-pm", p=2)),
+        ("scan", dict(MOEBIUS, mode="lift-ball")),
+        ("certify", BIDISC),
+    ],
+)
+def test_each_command_solves_once(tmp_path, capsys, monkeypatch, command, doc):
+    calls = []
+    for name in ("np_solve", "np_solve_polydisc", "lift_p_gt_m", "lift_ball"):
+        original = getattr(cli, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(_original)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(dict(doc, options={"samples": 20, "grid": [2, 3, 0.9]})))
+    code = main([command, str(path), "--csv-out", str(tmp_path / "scan.csv")]
+                if command == "scan" else [command, str(path)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == EXIT_SOLVED
+    assert report["certificates"].get("schur_agler", report["certificates"].get("sup_norm"))
+    assert len(calls) == 1

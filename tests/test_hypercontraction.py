@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schurlift import (
     KernelSpec,
@@ -14,7 +16,13 @@ from schurlift import (
     sigma_sum,
 )
 from schurlift.errors import NotConverged, NotHypercontraction
-from schurlift.hypercontraction import hereditary_applied, is_pure, tuple_monomial
+from schurlift.hypercontraction import (
+    hereditary_applied,
+    is_pure,
+    joint_eigenvalues,
+    tuple_monomial,
+)
+from schurlift.lifting_ball import dilate_p_to_m
 from schurlift.kernels import indices_up_to, series_coeff
 from schurlift.linalg import min_eig, opnorm
 from schurlift.model_space import TupleOperator
@@ -237,3 +245,61 @@ def test_hereditary_applied_composition():
     a = a_raw @ a_raw.conj().T
     step = a - cp_map(t, a)
     assert opnorm(hereditary_applied(t, 2, a) - (step - cp_map(t, step))) < 1e-12
+
+
+def _kronecker_radius(t):
+    """Reference: spectral radius of ``sum conj(T_i) (x) T_i``, the q^2 x q^2 route."""
+    mat = sum(np.kron(m.conj(), m) for m in t.mats)
+    return float(max(abs(np.linalg.eigvals(mat))))
+
+
+def _joint_radius(t):
+    lam = joint_eigenvalues(t)
+    assert lam is not None
+    return float(np.max(np.sum(np.abs(lam) ** 2, axis=1)))
+
+
+def _assert_gate_matches_kronecker(t):
+    reference = _kronecker_radius(t)
+    assert abs(_joint_radius(t) - reference) <= 1e-10
+    assert is_pure(t, KernelSpec.ball(1, t.n)) == (reference < 1.0 - 1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 10),
+    n=st.integers(1, 3),
+    radius=st.floats(0.3, 1.4),
+)
+def test_joint_spectrum_radius_normal_tuples(seed, dim, n, radius):
+    _assert_gate_matches_kronecker(
+        random_normal_tuple(np.random.default_rng(seed), dim, n, radius=radius)
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    r=st.integers(1, 6),
+    n=st.integers(1, 3),
+    m=st.sampled_from([1, 2, 3]),
+    d=st.sampled_from([1, 2]),
+)
+def test_joint_spectrum_radius_model_and_dilation_tuples(seed, r, n, m, d):
+    nodes = random_ball_nodes(np.random.default_rng(seed), r, n, radius=0.8, min_sep=0.2)
+    s = model_tuple(build_subspace(KernelSpec.ball(m, n, d), nodes))
+    _assert_gate_matches_kronecker(s)
+    # The joint spectrum of a model tuple is its node set.
+    assert _joint_radius(s) == pytest.approx(max(np.sum(np.abs(nodes) ** 2, axis=1)), abs=1e-12)
+    dil = dilate_p_to_m(build_subspace(KernelSpec.ball(m + 1, n, d), nodes), m)
+    _assert_gate_matches_kronecker(dil.tuple)
+
+
+def test_jordan_block_takes_the_kronecker_fallback():
+    nilpotent = np.diag(np.ones(3), 1).astype(complex)
+    for shift, pure in ((0.0, True), (0.5, True), (1.2, False)):
+        t = TupleOperator((shift * np.eye(4) + 0.5 * nilpotent, 0.3 * nilpotent))
+        assert joint_eigenvalues(t) is None
+        assert is_pure(t, KernelSpec.ball(1, 2)) is pure
+        assert (_kronecker_radius(t) < 1.0 - 1e-10) is pure

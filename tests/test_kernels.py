@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schurlift import KernelSpec, ball_coeff, inverse_kernel_coeffs, kernel_eval, polydisc_coeff
-from schurlift.errors import DomainViolation
-from schurlift.kernels import box_indices, indices_up_to, monomial
+from schurlift.errors import DimensionMismatch, DomainViolation
+from schurlift.kernels import box_indices, indices_up_to, kernel_matrix, monomial
 
 
 def test_ball_coeff_at_zero_index():
@@ -108,6 +110,45 @@ def test_kernel_eval_rejects_boundary():
         kernel_eval(spec, (1.0,), (0.0,))
     with pytest.raises(DomainViolation):
         kernel_eval(KernelSpec.polydisc((1, 1)), (0.2, 1.0), (0.0, 0.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 3),
+    weight=st.integers(1, 3),
+    polydisc=st.booleans(),
+    count=st.integers(1, 8),
+)
+def test_kernel_matrix_matches_kernel_eval(seed, n, weight, polydisc, count):
+    rng = np.random.default_rng(seed)
+    spec = KernelSpec.polydisc((weight,) * n) if polydisc else KernelSpec.ball(weight, n)
+
+    def point():
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        scale = np.max(np.abs(v)) if polydisc else np.linalg.norm(v)
+        return tuple(0.95 * rng.uniform() * v / scale)
+
+    p = [point() for _ in range(count)]
+    q = [point() for _ in range(count + 1)]
+    values = kernel_matrix(spec, p, q)
+    reference = np.array([[kernel_eval(spec, z, w) for w in q] for z in p])
+    assert values.shape == (count, count + 1)
+    assert np.max(np.abs(values - reference) / np.abs(reference)) <= 1e-14
+
+
+def test_kernel_matrix_rejects_boundary_and_wrong_dimension():
+    for spec, edge in (
+        (KernelSpec.ball(2, 2), (0.6, 0.8)),
+        (KernelSpec.polydisc((1, 2)), (0.2, 1.0)),
+    ):
+        inside = [(0.1, 0.2j), (0.0, 0.0)]
+        with pytest.raises(DomainViolation):
+            kernel_matrix(spec, inside + [edge], inside)
+        with pytest.raises(DomainViolation):
+            kernel_matrix(spec, inside, [edge] + inside)
+        with pytest.raises(DimensionMismatch):
+            kernel_matrix(spec, inside, [(0.1,)])
 
 
 def test_inverse_kernel_coeffs_hardy_bidisc():

@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schurlift import (
     GridSpec,
@@ -10,6 +12,7 @@ from schurlift import (
     build_subspace,
     defect,
     grid_points,
+    lift_p_gt_m,
     model_tuple,
     np_solve,
     np_target_operator,
@@ -21,7 +24,9 @@ from schurlift import (
 )
 from schurlift.colligation import UNITARY
 from schurlift.errors import DomainViolation
-from schurlift.linalg import opnorm
+from schurlift.kernels import kernel_eval
+from schurlift.lifting_ball import factorization_criterion
+from schurlift.linalg import herm, opnorm
 
 from conftest import random_ball_nodes, random_interior_points, scaled_targets
 
@@ -115,6 +120,62 @@ def test_certificate_solved_instance():
     samples = random_interior_points(rng, 200, 2)
     cert = schur_agler_certificate_ball(res.phi, samples, tol=1e-7)
     assert cert.min_eig >= -1e-9
+
+
+def _loop_schur_agler_min_eig(phi_eval, samples):
+    """Reference: the sampled Pick-type matrix assembled one block at a time."""
+    points = [np.asarray(u, dtype=complex).reshape(-1) for u in samples]
+    values = [np.atleast_2d(phi_eval(u)) for u in points]
+    d = values[0].shape[0]
+    mat = np.zeros((len(points) * d, len(points) * d), dtype=complex)
+    for a in range(len(points)):
+        for b in range(len(points)):
+            pairing = complex(np.sum(points[a] * points[b].conj()))
+            block = (np.eye(d) - values[a] @ values[b].conj().T) / (1.0 - pairing)
+            mat[a * d : (a + 1) * d, b * d : (b + 1) * d] = block
+    return float(np.linalg.eigvalsh(herm(mat))[0])
+
+
+def _loop_factorization_min_eig(phi_eval, m, p, samples, n):
+    """Reference: ``K_{p-m+1} I - K_1 phi(u_a) phi(u_b)*`` one block at a time."""
+    points = [np.asarray(u, dtype=complex).reshape(-1) for u in samples]
+    values = [np.atleast_2d(phi_eval(u)) for u in points]
+    d = values[0].shape[0]
+    high, one = KernelSpec.ball(p - m + 1, n), KernelSpec.ball(1, n)
+    mat = np.zeros((len(points) * d, len(points) * d), dtype=complex)
+    for a in range(len(points)):
+        for b in range(len(points)):
+            block = kernel_eval(high, points[a], points[b]) * np.eye(d) - kernel_eval(
+                one, points[a], points[b]
+            ) * (values[a] @ values[b].conj().T)
+            mat[a * d : (a + 1) * d, b * d : (b + 1) * d] = block
+    return float(np.linalg.eigvalsh(herm(mat))[0])
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 3),
+    m=st.sampled_from([1, 2]),
+    d=st.sampled_from([1, 2]),
+)
+def test_vectorized_certificates_match_loop_reference(seed, n, m, d):
+    rng = np.random.default_rng(seed)
+    nodes = random_ball_nodes(rng, 3, n, radius=0.6, min_sep=0.2)
+    spec = KernelSpec.ball(m, n, d)
+    res = np_solve(spec, nodes, scaled_targets(rng, spec, nodes, d_out=d), d_target=d)
+    samples = random_interior_points(rng, 40, n, radius=0.9)
+    cert = schur_agler_certificate_ball(res.phi, samples, tol=1e-7)
+    assert abs(cert.min_eig - _loop_schur_agler_min_eig(res.phi, samples)) <= 1e-12
+
+    spec_p = KernelSpec.ball(m + 1, n)
+    q1 = build_subspace(KernelSpec.ball(1, n), nodes)
+    q2 = build_subspace(spec_p, nodes)
+    targets = scaled_targets(rng, spec_p, nodes, weight_one=False)
+    comp = lift_p_gt_m(q1, q2, np_target_operator(q1, targets, q2))
+    crit = factorization_criterion(comp.composite, 1, m + 1, samples, tol=1e-7, n=n)
+    reference = _loop_factorization_min_eig(comp.composite, 1, m + 1, samples, n)
+    assert abs(crit.min_eig - reference) <= 1e-12
 
 
 def test_sup_norm_scan_zero_and_constant():

@@ -40,7 +40,7 @@ from .model_space import (
 from .transfer import (
     CertificateResult,
     TransferFunction,
-    series_partial_lift,
+    _series_partial_sum,
     transfer_function,
 )
 
@@ -158,7 +158,7 @@ def lift_ball(
     while delta_norm * np.sqrt(max(opnorm(tail), 0.0)) > 1e-12 and order < SERIES_ORDER_CAP:
         order += 1
         tail = cp_map(s, tail)
-    partial, _ = series_partial_lift(coll, s, order)
+    partial = _series_partial_sum(coll, s, order)
     series_residual = opnorm(partial - coll.out_target)
 
     cert = LiftCertificate(

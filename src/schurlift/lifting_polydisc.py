@@ -54,23 +54,16 @@ def conjugation_power(mat: np.ndarray, a: np.ndarray, power: int, subtract: bool
 
 
 def transformed_positivity(s: TupleOperator, gamma, i: int, a: np.ndarray) -> np.ndarray:
-    """``prod_{j != i} (1 - C_{S_j})^{gamma_j} (1 - C_{S_i})^{gamma_i - 1}`` applied to ``a``."""
+    """``prod_{j != i} (1 - C_{S_j})^{gamma_j} (1 - C_{S_i})^{gamma_i - 1}`` applied to ``a``.
+
+    ``a`` may be one matrix or a stack ``(..., q, q)``; the conjugations
+    broadcast over the stack.
+    """
     gamma = tuple(int(g) for g in gamma)
-    out = as_matrix(a)
+    out = np.asarray(a, dtype=complex)
     for j in range(s.n):
         power = gamma[j] if j != i else gamma[j] - 1
         out = conjugation_power(s.mats[j], out, power, subtract=True)
-    return herm(out)
-
-
-def _transformed_adjoint(s: TupleOperator, gamma, i: int, a: np.ndarray) -> np.ndarray:
-    """Adjoint of the transformed-positivity map (conjugations swap to adjoints)."""
-    gamma = tuple(int(g) for g in gamma)
-    out = as_matrix(a)
-    for j in range(s.n):
-        power = gamma[j] if j != i else gamma[j] - 1
-        for _ in range(power):
-            out = out - s.mats[j].conj().T @ out @ s.mats[j]
     return herm(out)
 
 
@@ -113,38 +106,30 @@ class Inconclusive:
 
 
 # --- Hermitian <-> real vector parametrization (Frobenius-isometric) ---
+#
+# A Hermitian ``q x q`` matrix maps to ``q^2`` reals: the diagonal, then
+# sqrt(2) Re and sqrt(2) Im of the strict upper triangle, row-major.
+# Both maps act on one matrix or on a stack ``(..., q, q)``.
 
-
-def _herm_basis_indices(q: int):
-    diag = [(i, i) for i in range(q)]
-    off = [(i, j) for i in range(q) for j in range(i + 1, q)]
-    return diag, off
+_SQRT2 = np.sqrt(2.0)
 
 
 def _herm_to_vec(a: np.ndarray) -> np.ndarray:
-    q = a.shape[0]
-    diag, off = _herm_basis_indices(q)
-    parts = [np.array([a[i, i].real for i, _ in diag])]
-    if off:
-        sqrt2 = np.sqrt(2.0)
-        parts.append(np.array([a[i, j].real * sqrt2 for i, j in off]))
-        parts.append(np.array([a[i, j].imag * sqrt2 for i, j in off]))
-    return np.concatenate(parts)
+    iu, ju = np.triu_indices(a.shape[-1], 1)
+    upper = a[..., iu, ju]
+    diag = np.diagonal(a, axis1=-2, axis2=-1).real
+    return np.concatenate([diag, upper.real * _SQRT2, upper.imag * _SQRT2], axis=-1)
 
 
 def _vec_to_herm(v: np.ndarray, q: int) -> np.ndarray:
-    diag, off = _herm_basis_indices(q)
-    a = np.zeros((q, q), dtype=complex)
-    for idx, (i, _) in enumerate(diag):
-        a[i, i] = v[idx]
-    if off:
-        sqrt2 = np.sqrt(2.0)
-        base = len(diag)
-        for idx, (i, j) in enumerate(off):
-            re = v[base + idx] / sqrt2
-            im = v[base + len(off) + idx] / sqrt2
-            a[i, j] = re + 1j * im
-            a[j, i] = re - 1j * im
+    iu, ju = np.triu_indices(q, 1)
+    off = iu.size
+    a = np.zeros(v.shape[:-1] + (q, q), dtype=complex)
+    diag = np.arange(q)
+    a[..., diag, diag] = v[..., :q]
+    upper = v[..., q : q + off] / _SQRT2 + 1j * (v[..., q + off :] / _SQRT2)
+    a[..., iu, ju] = upper
+    a[..., ju, iu] = upper.conj()
     return a
 
 
@@ -154,48 +139,43 @@ class _AffineProjector:
     ``sum_i G_i = R`` and ``H_i = L_i(G_i)`` for all ``i``,
 
     over the variables ``(G_1..G_n, H_1..H_n)`` in the Frobenius-isometric
-    real parametrization.  The constraint matrix is assembled once; each
-    projection is a pair of matrix-vector products.
+    real parametrization.  Substituting ``H_i = L_i G_i`` leaves the
+    least-squares problem ``min sum |G_i - g_i|^2 + |L_i G_i - h_i|^2``
+    under ``sum G_i = R``, whose solution is
+
+    ``G_i = y_i + N_i^{-1} mu``, ``y_i = N_i^{-1}(g_i + L_i^T h_i)``,
+    ``mu = K^{-1}(R - sum y_i)``,
+
+    with ``N_i = I + L_i^T L_i`` and ``K = sum N_i^{-1}`` (symmetric
+    positive definite, ``q^2``-square).  The build costs ``n + 1``
+    inversions of size ``q^2``; each projection is ``4n + 1``
+    matrix-vector products of that size.
     """
 
     def __init__(self, s: TupleOperator, gamma, r_target: np.ndarray):
-        self.q = s.dim
         self.n = s.n
-        q_real = self.q * self.q
-        self.q_real = q_real
-        basis_vecs = np.eye(q_real)
-
-        transform_mats = []
-        for i in range(self.n):
-            cols = np.empty((q_real, q_real))
-            for b in range(q_real):
-                elem = _vec_to_herm(basis_vecs[:, b], self.q)
-                cols[:, b] = _herm_to_vec(transformed_positivity(s, gamma, i, elem))
-            transform_mats.append(cols)
-
-        n_vars = 2 * self.n * q_real
-        n_rows = (self.n + 1) * q_real
-        a = np.zeros((n_rows, n_vars))
-        for i in range(self.n):
-            a[:q_real, i * q_real : (i + 1) * q_real] = np.eye(q_real)
-        for i in range(self.n):
-            row0 = (1 + i) * q_real
-            a[row0 : row0 + q_real, i * q_real : (i + 1) * q_real] = -transform_mats[i]
-            col0 = (self.n + i) * q_real
-            a[row0 : row0 + q_real, col0 : col0 + q_real] = np.eye(q_real)
-        self.a = a
-        b = np.zeros(n_rows)
-        b[:q_real] = _herm_to_vec(r_target)
-        self.b = b
-        gram = a @ a.T
-        self.solve = np.linalg.inv(gram)
+        self.q_real = s.dim * s.dim
+        basis = _vec_to_herm(np.eye(self.q_real), s.dim)
+        # Column b of L_i is the transform of the b-th basis matrix.
+        self.l = np.stack(
+            [_herm_to_vec(transformed_positivity(s, gamma, i, basis)).T for i in range(self.n)]
+        )
+        self.l_t = np.swapaxes(self.l, -1, -2)
+        self.n_inv = np.linalg.inv(np.eye(self.q_real) + self.l_t @ self.l)
+        self.k_inv = np.linalg.inv(self.n_inv.sum(axis=0))
+        self.b = _herm_to_vec(r_target)
 
     def project(self, v: np.ndarray) -> np.ndarray:
-        resid = self.a @ v - self.b
-        return v - self.a.T @ (self.solve @ resid)
+        g, h = v.reshape(2, self.n, self.q_real)
+        y = _matvec(self.n_inv, g + _matvec(self.l_t, h))
+        mu = self.k_inv @ (self.b - y.sum(axis=0))
+        gs = y + self.n_inv @ mu
+        return np.concatenate([gs, _matvec(self.l, gs)]).ravel()
 
-    def constraint_residual(self, v: np.ndarray) -> float:
-        return float(np.max(np.abs(self.a @ v - self.b)))
+
+def _matvec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Products ``mats[i] @ vecs[i]`` over a stack."""
+    return (mats @ vecs[..., None])[..., 0]
 
 
 def agler_feasibility(
@@ -278,37 +258,27 @@ def agler_feasibility(
     pad = (slack / s.n) * np.eye(q, dtype=complex)
 
     projector = _AffineProjector(s, gamma, r_inner)
-    q_real = projector.q_real
     if initial is not None:
         gs = [herm(as_matrix(g)) - pad for g in initial]
     else:
         gs = [r_inner / s.n for _ in range(s.n)]
     hs = [transformed_positivity(s, gamma, i, gs[i]) for i in range(s.n)]
-    v = np.concatenate([_herm_to_vec(g) for g in gs] + [_herm_to_vec(h) for h in hs])
+    v = _herm_to_vec(np.stack(gs + hs)).ravel()
     correction = np.zeros_like(v)
 
     def unpack(vec):
-        gs_out = [
-            _vec_to_herm(vec[i * q_real : (i + 1) * q_real], q) for i in range(s.n)
-        ]
-        hs_out = [
-            _vec_to_herm(vec[(s.n + i) * q_real : (s.n + i + 1) * q_real], q)
-            for i in range(s.n)
-        ]
-        return gs_out, hs_out
+        return _vec_to_herm(vec.reshape(2 * s.n, -1), q)
 
     last = None
     for it in range(1, max_iter + 1):
-        y = projector.project(v)
-        w = y + correction
-        gs_w, hs_w = unpack(w)
-        clipped = [clip_psd(g) for g in gs_w] + [clip_psd(h) for h in hs_w]
-        v_new = np.concatenate([_herm_to_vec(c) for c in clipped])
+        w = projector.project(v) + correction
+        # One stacked cone projection for all G_i and H_i.
+        v_new = _herm_to_vec(clip_psd(unpack(w))).ravel()
         correction = w - v_new
         v = v_new
 
         if it % 10 == 0 or it == max_iter:
-            gs_y, _ = unpack(projector.project(v))
+            gs_y = unpack(projector.project(v))[: s.n]
             # With slack active, insist on strict interiority so the state
             # operator square roots downstream never clip an eigenvalue.
             floor = tol if slack > 0.0 else -tol
@@ -318,7 +288,7 @@ def agler_feasibility(
             last = gs_y
 
     if last is None:
-        last, _ = unpack(projector.project(v))
+        last = unpack(projector.project(v))[: s.n]
     padded = [g + pad for g in last]
     recon = opnorm(sum(padded) - r_target)
     cone = [min_eig(transformed_positivity(s, gamma, i, padded[i])) for i in range(s.n)]

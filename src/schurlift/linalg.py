@@ -17,8 +17,8 @@ def as_matrix(a) -> np.ndarray:
 
 
 def herm(a: np.ndarray) -> np.ndarray:
-    """Hermitian part (A + A*)/2."""
-    return (a + a.conj().T) / 2.0
+    """Hermitian part (A + A*)/2 of a matrix or of each matrix in a stack."""
+    return (a + np.swapaxes(a, -1, -2).conj()) / 2.0
 
 
 def opnorm(a: np.ndarray) -> float:
@@ -64,10 +64,11 @@ def psd_sqrt(a: np.ndarray, rank_tol: float = 1e-12):
 
 
 def clip_psd(a: np.ndarray) -> np.ndarray:
-    """Nearest PSD matrix in Frobenius norm (eigenvalue clipping)."""
+    """Nearest PSD matrix in Frobenius norm (eigenvalue clipping), of a
+    matrix or of each matrix in a stack ``(..., q, q)``."""
     w, v = np.linalg.eigh(herm(a))
     w = np.where(w > 0.0, w, 0.0)
-    return herm((v * w) @ v.conj().T)
+    return herm((v * w[..., None, :]) @ np.swapaxes(v, -1, -2).conj())
 
 
 def snap_partial_isometry(u: np.ndarray, cut: float = 0.5) -> np.ndarray:

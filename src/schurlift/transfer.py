@@ -101,9 +101,24 @@ def series_partial_lift(
 
     Returns the partial sum (approximating the coupled defect target the
     colligation was built from) and the a-priori tail bound
-    ``||Delta|| * ||sigma_S^{order+1}(I)||^{1/2}``.  The word sum over all
-    length-``i`` products collapses to ``i`` applications of the map
-    ``Y -> sum_l D_l Y S_l*``, so cost is linear in ``order``.
+    ``||Delta|| * ||sigma_S^{order+1}(I)||^{1/2}``.
+    """
+    partial = _series_partial_sum(coll, s, order)
+    tail = np.eye(s.dim, dtype=complex)
+    for _ in range(order + 1):
+        tail = cp_map(s, tail)
+    bound = float(np.sqrt(max(opnorm(tail), 0.0)))
+    if coll.delta_norm is not None:
+        bound *= coll.delta_norm
+    return partial, bound
+
+
+def _series_partial_sum(coll: Colligation, s: TupleOperator, order: int) -> np.ndarray:
+    """The partial sum of ``series_partial_lift`` without its tail bound.
+
+    The word sum over all length-``i`` products collapses to ``i``
+    applications of the map ``Y -> sum_l D_l Y S_l*``, so cost is linear
+    in ``order``.
     """
     if coll.geometry != BALL_ROW:
         raise ValueError("the lifting series is defined for ball colligations")
@@ -127,14 +142,7 @@ def series_partial_lift(
         for l in range(s.n):
             nxt += d_blocks[l] @ word @ adjoints[l]
         word = nxt
-
-    tail = np.eye(s.dim, dtype=complex)
-    for _ in range(order + 1):
-        tail = cp_map(s, tail)
-    bound = float(np.sqrt(max(opnorm(tail), 0.0)))
-    if coll.delta_norm is not None:
-        bound *= coll.delta_norm
-    return partial, bound
+    return partial
 
 
 @dataclass

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schurlift import (
     AglerDecomposition,
@@ -19,10 +21,13 @@ from schurlift import (
 )
 from schurlift.hypercontraction import defect
 from schurlift.lifting_polydisc import (
+    _AffineProjector,
+    _herm_to_vec,
+    _vec_to_herm,
     hereditary_difference_residual,
     transformed_positivity,
 )
-from schurlift.linalg import min_eig, opnorm
+from schurlift.linalg import herm, min_eig, opnorm
 
 from conftest import random_polydisc_nodes, scaled_targets
 
@@ -255,3 +260,85 @@ def test_psi_diagnostics_degree_zero_term():
     # at degree zero the pairing is the corner block pulled through the
     # coefficient map, so the row norm cannot exceed the block norm
     assert diag0.psi_norm <= opnorm(res.colligation.block_c) + 1e-12
+
+
+# --- Hermitian parametrization and the affine projector ---
+
+
+def _random_herm(rng, shape):
+    return herm(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def test_herm_to_vec_ordering():
+    # diagonal, then sqrt(2) Re of the upper triangle, then sqrt(2) Im, row-major
+    a = np.array(
+        [[1, 2 + 5j, 3 + 6j], [2 - 5j, 7, 4 + 8j], [3 - 6j, 4 - 8j, 9]], dtype=complex
+    )
+    r2 = np.sqrt(2.0)
+    expected = np.array([1, 7, 9, 2 * r2, 3 * r2, 4 * r2, 5 * r2, 6 * r2, 8 * r2])
+    assert np.allclose(_herm_to_vec(a), expected, rtol=0, atol=1e-15)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    q=st.integers(1, 6),
+    stack=st.sampled_from([(), (3,), (2, 2)]),
+)
+def test_herm_parametrization_round_trip_and_isometry(seed, q, stack):
+    rng = np.random.default_rng(seed)
+    a = _random_herm(rng, stack + (q, q))
+    b = _random_herm(rng, stack + (q, q))
+    va, vb = _herm_to_vec(a), _herm_to_vec(b)
+    assert va.shape == stack + (q * q,)
+    assert va.dtype == np.float64
+    assert np.allclose(_vec_to_herm(va, q), a, rtol=0, atol=1e-14)
+    # real Frobenius inner product <A, B> = Re tr(A B*) is preserved
+    frob = np.einsum("...ij,...ij->...", a, b.conj()).real
+    assert np.allclose(np.sum(va * vb, axis=-1), frob, rtol=1e-13, atol=1e-13)
+    w = rng.standard_normal(stack + (q * q,))
+    assert np.allclose(_herm_to_vec(_vec_to_herm(w, q)), w, rtol=0, atol=1e-14)
+
+
+def _dense_reference_projection(s, gamma, r_target, v):
+    """Today's projector formula: the dense (n+1)q^2 x 2nq^2 constraint
+    matrix ``A`` and ``v - A^T (A A^T)^{-1} (A v - b)``."""
+    q, n = s.dim, s.n
+    qr = q * q
+    a = np.zeros(((n + 1) * qr, 2 * n * qr))
+    for i in range(n):
+        l_i = np.column_stack(
+            [_herm_to_vec(transformed_positivity(s, gamma, i, _vec_to_herm(e, q))) for e in np.eye(qr)]
+        )
+        a[:qr, i * qr : (i + 1) * qr] = np.eye(qr)
+        a[(1 + i) * qr : (2 + i) * qr, i * qr : (i + 1) * qr] = -l_i
+        a[(1 + i) * qr : (2 + i) * qr, (n + i) * qr : (n + i + 1) * qr] = np.eye(qr)
+    b = np.zeros((n + 1) * qr)
+    b[:qr] = _herm_to_vec(r_target)
+    return v - a.T @ np.linalg.solve(a @ a.T, a @ v - b)
+
+
+@pytest.mark.parametrize(
+    "gamma, count",
+    [((1, 1), 3), ((1, 2), 3), ((2, 2), 3), ((2, 2), 1), ((1, 2, 1), 2)],
+)
+def test_affine_projector_matches_dense_reference(gamma, count):
+    rng = np.random.default_rng(sum(gamma) * 10 + count)
+    spec = KernelSpec.polydisc(gamma)
+    nodes = random_polydisc_nodes(rng, count, len(gamma))
+    s = model_tuple(build_subspace(spec, nodes))
+    q, n = s.dim, s.n
+    r_target = _random_herm(rng, (q, q))
+    proj = _AffineProjector(s, gamma, r_target)
+    for _ in range(3):
+        v = rng.standard_normal(2 * n * q * q)
+        out = proj.project(v)
+        ref = _dense_reference_projection(s, gamma, r_target, v)
+        assert np.linalg.norm(out - ref) <= 1e-10 * np.linalg.norm(ref)
+        mats = _vec_to_herm(out.reshape(2 * n, q * q), q)
+        assert opnorm(sum(mats[:n]) - r_target) <= 1e-10 * (1 + opnorm(r_target))
+        for i in range(n):
+            h_i = transformed_positivity(s, gamma, i, mats[i])
+            assert opnorm(mats[n + i] - h_i) <= 1e-10 * (1 + opnorm(h_i))
+        again = proj.project(out)
+        assert np.linalg.norm(again - out) <= 1e-10 * np.linalg.norm(out)

@@ -28,7 +28,7 @@ from .lifting_ball import (
     verify_lift,
 )
 from .lifting_polydisc import Inconclusive, np_solve_polydisc
-from .linalg import opnorm
+from .linalg import opnorm, psd_tolerance
 from .model_space import build_subspace, model_tuple, np_target_operator
 from .transfer import (
     GridSpec,
@@ -409,7 +409,7 @@ def _solve_lift_ball(inst: ProblemInstance, report: dict):
                        pick_matrix=np.zeros((0, 0))),
         ), None
     pos = check_positivity(s, x, inst.spec.m)
-    if pos.min_eig < -inst.options.psd_tol * (1.0 + opnorm(pos.matrix)):
+    if pos.min_eig < -psd_tolerance(pos.matrix, inst.options.psd_tol):
         return _finish_infeasible(
             report,
             Infeasible(which="positivity-gap", pick_min_eig=pos.min_eig,
@@ -419,6 +419,7 @@ def _solve_lift_ball(inst: ProblemInstance, report: dict):
         t, s, x, inst.spec.m,
         in_map=q2.coeff_map_at_zero(),
         out_map=q1.coeff_map_at_zero(),
+        gap=pos.matrix,
     )
     result.certificate.verify_residual = verify_lift(result.phi, q2, x, q1)
     return _finish_solved(report, inst, result, result.phi), result.phi

@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BalanceViolation, DimensionMismatch, GramMismatch, NotPositive
-from .hypercontraction import cp_map, defect, hereditary_applied, DefectData
-from .kernels import KernelSpec
+from .hypercontraction import cp_map
 from .linalg import (
     as_matrix,
     herm,
@@ -237,11 +236,10 @@ def _generating_residual(u: np.ndarray, ins: np.ndarray, outs: np.ndarray) -> fl
 def build_ball_colligation(
     s: TupleOperator,
     x: np.ndarray,
-    defect_t: DefectData,
-    m: int,
+    gap: np.ndarray,
     *,
-    in_map: np.ndarray | None = None,
-    out_map: np.ndarray | None = None,
+    in_map: np.ndarray,
+    out_map: np.ndarray,
     force_partial: bool = False,
     gram_tol: float = GRAM_TOL,
 ) -> Colligation:
@@ -251,10 +249,12 @@ def build_ball_colligation(
     gap coordinates of ``S_i* k`` on the input side against the defect
     coordinates of ``X* k`` and the gap coordinates of ``k`` on the
     output side; their Gram agreement is exactly the lifting identity,
-    which is asserted before completion.  ``in_map``/``out_map`` override
-    the defect coordinate maps (model subspaces pass their evaluation at
-    the origin so the transfer function acts between the user coefficient
-    spaces).
+    which is asserted before completion.  ``gap`` is the positivity gap
+    ``(1 - sigma_S)^{m-1}(I - X X*)``.  ``in_map``/``out_map`` are the
+    defect coordinate maps of ``s`` and of the domain tuple: any maps whose
+    Grams are the two defects (``DefectData.coord_map``, or on model
+    subspaces the evaluation at the origin, so the transfer function acts
+    between the user coefficient spaces).
 
     A unitary completion is attempted only when the dimension equation
     ``(n-1) dim(state) = out defect dim - in defect dim`` admits a state
@@ -267,21 +267,17 @@ def build_ball_colligation(
     if x.shape[0] != q2:
         raise DimensionMismatch(f"intertwiner has {x.shape[0]} rows, tuple dimension is {q2}")
 
-    gap_sq = hereditary_applied(s, m - 1, np.eye(q2, dtype=complex) - x @ x.conj().T)
+    gap_sq = herm(as_matrix(gap))
+    if gap_sq.shape != (q2, q2):
+        raise DimensionMismatch(f"gap shape {gap_sq.shape} does not match tuple dimension {q2}")
     gap_min = min_eig(gap_sq)
     if gap_min < -psd_tolerance(gap_sq):
         raise NotPositive(gap_min, context="positivity gap")
     gap_root, gap_rank, gap_basis, _ = psd_sqrt(gap_sq)
     gap_map = gap_basis.conj().T @ gap_root
 
-    if in_map is None:
-        in_map = defect(s, KernelSpec.ball(m, n)).coord_map
-    else:
-        in_map = as_matrix(in_map)
-    if out_map is None:
-        out_map = defect_t.coord_map
-    else:
-        out_map = as_matrix(out_map)
+    in_map = as_matrix(in_map)
+    out_map = as_matrix(out_map)
     if in_map.shape[1] != q2:
         raise DimensionMismatch("input coordinate map does not match the tuple dimension")
     if out_map.shape[1] != x.shape[1]:
@@ -346,12 +342,11 @@ def build_ball_colligation(
 def build_polydisc_colligation(
     s: TupleOperator,
     x: np.ndarray,
-    defect_t: DefectData,
     gamma,
     f_list,
     *,
-    in_map: np.ndarray | None = None,
-    out_map: np.ndarray | None = None,
+    in_map: np.ndarray,
+    out_map: np.ndarray,
     pad_dim: int = 0,
     force_partial: bool = False,
     balance_tol: float = 1e-8,
@@ -362,8 +357,10 @@ def build_polydisc_colligation(
     ``f_list`` holds the PSD operators whose squares balance the defect
     identity ``D_S^2 + sum S_i F_i^2 S_i* = X D_T^2 X* + sum F_i^2``;
     that balance is asserted within ``balance_tol`` before any
-    completion.  State block ``i`` carries the range coordinates of
-    ``F_i``, with the final block padded by ``pad_dim`` spare dimensions.
+    completion.  ``in_map``/``out_map`` are coordinate maps whose Grams
+    are ``D_S^2`` and ``D_T^2``.  State block ``i`` carries the range
+    coordinates of ``F_i``, with the final block padded by ``pad_dim``
+    spare dimensions.
     """
     x = as_matrix(x)
     gamma = tuple(int(g) for g in gamma)
@@ -375,14 +372,8 @@ def build_polydisc_colligation(
     if len(mats_f) != n:
         raise DimensionMismatch(f"expected {n} state operators, got {len(mats_f)}")
 
-    if in_map is None:
-        in_map = defect(s, KernelSpec.polydisc(gamma)).coord_map
-    else:
-        in_map = as_matrix(in_map)
-    if out_map is None:
-        out_map = defect_t.coord_map
-    else:
-        out_map = as_matrix(out_map)
+    in_map = as_matrix(in_map)
+    out_map = as_matrix(out_map)
     out_target = out_map @ x.conj().T
 
     f_squares = [f @ f for f in mats_f]

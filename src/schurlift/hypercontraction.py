@@ -1,6 +1,6 @@
 """Hereditary calculus for commuting tuples.
 
-Covers the completely positive map of a tuple, binomial and polydisc
+Covers the completely positive map of a tuple, the ball and polydisc
 hereditary operators, defect data with PSD square roots, purity
 diagnostics, truncated geometric operator sums, and the coefficients of
 the canonical dilation.
@@ -8,7 +8,6 @@ the canonical dilation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,6 @@ from .kernels import (
     KernelSpec,
     MultiIndex,
     indices_up_to,
-    inverse_kernel_coeffs,
     series_coeff,
 )
 from .linalg import as_matrix, herm, min_eig, opnorm, psd_sqrt, psd_tolerance
@@ -46,45 +44,31 @@ def cp_map(t: TupleOperator, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def hereditary_applied(t: TupleOperator, power: int, a: np.ndarray) -> np.ndarray:
-    """Binomial expansion of ``(1 - sigma_T)^power`` applied to ``A``."""
-    if power < 0:
-        raise ValueError(f"power must be nonnegative, got {power}")
-    a = as_matrix(a)
-    out = np.zeros_like(a)
-    term = a
-    for j in range(power + 1):
-        coeff = math.comb(power, j)
-        out = out + ((-1.0) ** j) * coeff * term
-        if j < power:
-            term = cp_map(t, term)
-    return herm(out)
+def hereditary(t: TupleOperator, power, a: np.ndarray) -> np.ndarray:
+    """Hereditary operator of the tuple applied to ``a``.
 
-
-def hereditary_ball(t: TupleOperator, power: int) -> np.ndarray:
-    """``(1 - sigma_T)^power`` applied to the identity."""
-    return hereditary_applied(t, power, np.eye(t.dim, dtype=complex))
-
-
-def tuple_monomial(t: TupleOperator, k: MultiIndex) -> np.ndarray:
-    """``T^k = prod_i T_i^{k_i}`` (order immaterial for commuting tuples)."""
-    out = np.eye(t.dim, dtype=complex)
-    for m, e in zip(t.mats, k):
-        for _ in range(int(e)):
-            out = out @ m
-    return out
-
-
-def hereditary_polydisc(t: TupleOperator, gamma) -> np.ndarray:
-    """Inverse-kernel hereditary operator ``sum_{k<=gamma} c_k T^k (T^k)*``."""
-    gamma = tuple(int(g) for g in gamma)
-    if len(gamma) != t.n:
-        raise DimensionMismatch(f"weight vector {gamma} does not match tuple length {t.n}")
-    coeffs = inverse_kernel_coeffs(gamma)
-    out = np.zeros((t.dim, t.dim), dtype=complex)
-    for k, c in coeffs.items():
-        mono = tuple_monomial(t, k)
-        out += c * (mono @ mono.conj().T)
+    An integer ``power`` gives the ball's ``(1 - sigma_T)^power``; a weight
+    vector gives the polydisc's ``prod_j (1 - C_{T_j})^{power_j}`` with
+    ``C_M(A) = M A M*``, applied coordinate by coordinate in index order.
+    ``a`` may be one matrix or a stack ``(..., q, q)``.
+    """
+    out = np.asarray(a, dtype=complex)
+    if out.ndim < 2 or out.shape[-2:] != (t.dim, t.dim):
+        raise DimensionMismatch(f"operand shape {out.shape} does not match tuple dimension {t.dim}")
+    if np.ndim(power) == 0:
+        if power < 0:
+            raise ValueError(f"power must be nonnegative, got {power}")
+        for _ in range(int(power)):
+            out = out - sum(m @ out @ m.conj().T for m in t.mats)
+        return herm(out)
+    powers = tuple(int(g) for g in power)
+    if len(powers) != t.n:
+        raise DimensionMismatch(f"weight vector {powers} does not match tuple length {t.n}")
+    if min(powers) < 0:
+        raise ValueError(f"weights must be nonnegative, got {powers}")
+    for m, g in zip(t.mats, powers):
+        for _ in range(g):
+            out = out - m @ out @ m.conj().T
     return herm(out)
 
 
@@ -113,10 +97,8 @@ def defect(t: TupleOperator, spec: KernelSpec) -> DefectData:
     """
     if spec.n != t.n:
         raise DimensionMismatch(f"spec dimension {spec.n} does not match tuple length {t.n}")
-    if spec.geometry == BALL:
-        square = hereditary_ball(t, spec.m)
-    else:
-        square = hereditary_polydisc(t, spec.gamma)
+    weight = spec.m if spec.geometry == BALL else spec.gamma
+    square = hereditary(t, weight, np.eye(t.dim, dtype=complex))
     lam_min = min_eig(square)
     if lam_min < -psd_tolerance(square, PSD_BASE_TOL):
         raise NotHypercontraction(lam_min)

@@ -20,19 +20,14 @@ from .errors import (
     NotPositive,
     NotPure,
 )
-from .hypercontraction import (
-    cp_map,
-    defect,
-    hereditary_applied,
-    is_pure,
-    DefectData,
-)
+from .hypercontraction import cp_map, defect, hereditary, is_pure
 from .kernels import KernelSpec, kernel_matrix
 from .linalg import as_matrix, herm, min_eig, opnorm, pick_blocks, psd_tolerance
 from .model_space import (
     KernelSubspace,
     TupleOperator,
     build_subspace,
+    _shift_tuple,
     model_tuple,
     multiplier_adjoint_action,
     np_target_operator,
@@ -67,7 +62,7 @@ def check_positivity(s: TupleOperator, x: np.ndarray, m: int) -> PositivityRepor
         raise DimensionMismatch(
             f"intertwiner has {x.shape[0]} rows, tuple dimension is {s.dim}"
         )
-    gap = hereditary_applied(s, m - 1, np.eye(s.dim, dtype=complex) - x @ x.conj().T)
+    gap = hereditary(s, m - 1, np.eye(s.dim, dtype=complex) - x @ x.conj().T)
     return PositivityReport(min_eig=min_eig(gap), matrix=gap)
 
 
@@ -124,15 +119,19 @@ def lift_ball(
     *,
     in_map: np.ndarray | None = None,
     out_map: np.ndarray | None = None,
-    defect_t: DefectData | None = None,
+    gap: np.ndarray | None = None,
 ) -> LiftResult:
     """Lift the intertwiner ``x`` to a transfer function.
 
     On positivity success the colligation is built and the lift is
     verified through the operator-identity series: the partial sums must
-    reproduce the coupled defect target.  ``in_map``/``out_map`` override
-    the defect coordinates (kernel spans pass evaluation at the origin so
-    the emitted function acts between their coefficient spaces).
+    reproduce the coupled defect target.  ``in_map``/``out_map`` are the
+    defect coordinate maps of ``s`` and ``t`` and ``gap`` the positivity
+    gap ``(1 - sigma_S)^{m-1}(I - X X*)``; whatever the caller does not
+    pass is computed here (``defect``, which raises
+    ``NotHypercontraction``, and ``check_positivity``).  Kernel spans pass
+    evaluation at the origin, so the emitted function acts between their
+    coefficient spaces.
     """
     x = as_matrix(x)
     spec = KernelSpec.ball(m, t.n)
@@ -142,13 +141,14 @@ def lift_ball(
     _check_intertwining(t, s, x)
     if not is_pure(t, spec) or not is_pure(s, spec):
         raise NotPure("both tuples must be pure for the canonical dilation")
-    if defect_t is None:
-        defect_t = defect(t, spec)
-    defect(s, spec)  # raises NotHypercontraction if S fails the hereditary test
+    if in_map is None:
+        in_map = defect(s, spec).coord_map
+    if out_map is None:
+        out_map = defect(t, spec).coord_map
+    if gap is None:
+        gap = check_positivity(s, x, m).matrix
 
-    coll = build_ball_colligation(
-        s, x, defect_t, m, in_map=in_map, out_map=out_map
-    )
+    coll = build_ball_colligation(s, x, gap, in_map=in_map, out_map=out_map)
     phi = transfer_function(coll)
 
     # Pick the truncation from the a-priori tail bound, then sum once.
@@ -229,17 +229,20 @@ def np_solve(
             which="contractivity", pick_min_eig=pick_m_min, pick_matrix=pick_m
         )
 
-    pos = check_positivity(s, x, spec.m)
     pick_1 = target_pick_matrix(
         KernelSpec.ball(1, spec.n, spec.d_coeff), q1.nodes, targets
     )
     pick_1_min = min_eig(pick_1)
-    if pos.min_eig < -psd_tolerance(pos.matrix, psd_base_tol):
+    # On the span the positivity gap is the weight-one Pick matrix in
+    # orthonormal coordinates: (1 - sigma_S)^{m-1}(I - X X*) = L2* Pick_1 L2.
+    gap = herm(q2.ortho_factor.conj().T @ pick_1 @ q2.ortho_factor)
+    gap_min = min_eig(gap)
+    if gap_min < -psd_tolerance(gap, psd_base_tol):
         return Infeasible(
             which="positivity-gap",
             pick_min_eig=pick_1_min,
             pick_matrix=pick_1,
-            delta_min_eig=pos.min_eig,
+            delta_min_eig=gap_min,
         )
 
     result = lift_ball(
@@ -249,6 +252,7 @@ def np_solve(
         spec.m,
         in_map=q2.coeff_map_at_zero(),
         out_map=q1.coeff_map_at_zero(),
+        gap=gap,
     )
     result.certificate.verify_residual = verify_lift(result.phi, q2, x, q1)
     result.certificate.extras.update(
@@ -308,12 +312,7 @@ def dilate_p_to_m(q2: KernelSubspace, m: int) -> Dilation:
     ortho = v * (w**-0.5)
     ortho_inv = (v * (w**0.5)).conj().T
 
-    mats = []
-    for i in range(n):
-        diag = np.repeat([node[i].conjugate() for node in q2.nodes], d)
-        adj = ortho_inv @ (diag[:, None] * ortho)
-        mats.append(adj.conj().T)
-    s_prime = TupleOperator(tuple(mats))
+    s_prime = _shift_tuple(q2.nodes, d, ortho, ortho_inv)
 
     iso = ortho_inv @ q2.ortho_factor
     residual = opnorm(iso.conj().T @ iso - np.eye(q2.dim))
@@ -391,6 +390,7 @@ def lift_p_gt_m(q1: KernelSubspace, q2: KernelSubspace, x: np.ndarray) -> Compos
         m,
         in_map=dil.coeff_map,
         out_map=q1.coeff_map_at_zero(),
+        gap=pos_tilde.matrix,
     )
     phi2 = CoisometricFactor(dil.coeff_space)
     composite = CompositeInterpolant(factor_out=phi2, factor_in=inner.phi)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .colligation import Colligation, build_polydisc_colligation
 from .errors import DimensionMismatch, NotPositive, NotPure
-from .hypercontraction import defect, is_pure, DefectData
+from .hypercontraction import defect, hereditary, is_pure
 from .kernels import KernelSpec, indices_up_to, series_coeff
 from .linalg import as_matrix, clip_psd, herm, min_eig, opnorm, psd_sqrt, psd_tolerance
 from .lifting_ball import (
@@ -42,37 +42,15 @@ from .model_space import (
 from .transfer import transfer_function
 
 
-def conjugation_power(mat: np.ndarray, a: np.ndarray, power: int, subtract: bool) -> np.ndarray:
-    """Apply ``(1 - C_M)^power`` (or ``C_M^power`` when not subtracting)."""
-    out = a
-    for _ in range(power):
-        if subtract:
-            out = out - mat @ out @ mat.conj().T
-        else:
-            out = mat @ out @ mat.conj().T
-    return out
-
-
 def transformed_positivity(s: TupleOperator, gamma, i: int, a: np.ndarray) -> np.ndarray:
     """``prod_{j != i} (1 - C_{S_j})^{gamma_j} (1 - C_{S_i})^{gamma_i - 1}`` applied to ``a``.
 
     ``a`` may be one matrix or a stack ``(..., q, q)``; the conjugations
     broadcast over the stack.
     """
-    gamma = tuple(int(g) for g in gamma)
-    out = np.asarray(a, dtype=complex)
-    for j in range(s.n):
-        power = gamma[j] if j != i else gamma[j] - 1
-        out = conjugation_power(s.mats[j], out, power, subtract=True)
-    return herm(out)
-
-
-def hereditary_product(s: TupleOperator, gamma, a: np.ndarray) -> np.ndarray:
-    """``prod_j (1 - C_{S_j})^{gamma_j}`` applied to ``a``."""
-    out = as_matrix(a)
-    for j, g in enumerate(gamma):
-        out = conjugation_power(s.mats[j], out, int(g), subtract=True)
-    return herm(out)
+    powers = [int(g) for g in gamma]
+    powers[i] -= 1
+    return hereditary(s, powers, a)
 
 
 @dataclass
@@ -327,14 +305,16 @@ def lift_polydisc(
     *,
     in_map: np.ndarray | None = None,
     out_map: np.ndarray | None = None,
-    defect_t: DefectData | None = None,
     balance_tol: float = 1e-8,
 ) -> LiftResult:
     """Build the polydisc colligation from the decomposition and lift.
 
-    The certificate's ``verify_residual`` starts as the generating
-    residual; interpolation front ends overwrite it with the kernel-basis
-    residual of the lift identity.
+    ``in_map``/``out_map`` are the defect coordinate maps of ``s`` and
+    ``t``; a map that is not given comes from ``defect``.  Kernel spans
+    pass their evaluation at the origin, whose Gram is the defect.  The
+    certificate's ``verify_residual`` starts as the generating residual;
+    interpolation front ends overwrite it with the kernel-basis residual
+    of the lift identity.
     """
     x = as_matrix(x)
     gamma = tuple(int(g) for g in gamma)
@@ -343,20 +323,14 @@ def lift_polydisc(
     _check_intertwining(t, s, x)
     if not is_pure(t, spec) or not is_pure(s, spec):
         raise NotPure("both tuples must be pure for the canonical dilation")
-    if defect_t is None:
-        defect_t = defect(t, spec)
-    defect(s, spec)
+    if in_map is None:
+        in_map = defect(s, spec).coord_map
+    if out_map is None:
+        out_map = defect(t, spec).coord_map
 
     ops = f_operators(s, gamma, dec)
     coll = build_polydisc_colligation(
-        s,
-        x,
-        defect_t,
-        gamma,
-        ops,
-        in_map=in_map,
-        out_map=out_map,
-        balance_tol=balance_tol,
+        s, x, gamma, ops, in_map=in_map, out_map=out_map, balance_tol=balance_tol
     )
     phi = transfer_function(coll)
     cert = LiftCertificate(
@@ -374,10 +348,10 @@ def hereditary_difference_residual(
     """Residual of the identity relating the coupled defects to the
     hereditary product of ``I - X X*`` (exact under intertwining)."""
     x = as_matrix(x)
-    d_s = defect(s, KernelSpec.polydisc(gamma)).defect_square
-    d_t = defect(t, KernelSpec.polydisc(gamma)).defect_square
+    d_s = hereditary(s, gamma, np.eye(s.dim, dtype=complex))
+    d_t = hereditary(t, gamma, np.eye(t.dim, dtype=complex))
     lhs = d_s - x @ d_t @ x.conj().T
-    rhs = hereditary_product(s, gamma, np.eye(s.dim, dtype=complex) - x @ x.conj().T)
+    rhs = hereditary(s, gamma, np.eye(s.dim, dtype=complex) - x @ x.conj().T)
     return opnorm(lhs - rhs)
 
 

@@ -150,13 +150,19 @@ def build_subspace(spec: KernelSpec, nodes) -> KernelSubspace:
     )
 
 
-def _diagonal_adjoint_transport(space: KernelSubspace, values) -> np.ndarray:
-    """Transport ``diag(values) (x) I_d`` acting on kernel coefficients to
-    orthonormal coordinates and return the adjoint operator's matrix."""
-    d = space.spec.d_coeff
-    diag = np.repeat(np.asarray(values, dtype=complex), d)
-    adj = space.ortho_factor_inv @ (diag[:, None] * space.ortho_factor)
-    return adj
+def _shift_tuple(nodes, d: int, ortho: np.ndarray, ortho_inv: np.ndarray) -> TupleOperator:
+    """Tuple whose adjoints act on kernel coefficients by ``diag(conj z_.i) (x) I_d``.
+
+    ``ortho`` is the factor ``L`` sending orthonormal coordinates to
+    kernel coefficients and ``ortho_inv`` its inverse, so the adjoint of
+    entry ``i`` is ``L^{-1} (diag(conj z_.i) (x) I_d) L``.
+    """
+    points = np.asarray(nodes, dtype=complex)
+    mats = []
+    for i in range(points.shape[1]):
+        diag = np.repeat(points[:, i].conj(), d)
+        mats.append((ortho_inv @ (diag[:, None] * ortho)).conj().T)
+    return TupleOperator(tuple(mats))
 
 
 def model_tuple(space: KernelSubspace) -> TupleOperator:
@@ -166,12 +172,9 @@ def model_tuple(space: KernelSubspace) -> TupleOperator:
     with the conjugated node coordinate; transporting that diagonal action
     through the orthonormalizing factor gives the model tuple.
     """
-    mats = []
-    for i in range(space.spec.n):
-        values = [node[i].conjugate() for node in space.nodes]
-        adj = _diagonal_adjoint_transport(space, values)
-        mats.append(adj.conj().T)
-    return TupleOperator(tuple(mats))
+    return _shift_tuple(
+        space.nodes, space.spec.d_coeff, space.ortho_factor, space.ortho_factor_inv
+    )
 
 
 def np_target_operator(

@@ -6,6 +6,7 @@ from schurlift import (
     build_ball_colligation,
     build_polydisc_colligation,
     build_subspace,
+    check_positivity,
     complete_pairs,
     defect,
     model_tuple,
@@ -13,7 +14,7 @@ from schurlift import (
 )
 from schurlift.colligation import PARTIAL_ISOMETRY, UNITARY
 from schurlift.errors import BalanceViolation, GramMismatch, NotPositive
-from schurlift.hypercontraction import cp_map, hereditary_applied
+from schurlift.hypercontraction import cp_map, hereditary
 from schurlift.linalg import opnorm
 
 from conftest import random_ball_nodes, random_polydisc_nodes, scaled_targets
@@ -80,8 +81,7 @@ def test_ball_colligation_invariants():
         coll = build_ball_colligation(
             s,
             x,
-            defect(t, KernelSpec.ball(m, n)),
-            m,
+            check_positivity(s, x, m).matrix,
             in_map=q2.coeff_map_at_zero(),
             out_map=q1.coeff_map_at_zero(),
         )
@@ -98,7 +98,7 @@ def test_ball_colligation_identity_assertion():
     rng = np.random.default_rng(2)
     m, n = 2, 2
     q1, q2, t, s, x, _ = _ball_instance(rng, m, n, 3)
-    gap = hereditary_applied(s, m - 1, np.eye(s.dim, dtype=complex) - x @ x.conj().T)
+    gap = hereditary(s, m - 1, np.eye(s.dim, dtype=complex) - x @ x.conj().T)
     d_s = defect(s, KernelSpec.ball(m, n)).defect_square
     d_t = defect(t, KernelSpec.ball(m, n)).defect_square
     lhs = d_s + cp_map(s, gap)
@@ -113,7 +113,9 @@ def test_ball_colligation_zero_intertwiner():
     q2 = build_subspace(spec, nodes)
     s = model_tuple(q2)
     x = np.zeros((q2.dim, q2.dim), dtype=complex)
-    coll = build_ball_colligation(s, x, defect(s, spec), 2)
+    coord = defect(s, spec).coord_map
+    gap = check_positivity(s, x, 2).matrix
+    coll = build_ball_colligation(s, x, gap, in_map=coord, out_map=coord)
     assert coll.generating_residual <= 1e-10
     assert opnorm(coll.out_target) == 0.0
 
@@ -128,8 +130,11 @@ def test_ball_colligation_not_positive():
     targets = [np.array([[0.95]]), np.array([[-0.95]])]
     x = np_target_operator(q2, targets, q2)
     if opnorm(x) <= 1:
+        e0 = q2.coeff_map_at_zero()
         with pytest.raises(NotPositive) as err:
-            build_ball_colligation(s, x, defect(s, spec), 3)
+            build_ball_colligation(
+                s, x, check_positivity(s, x, 3).matrix, in_map=e0, out_map=e0
+            )
         assert err.value.min_eig < 0
 
 
@@ -137,8 +142,8 @@ def test_ball_colligation_bit_identical_rebuild():
     rng = np.random.default_rng(5)
     q1, q2, t, s, x, _ = _ball_instance(rng, 2, 2, 3)
     kwargs = dict(in_map=q2.coeff_map_at_zero(), out_map=q1.coeff_map_at_zero())
-    c1 = build_ball_colligation(s, x, defect(t, KernelSpec.ball(2, 2)), 2, **kwargs)
-    c2 = build_ball_colligation(s, x, defect(t, KernelSpec.ball(2, 2)), 2, **kwargs)
+    c1 = build_ball_colligation(s, x, check_positivity(s, x, 2).matrix, **kwargs)
+    c2 = build_ball_colligation(s, x, check_positivity(s, x, 2).matrix, **kwargs)
     assert np.array_equal(c1.matrix, c2.matrix)
 
 
@@ -154,7 +159,8 @@ def test_polydisc_colligation_single_variable_reduces_to_ball():
     from schurlift.linalg import psd_sqrt
 
     f1, _, _, _ = psd_sqrt(f1_sq)
-    coll = build_polydisc_colligation(s, x, defect(s, spec), (1,), [f1])
+    coord = defect(s, spec).coord_map
+    coll = build_polydisc_colligation(s, x, (1,), [f1], in_map=coord, out_map=coord)
     assert coll.generating_residual <= 1e-9
     assert coll.norm <= 1 + 1e-10
 
@@ -175,7 +181,8 @@ def test_polydisc_colligation_zero_intertwiner_half_split():
         square = transformed_positivity(s, (1, 1), i, eye / 2)
         root, _, _, _ = psd_sqrt(square)
         ops.append(root)
-    coll = build_polydisc_colligation(s, x, defect(s, spec), (1, 1), ops)
+    coord = defect(s, spec).coord_map
+    coll = build_polydisc_colligation(s, x, (1, 1), ops, in_map=coord, out_map=coord)
     assert coll.generating_residual <= 1e-9
 
 
@@ -187,8 +194,9 @@ def test_polydisc_colligation_balance_violation():
     s = model_tuple(q2)
     x = np.zeros((q2.dim, q2.dim), dtype=complex)
     bad = [np.eye(q2.dim, dtype=complex), 0.3 * np.eye(q2.dim, dtype=complex)]
+    coord = defect(s, spec).coord_map
     with pytest.raises(BalanceViolation):
-        build_polydisc_colligation(s, x, defect(s, spec), (1, 1), bad)
+        build_polydisc_colligation(s, x, (1, 1), bad, in_map=coord, out_map=coord)
 
 
 def test_colligation_json_round_trip_fields():
@@ -197,8 +205,7 @@ def test_colligation_json_round_trip_fields():
     coll = build_ball_colligation(
         s,
         x,
-        defect(t, KernelSpec.ball(1, 1)),
-        1,
+        check_positivity(s, x, 1).matrix,
         in_map=q2.coeff_map_at_zero(),
         out_map=q1.coeff_map_at_zero(),
     )

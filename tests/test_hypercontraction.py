@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,22 +12,16 @@ from schurlift import (
     cp_map,
     defect,
     dilation_coefficients,
-    hereditary_ball,
-    hereditary_polydisc,
+    hereditary,
     model_tuple,
     purity_check,
     sigma_sum,
 )
-from schurlift.errors import NotConverged, NotHypercontraction
-from schurlift.hypercontraction import (
-    hereditary_applied,
-    is_pure,
-    joint_eigenvalues,
-    tuple_monomial,
-)
+from schurlift.errors import DimensionMismatch, NotConverged, NotHypercontraction
+from schurlift.hypercontraction import is_pure, joint_eigenvalues
 from schurlift.lifting_ball import dilate_p_to_m
 from schurlift.kernels import indices_up_to, series_coeff
-from schurlift.linalg import min_eig, opnorm
+from schurlift.linalg import herm, min_eig, opnorm
 from schurlift.model_space import TupleOperator
 
 from conftest import random_ball_nodes, random_normal_tuple, random_polydisc_nodes
@@ -48,11 +45,45 @@ def test_cp_map_diagonal_tuple():
     assert np.allclose(np.diag(out), [0.04 + 0.09, 0.25 + 0.01])
 
 
+def eye(t):
+    return np.eye(t.dim, dtype=complex)
+
+
+def _binomial_reference(t, power, a):
+    """``sum_j (-1)^j C(power, j) sigma_T^j(A)``, term by term."""
+    out = np.zeros_like(a)
+    term = a
+    for j in range(power + 1):
+        out = out + ((-1.0) ** j) * math.comb(power, j) * term
+        term = sum(m @ term @ m.conj().T for m in t.mats)
+    return herm(out)
+
+
+def _monomial(t, k):
+    """``T^k = prod_i T_i^{k_i}``."""
+    out = np.eye(t.dim, dtype=complex)
+    for m, e in zip(t.mats, k):
+        for _ in range(int(e)):
+            out = out @ m
+    return out
+
+
+def _monomial_reference(t, gamma, a):
+    """``sum_{k <= gamma} c_k T^k A (T^k)*`` with ``c_k = prod_i (-1)^{k_i} C(gamma_i, k_i)``,
+    the coefficients of ``prod_i (1 - x_i)^{gamma_i}`` (zero weights allowed)."""
+    out = np.zeros_like(a)
+    for k in itertools.product(*(range(g + 1) for g in gamma)):
+        c = math.prod((-1) ** e * math.comb(g, e) for g, e in zip(gamma, k))
+        mono = _monomial(t, k)
+        out = out + c * (mono @ a @ mono.conj().T)
+    return herm(out)
+
+
 def test_hereditary_ball_small_powers():
     t = scalar_tuple(0.6)
-    assert opnorm(hereditary_ball(t, 0) - np.eye(1)) == 0
-    assert hereditary_ball(t, 1)[0, 0] == pytest.approx(1 - 0.36)
-    assert hereditary_ball(t, 2)[0, 0] == pytest.approx((1 - 0.36) ** 2)
+    assert opnorm(hereditary(t, 0, eye(t)) - np.eye(1)) == 0
+    assert hereditary(t, 1, eye(t))[0, 0] == pytest.approx(1 - 0.36)
+    assert hereditary(t, 2, eye(t))[0, 0] == pytest.approx((1 - 0.36) ** 2)
 
 
 def test_hereditary_polydisc_hardy_bidisc_formula():
@@ -64,19 +95,20 @@ def test_hereditary_polydisc_hardy_bidisc_formula():
         - t[1] @ t[1].conj().T
         + (t[0] @ t[1]) @ (t[0] @ t[1]).conj().T
     )
-    assert opnorm(hereditary_polydisc(t, (1, 1)) - direct) < 1e-12
+    assert opnorm(hereditary(t, (1, 1), eye(t)) - direct) < 1e-12
 
 
 def test_hereditary_polydisc_zero_tuple():
     t = TupleOperator((np.zeros((2, 2)), np.zeros((2, 2))))
-    assert opnorm(hereditary_polydisc(t, (2, 3)) - np.eye(2)) == 0
+    assert opnorm(hereditary(t, (2, 3), eye(t)) - np.eye(2)) == 0
 
 
 def test_hereditary_polydisc_single_variable_matches_ball():
     rng = np.random.default_rng(1)
     t = random_normal_tuple(rng, 4, 1, radius=0.7)
     for m in (1, 2, 3):
-        assert opnorm(hereditary_polydisc(t, (m,)) - hereditary_ball(t, m)) < 1e-11
+        assert opnorm(hereditary(t, (m,), eye(t)) - _binomial_reference(t, m, eye(t))) < 1e-11
+        assert opnorm(_monomial_reference(t, (m,), eye(t)) - hereditary(t, m, eye(t))) < 1e-11
 
 
 def test_hypercontraction_ladder():
@@ -85,10 +117,10 @@ def test_hypercontraction_ladder():
     for _ in range(10):
         t = random_normal_tuple(rng, 4, 2, radius=0.8)
         m = 4
-        assert min_eig(hereditary_ball(t, 1)) > -1e-12
-        assert min_eig(hereditary_ball(t, m)) > -1e-12
+        assert min_eig(hereditary(t, 1, eye(t))) > -1e-12
+        assert min_eig(hereditary(t, m, eye(t))) > -1e-12
         for i in range(2, m):
-            assert min_eig(hereditary_ball(t, i)) > -1e-10
+            assert min_eig(hereditary(t, i, eye(t))) > -1e-10
 
 
 def test_defect_scalar_power():
@@ -234,7 +266,7 @@ def test_dilation_adjoint_pairing():
     coeffs = dilation_coefficients(t, spec, h, 12)
     for p in indices_up_to(2, 4):
         lhs = np.vdot(coeffs[p], eta) / series_coeff(spec, p)
-        rhs = np.vdot(h, tuple_monomial(t, p) @ d.defect @ eta)
+        rhs = np.vdot(h, _monomial(t, p) @ d.defect @ eta)
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
@@ -244,7 +276,58 @@ def test_hereditary_applied_composition():
     a_raw = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     a = a_raw @ a_raw.conj().T
     step = a - cp_map(t, a)
-    assert opnorm(hereditary_applied(t, 2, a) - (step - cp_map(t, step))) < 1e-12
+    assert opnorm(hereditary(t, 2, a) - (step - cp_map(t, step))) < 1e-12
+    assert opnorm(hereditary(t, 2, a) - _binomial_reference(t, 2, a)) < 1e-12
+
+
+def _reference_tuples(rng):
+    """Normal, model and dilation tuples in two variables."""
+    nodes = random_ball_nodes(rng, 4, 2, radius=0.7, min_sep=0.2)
+    yield random_normal_tuple(rng, 4, 2, radius=0.8)
+    yield random_normal_tuple(rng, 4, 2, radius=0.8, geometry="polydisc")
+    yield model_tuple(build_subspace(KernelSpec.ball(2, 2, 2), nodes))
+    yield model_tuple(build_subspace(KernelSpec.polydisc((1, 2)), random_polydisc_nodes(rng, 4, 2)))
+    yield dilate_p_to_m(build_subspace(KernelSpec.ball(3, 2), nodes), 1).tuple
+
+
+def _random_hermitian_stack(rng, count, dim):
+    raw = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
+    return raw @ np.swapaxes(raw, -1, -2).conj() / dim
+
+
+def test_hereditary_matches_binomial_and_monomial_references():
+    rng = np.random.default_rng(11)
+    for t in _reference_tuples(rng):
+        stack = _random_hermitian_stack(rng, 3, t.dim)
+        operands = [eye(t)] + list(stack)
+        for power in range(5):
+            for a in operands:
+                ref = _binomial_reference(t, power, a)
+                assert opnorm(hereditary(t, power, a) - ref) <= 1e-13 * 2**power * (1 + opnorm(a))
+            stacked = hereditary(t, power, stack)
+            assert stacked.shape == stack.shape
+            for a, out in zip(stack, stacked):
+                assert opnorm(out - hereditary(t, power, a)) <= 1e-14 * (1 + opnorm(a))
+        for gamma in ((0, 0), (1, 0), (0, 2), (1, 1), (2, 1), (0, 4), (3, 2)):
+            for a in operands:
+                ref = _monomial_reference(t, gamma, a)
+                scale = 2 ** sum(gamma) * (1 + opnorm(a))
+                assert opnorm(hereditary(t, gamma, a) - ref) <= 1e-13 * scale
+            stacked = hereditary(t, gamma, stack)
+            for a, out in zip(stack, stacked):
+                assert opnorm(out - hereditary(t, gamma, a)) <= 1e-14 * (1 + opnorm(a))
+
+
+def test_hereditary_rejects_bad_weights_and_shapes():
+    t = scalar_tuple(0.5, 0.2)
+    with pytest.raises(ValueError):
+        hereditary(t, -1, eye(t))
+    with pytest.raises(ValueError):
+        hereditary(t, (1, -1), eye(t))
+    with pytest.raises(DimensionMismatch):
+        hereditary(t, (1, 1, 1), eye(t))
+    with pytest.raises(DimensionMismatch):
+        hereditary(t, 1, np.eye(2))
 
 
 def _kronecker_radius(t):

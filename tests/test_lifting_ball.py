@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schurlift import (
     Infeasible,
@@ -79,6 +81,17 @@ def test_lift_identity_intertwiner():
     # the transfer function is the constant adjoint corner
     z = (0.1, 0.2j)
     assert np.allclose(res.phi(z), res.colligation.block_a.conj().T)
+    # a caller-supplied gap and defect maps are the ones lift_ball computes itself
+    given_data = lift_ball(
+        s,
+        s,
+        x,
+        2,
+        in_map=defect(s, spec).coord_map,
+        out_map=defect(s, spec).coord_map,
+        gap=check_positivity(s, x, 2).matrix,
+    )
+    assert np.array_equal(given_data.colligation.matrix, res.colligation.matrix)
 
 
 def test_lift_rejects_expansive_and_nonintertwining():
@@ -119,6 +132,56 @@ def test_np_solve_single_node_any_weight():
         res = np_solve(spec, [(0.3,)], [np.array([[0.7j]])])
         assert isinstance(res, LiftResult)
         assert abs(res.phi((0.3,))[0, 0] - 0.7j) < 1e-10
+
+
+def _dense_ball_instance(seed, count, radius, min_sep):
+    """Nodes and Drury-Arveson targets ``0.8 (z_1 A_1 + z_2 A_2)`` with
+    ``[A_1; A_2]`` of norm one, drawn in that order from one generator."""
+    rng = np.random.default_rng(seed)
+    nodes = []
+    while len(nodes) < count:
+        direction = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        direction /= np.linalg.norm(direction)
+        z = radius * rng.uniform(0.2, 1.0) * direction
+        if all(np.linalg.norm(z - w) > min_sep for w in nodes):
+            nodes.append(z)
+    mats = [rng.standard_normal((1, 1)) + 1j * rng.standard_normal((1, 1)) for _ in range(2)]
+    mats = [a / np.linalg.norm(np.vstack(mats), 2) for a in mats]
+    targets = [0.8 * sum(zi * a for zi, a in zip(z, mats)) for z in nodes]
+    return [tuple(z) for z in nodes], targets
+
+
+def test_np_solve_dense_nodes_without_false_rejection():
+    # 26 nodes at radius 0.6, separation 0.15: the weight-two Gram condition
+    # is about 1.5e8, and the binomial expansion of the defect used to end
+    # in NotHypercontraction (min eig -3.5e-9) on this solvable instance.
+    nodes, targets = _dense_ball_instance(53, 26, 0.6, 0.15)
+    res = np_solve(KernelSpec.ball(2, 2), nodes, targets)
+    assert isinstance(res, LiftResult)
+    assert res.certificate.verify_residual <= 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    r=st.integers(1, 10),
+    n=st.integers(1, 2),
+    m=st.integers(1, 3),
+    d=st.integers(1, 2),
+)
+def test_pick_congruence_is_the_positivity_gap(seed, r, n, m, d):
+    # (1 - sigma_S)^{m-1}(I - X X*) = L2* Pick_1 L2 on kernel spans; the
+    # node spacing keeps every Gram matrix above the IllConditioned floor
+    rng = np.random.default_rng(seed)
+    nodes = random_ball_nodes(rng, r, n, radius=0.8, min_sep=0.2)
+    targets = [random_contraction(rng, d, 1, norm_cap=1.2) for _ in nodes]
+    q1 = build_subspace(KernelSpec.ball(m, n), nodes)
+    q2 = build_subspace(KernelSpec.ball(m, n, d), nodes)
+    x = np_target_operator(q1, targets, q2)
+    pick_1 = target_pick_matrix(KernelSpec.ball(1, n), q1.nodes, targets)
+    gap = herm(q2.ortho_factor.conj().T @ pick_1 @ q2.ortho_factor)
+    reference = check_positivity(model_tuple(q2), x, m).matrix
+    assert opnorm(gap - reference) <= 1e-14 * q2.gram_cond
 
 
 def test_np_solve_constant_targets():

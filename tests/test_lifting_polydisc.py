@@ -156,6 +156,30 @@ def test_hereditary_difference_identity():
     assert hereditary_difference_residual(t, s, x, (1, 1)) <= 1e-9
 
 
+def _conjugation_sequence(s, gamma, i, a):
+    """Reference: ``(1 - C_{S_j})`` applied ``gamma_j`` times per coordinate
+    (``gamma_i - 1`` times at ``i``), coordinates in index order."""
+    out = np.asarray(a, dtype=complex)
+    for j in range(s.n):
+        power = gamma[j] if j != i else gamma[j] - 1
+        for _ in range(power):
+            out = out - s.mats[j] @ out @ s.mats[j].conj().T
+    return herm(out)
+
+
+@pytest.mark.parametrize("gamma", [(1, 1), (1, 2), (2, 2), (3, 1, 2)])
+def test_transformed_positivity_is_bit_identical_to_the_conjugation_sequence(gamma):
+    rng = np.random.default_rng(sum(gamma))
+    nodes = random_polydisc_nodes(rng, 3, len(gamma))
+    s = model_tuple(build_subspace(KernelSpec.polydisc(gamma), nodes))
+    single = _random_herm(rng, (s.dim, s.dim))
+    stack = _random_herm(rng, (4, s.dim, s.dim))
+    for i in range(s.n):
+        for a in (single, stack):
+            out = transformed_positivity(s, gamma, i, a)
+            assert np.array_equal(out, _conjugation_sequence(s, gamma, i, a))
+
+
 def test_lift_polydisc_identity_intertwiner():
     rng = np.random.default_rng(10)
     spec = KernelSpec.polydisc((1, 1))

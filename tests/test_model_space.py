@@ -9,7 +9,7 @@ from schurlift import (
     np_target_operator,
 )
 from schurlift.errors import DimensionMismatch, IllConditioned
-from schurlift.hypercontraction import cp_map, hereditary_ball, hereditary_polydisc
+from schurlift.hypercontraction import cp_map, hereditary
 from schurlift.lifting_ball import target_pick_matrix
 from schurlift.linalg import min_eig, opnorm
 from schurlift.model_space import TupleOperator
@@ -95,7 +95,7 @@ def test_polydisc_model_hereditary_psd():
     nodes = random_polydisc_nodes(rng, 3, 2)
     space = build_subspace(KernelSpec.polydisc((2, 1)), nodes)
     s = model_tuple(space)
-    assert min_eig(hereditary_polydisc(s, (2, 1))) > -1e-12
+    assert min_eig(hereditary(s, (2, 1), np.eye(s.dim))) > -1e-12
 
 
 def test_coeff_map_at_zero_reproduces_defect():
@@ -106,13 +106,13 @@ def test_coeff_map_at_zero_reproduces_defect():
         space = build_subspace(KernelSpec.ball(m, 2), nodes)
         s = model_tuple(space)
         g = space.coeff_map_at_zero()
-        assert opnorm(g.conj().T @ g - hereditary_ball(s, m)) < 1e-10
+        assert opnorm(g.conj().T @ g - hereditary(s, m, np.eye(s.dim))) < 1e-10
 
     nodes = random_polydisc_nodes(rng, 3, 2)
     space = build_subspace(KernelSpec.polydisc((2, 1)), nodes)
     s = model_tuple(space)
     g = space.coeff_map_at_zero()
-    assert opnorm(g.conj().T @ g - hereditary_polydisc(s, (2, 1))) < 1e-10
+    assert opnorm(g.conj().T @ g - hereditary(s, (2, 1), np.eye(s.dim))) < 1e-10
 
 
 def test_np_target_zero_and_identity():

@@ -10,6 +10,7 @@ from schurlift import (
     KernelSpec,
     build_ball_colligation,
     build_subspace,
+    check_positivity,
     defect,
     grid_points,
     lift_p_gt_m,
@@ -72,7 +73,13 @@ def test_series_partial_lift_first_order_formula():
     q2 = build_subspace(spec, nodes)
     t, s = model_tuple(q1), model_tuple(q2)
     x = np_target_operator(q1, scaled_targets(rng, spec, nodes), q2)
-    coll = build_ball_colligation(s, x, defect(t, spec), 2)
+    coll = build_ball_colligation(
+        s,
+        x,
+        check_positivity(s, x, 2).matrix,
+        in_map=defect(s, spec).coord_map,
+        out_map=defect(t, spec).coord_map,
+    )
     partial, bound = series_partial_lift(coll, s, 1)
     direct = coll.block_a @ coll.in_map
     for j in range(s.n):
@@ -89,7 +96,13 @@ def test_series_partial_lift_converges_and_respects_bound():
     q2 = build_subspace(spec, nodes)
     t, s = model_tuple(q1), model_tuple(q2)
     x = np_target_operator(q1, scaled_targets(rng, spec, nodes), q2)
-    coll = build_ball_colligation(s, x, defect(t, spec), 2)
+    coll = build_ball_colligation(
+        s,
+        x,
+        check_positivity(s, x, 2).matrix,
+        in_map=defect(s, spec).coord_map,
+        out_map=defect(t, spec).coord_map,
+    )
     prev = None
     for order in range(1, 14):
         partial, bound = series_partial_lift(coll, s, order)

@@ -9,7 +9,6 @@ residuals, and kernel-basis verification of the lift).
 """
 
 from .errors import (
-    BalanceViolation,
     DimensionMismatch,
     DomainViolation,
     EvaluationFailure,
@@ -44,12 +43,10 @@ from .model_space import (
 )
 from .hypercontraction import (
     DefectData,
-    PurityReport,
     cp_map,
     defect,
     dilation_coefficients,
     hereditary,
-    purity_check,
     sigma_sum,
 )
 from .colligation import (
@@ -65,7 +62,6 @@ from .transfer import (
     schur_agler_certificate_ball,
     series_partial_lift,
     sup_norm_scan,
-    transfer_function,
     write_scan_csv,
 )
 from .lifting_ball import (
@@ -94,7 +90,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AglerDecomposition",
-    "BalanceViolation",
     "Colligation",
     "CompositeLift",
     "DefectData",
@@ -117,7 +112,6 @@ __all__ = [
     "NotPositive",
     "NotPure",
     "ParseError",
-    "PurityReport",
     "SchurliftError",
     "TransferFunction",
     "TupleOperator",
@@ -150,11 +144,9 @@ __all__ = [
     "np_target_operator",
     "polydisc_coeff",
     "psi_gamma_diagnostics",
-    "purity_check",
     "schur_agler_certificate_ball",
     "series_partial_lift",
     "sigma_sum",
     "sup_norm_scan",
-    "transfer_function",
     "verify_lift",
 ]

@@ -19,17 +19,17 @@ from .errors import SchurliftError, ParseError, ValidationError
 from .kernels import KernelSpec
 from .lifting_ball import (
     Infeasible,
+    KernelSpans,
     LiftResult,
     check_positivity,
     factorization_criterion,
     lift_ball,
     lift_p_gt_m,
     np_solve,
-    verify_lift,
 )
 from .lifting_polydisc import Inconclusive, np_solve_polydisc
 from .linalg import opnorm, psd_tolerance
-from .model_space import build_subspace, model_tuple, np_target_operator
+from .model_space import build_subspace, np_target_operator
 from .transfer import (
     GridSpec,
     grid_points,
@@ -395,12 +395,8 @@ def _solve_ball_np(inst: ProblemInstance, report: dict):
 
 def _solve_lift_ball(inst: ProblemInstance, report: dict):
     """Direct lift over the spans, without the interpolation pre-screen."""
-    q1 = build_subspace(inst.spec, inst.nodes)
-    q2 = build_subspace(inst.spec.with_coeff_dim(inst.d_target), inst.nodes)
-    t = model_tuple(q1)
-    s = model_tuple(q2)
-    x = np_target_operator(q1, inst.targets, q2)
-    norm_x = opnorm(x)
+    spans = KernelSpans.build(inst.spec, inst.nodes, inst.targets, inst.d_target)
+    norm_x = opnorm(spans.x)
     if norm_x > 1.0 + 1e-10:
         report["certificates"]["intertwiner_norm"] = norm_x
         return _finish_infeasible(
@@ -408,7 +404,7 @@ def _solve_lift_ball(inst: ProblemInstance, report: dict):
             Infeasible(which="contractivity", pick_min_eig=1.0 - norm_x**2,
                        pick_matrix=np.zeros((0, 0))),
         ), None
-    pos = check_positivity(s, x, inst.spec.m)
+    pos = check_positivity(spans.s, spans.x, inst.spec.m)
     if pos.min_eig < -psd_tolerance(pos.matrix, inst.options.psd_tol):
         return _finish_infeasible(
             report,
@@ -416,12 +412,9 @@ def _solve_lift_ball(inst: ProblemInstance, report: dict):
                        pick_matrix=pos.matrix, delta_min_eig=pos.min_eig),
         ), None
     result = lift_ball(
-        t, s, x, inst.spec.m,
-        in_map=q2.coeff_map_at_zero(),
-        out_map=q1.coeff_map_at_zero(),
-        gap=pos.matrix,
+        spans.t, spans.s, spans.x, inst.spec.m, gap=pos.matrix, **spans.coeff_maps()
     )
-    result.certificate.verify_residual = verify_lift(result.phi, q2, x, q1)
+    spans.certify(result)
     return _finish_solved(report, inst, result, result.phi), result.phi
 
 
@@ -460,11 +453,6 @@ def _solve_polydisc(inst: ProblemInstance, report: dict):
     return _finish_solved(report, inst, outcome, outcome.phi), outcome.phi
 
 
-def _sup_norm_scan(inst: ProblemInstance, phi_eval):
-    grid = GridSpec(*inst.options.grid)
-    return sup_norm_scan(phi_eval, grid_points(grid, inst.spec.geometry, inst.spec.n))
-
-
 def run(inst: ProblemInstance, *, csv_stream=None, certify: bool = False) -> tuple[dict, int]:
     """Execute an instance and return (report document, exit code).
 
@@ -497,28 +485,26 @@ def run(inst: ProblemInstance, *, csv_stream=None, certify: bool = False) -> tup
         else:  # pragma: no cover - parse_instance guards the mode set
             raise ValidationError(f"unsupported mode {inst.mode}")
 
-        if code == EXIT_SOLVED and (certify or inst.mode == "certify"):
-            if inst.spec.geometry == "ball":
-                points = _sample_points(inst, inst.options.samples)
-                crit = schur_agler_certificate_ball(phi, points, tol=1e-7)
-                report["certificates"]["schur_agler"] = {
-                    "min_eig": crit.min_eig,
-                    "pass": crit.passed,
-                    "samples": crit.sample_count,
-                }
-            else:
-                scan = _sup_norm_scan(inst, phi)
-                report["certificates"]["sup_norm"] = {
-                    "max": scan.max_norm,
-                    "points": len(scan.rows),
-                }
-        if code == EXIT_SOLVED and csv_stream is not None:
-            scan = _sup_norm_scan(inst, phi)
-            write_scan_csv(scan, inst.spec.n, csv_stream)
+        certifying = certify or inst.mode == "certify"
+        on_ball = inst.spec.geometry == "ball"
+        if code == EXIT_SOLVED and certifying and on_ball:
+            points = _sample_points(inst, inst.options.samples)
+            crit = schur_agler_certificate_ball(phi, points, tol=1e-7)
+            report["certificates"]["schur_agler"] = {
+                "min_eig": crit.min_eig,
+                "pass": crit.passed,
+                "samples": crit.sample_count,
+            }
+        # The polydisc certificate and the CSV share one scan of the grid.
+        if code == EXIT_SOLVED and ((certifying and not on_ball) or csv_stream is not None):
+            grid = grid_points(GridSpec(*inst.options.grid), inst.spec.geometry, inst.spec.n)
+            scan = sup_norm_scan(phi, grid)
             report["certificates"]["sup_norm"] = {
                 "max": scan.max_norm,
                 "points": len(scan.rows),
             }
+            if csv_stream is not None:
+                write_scan_csv(scan, inst.spec.n, csv_stream)
         return report, code
     except SchurliftError as exc:
         report["status"] = "error"

@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BalanceViolation, DimensionMismatch, GramMismatch, NotPositive
-from .hypercontraction import cp_map
+from .errors import DimensionMismatch, GramMismatch, NotPositive
 from .linalg import (
     as_matrix,
     herm,
@@ -37,7 +36,8 @@ POLYDISC_DIAGONAL = "polydisc-diag"
 UNITARY = "unitary"
 PARTIAL_ISOMETRY = "partial-isometry"
 
-#: Default agreement tolerance between input and output Gram matrices.
+#: Agreement tolerance between input and output Gram matrices, relative
+#: to ``max(1, ||input Gram||)``.
 GRAM_TOL = 1e-9
 
 #: Relative eigenvalue cut when extracting range coordinates.
@@ -68,7 +68,6 @@ class Colligation:
     unitary_defect: float | None = None
     in_map: np.ndarray | None = field(default=None, repr=False)
     out_target: np.ndarray | None = field(default=None, repr=False)
-    state_in_maps: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
     state_coord_maps: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
     delta_min_eig: float | None = None
     delta_norm: float | None = None
@@ -159,13 +158,10 @@ def complete_pairs(
     inputs: np.ndarray,
     outputs: np.ndarray,
     want_unitary: bool,
-    *,
-    gram_tol: float = GRAM_TOL,
-    rank_tol: float = RANK_TOL,
 ) -> np.ndarray:
     """Complete the pair map ``inputs[:, j] -> outputs[:, j]`` to an operator.
 
-    Precondition: the two Gram matrices agree within ``gram_tol``
+    Precondition: the two Gram matrices agree within ``GRAM_TOL``
     (relative to scale); a violation raises ``GramMismatch`` and means the
     caller's positivity data is inconsistent.  The shared Gram is
     eigendecomposed once and both sides are orthonormalized through it,
@@ -191,13 +187,13 @@ def complete_pairs(
     gram_in = p.conj().T @ p
     gram_out = q.conj().T @ q
     deviation = opnorm(gram_in - gram_out)
-    if deviation > gram_tol * max(1.0, opnorm(gram_in)):
+    if deviation > GRAM_TOL * max(1.0, opnorm(gram_in)):
         raise GramMismatch(deviation)
 
     shared = herm((gram_in + gram_out) / 2.0)
     w, v = np.linalg.eigh(shared)
     w_max = max(float(w[-1]), 0.0)
-    keep = w > rank_tol * max(w_max, 1.0)
+    keep = w > RANK_TOL * max(w_max, 1.0)
     if not np.any(keep):
         # All pairs are numerically zero vectors.
         if want_unitary and p.shape[0] == q.shape[0]:
@@ -226,11 +222,50 @@ def _pad_rows(mat: np.ndarray, rows: int) -> np.ndarray:
     return out
 
 
-def _generating_residual(u: np.ndarray, ins: np.ndarray, outs: np.ndarray) -> float:
+def _complete(
+    geometry: str,
+    in_map: np.ndarray,
+    out_target: np.ndarray,
+    state_ins: list[np.ndarray],
+    state_outs: list[np.ndarray],
+    state_coord_maps: tuple[np.ndarray, ...],
+    unitary_ok: bool,
+    **certificates,
+) -> Colligation:
+    """Complete the generating pairs of either geometry to a colligation.
+
+    The input side stacks ``in_map`` over the ``state_ins`` blocks, the
+    output side ``out_target`` over the ``state_outs`` blocks; the block
+    row counts are the state dimensions.  ``complete_pairs`` checks the
+    Gram agreement once and raises ``GramMismatch`` when it fails.
+    """
+    ins = np.vstack([in_map] + state_ins)
+    outs = np.vstack([out_target] + state_outs)
+    u = complete_pairs(ins, outs, unitary_ok)
     resid = u @ ins - outs
-    if resid.size == 0:
-        return 0.0
-    return float(np.max(np.linalg.norm(resid, axis=0)))
+    residual = float(np.max(np.linalg.norm(resid, axis=0))) if resid.size else 0.0
+    unitary_defect = None
+    if unitary_ok:
+        eye = np.eye(u.shape[0], dtype=complex)
+        unitary_defect = max(
+            opnorm(u.conj().T @ u - eye), opnorm(u @ u.conj().T - eye)
+        )
+    return Colligation(
+        matrix=u,
+        geometry=geometry,
+        kind=UNITARY if unitary_ok else PARTIAL_ISOMETRY,
+        in_defect_dim=in_map.shape[0],
+        in_state_dims=tuple(block.shape[0] for block in state_ins),
+        out_defect_dim=out_target.shape[0],
+        out_state_dims=tuple(block.shape[0] for block in state_outs),
+        generating_residual=residual,
+        norm=opnorm(u),
+        unitary_defect=unitary_defect,
+        in_map=in_map,
+        out_target=out_target,
+        state_coord_maps=state_coord_maps,
+        **certificates,
+    )
 
 
 def build_ball_colligation(
@@ -240,8 +275,6 @@ def build_ball_colligation(
     *,
     in_map: np.ndarray,
     out_map: np.ndarray,
-    force_partial: bool = False,
-    gram_tol: float = GRAM_TOL,
 ) -> Colligation:
     """Colligation for the ball lift of the intertwiner ``x`` against ``s``.
 
@@ -249,7 +282,7 @@ def build_ball_colligation(
     gap coordinates of ``S_i* k`` on the input side against the defect
     coordinates of ``X* k`` and the gap coordinates of ``k`` on the
     output side; their Gram agreement is exactly the lifting identity,
-    which is asserted before completion.  ``gap`` is the positivity gap
+    which the completion checks.  ``gap`` is the positivity gap
     ``(1 - sigma_S)^{m-1}(I - X X*)``.  ``in_map``/``out_map`` are the
     defect coordinate maps of ``s`` and of the domain tuple: any maps whose
     Grams are the two defects (``DefectData.coord_map``, or on model
@@ -282,21 +315,10 @@ def build_ball_colligation(
         raise DimensionMismatch("input coordinate map does not match the tuple dimension")
     if out_map.shape[1] != x.shape[1]:
         raise DimensionMismatch("output coordinate map does not match the intertwiner domain")
-    out_target = out_map @ x.conj().T
-
-    # Operator identity behind the Gram agreement, asserted up front.
-    lhs = in_map.conj().T @ in_map + cp_map(s, gap_sq)
-    rhs = gap_sq + out_target.conj().T @ out_target
-    identity_residual = opnorm(lhs - rhs)
-    if identity_residual > gram_tol * max(1.0, opnorm(lhs)):
-        raise GramMismatch(identity_residual, context="ball lifting identity")
 
     d_in = in_map.shape[0]
     d_out = out_map.shape[0]
-    if force_partial:
-        unitary_ok = False
-        dim_state = gap_rank
-    elif n == 1:
+    if n == 1:
         unitary_ok = d_in == d_out
         dim_state = gap_rank
     else:
@@ -305,35 +327,15 @@ def build_ball_colligation(
         unitary_ok = diff >= 0 and rem == 0 and quotient >= gap_rank
         dim_state = quotient if unitary_ok else gap_rank
 
-    adjoints = s.adjoints()
-    state_ins = [_pad_rows(gap_map @ adjoints[i], dim_state) for i in range(n)]
-    ins = np.vstack([in_map] + state_ins)
-    outs = np.vstack([out_target, _pad_rows(gap_map, dim_state)])
-
-    u = complete_pairs(ins, outs, unitary_ok, gram_tol=gram_tol)
-    residual = _generating_residual(u, ins, outs)
-    norm = opnorm(u)
-    unitary_defect = None
-    if unitary_ok:
-        eye = np.eye(u.shape[0], dtype=complex)
-        unitary_defect = max(
-            opnorm(u.conj().T @ u - eye), opnorm(u @ u.conj().T - eye)
-        )
-    return Colligation(
-        matrix=u,
-        geometry=BALL_ROW,
-        kind=UNITARY if unitary_ok else PARTIAL_ISOMETRY,
-        in_defect_dim=d_in,
-        in_state_dims=(dim_state,) * n,
-        out_defect_dim=d_out,
-        out_state_dims=(dim_state,),
-        generating_residual=residual,
-        norm=norm,
-        unitary_defect=unitary_defect,
-        in_map=in_map,
-        out_target=out_target,
-        state_in_maps=tuple(state_ins),
-        state_coord_maps=(_pad_rows(gap_map, dim_state),) * n,
+    state_out = _pad_rows(gap_map, dim_state)
+    return _complete(
+        BALL_ROW,
+        in_map,
+        out_map @ x.conj().T,
+        [_pad_rows(gap_map @ adj, dim_state) for adj in s.adjoints()],
+        [state_out],
+        (state_out,) * n,
+        unitary_ok,
         delta_min_eig=gap_min,
         delta_norm=float(np.sqrt(max(opnorm(gap_sq), 0.0))),
     )
@@ -347,24 +349,19 @@ def build_polydisc_colligation(
     *,
     in_map: np.ndarray,
     out_map: np.ndarray,
-    pad_dim: int = 0,
-    force_partial: bool = False,
-    balance_tol: float = 1e-8,
-    gram_tol: float = GRAM_TOL,
 ) -> Colligation:
     """Colligation for the polydisc lift from the state operators ``f_list``.
 
     ``f_list`` holds the PSD operators whose squares balance the defect
     identity ``D_S^2 + sum S_i F_i^2 S_i* = X D_T^2 X* + sum F_i^2``;
-    that balance is asserted within ``balance_tol`` before any
-    completion.  ``in_map``/``out_map`` are coordinate maps whose Grams
-    are ``D_S^2`` and ``D_T^2``.  State block ``i`` carries the range
-    coordinates of ``F_i``, with the final block padded by ``pad_dim``
-    spare dimensions.
+    that balance is the Gram agreement the completion checks.
+    ``in_map``/``out_map`` are coordinate maps whose Grams are ``D_S^2``
+    and ``D_T^2``.  State block ``i`` carries the range coordinates of
+    ``F_i``.  The completion is unitary when the two defect dimensions
+    agree.
     """
     x = as_matrix(x)
     gamma = tuple(int(g) for g in gamma)
-    q2 = s.dim
     n = s.n
     if len(gamma) != n:
         raise DimensionMismatch(f"weight vector {gamma} does not match tuple length {n}")
@@ -374,69 +371,19 @@ def build_polydisc_colligation(
 
     in_map = as_matrix(in_map)
     out_map = as_matrix(out_map)
-    out_target = out_map @ x.conj().T
-
-    f_squares = [f @ f for f in mats_f]
-    lhs = in_map.conj().T @ in_map
-    rhs = out_target.conj().T @ out_target
-    for i in range(n):
-        lhs = lhs + s.mats[i] @ f_squares[i] @ s.mats[i].conj().T
-        rhs = rhs + f_squares[i]
-    balance_residual = opnorm(lhs - rhs)
-    if balance_residual > balance_tol * max(1.0, opnorm(lhs)):
-        raise BalanceViolation(balance_residual)
-
+    state_ins = []
     f_maps = []
-    ranks = []
-    for f in mats_f:
-        _, rank, basis, lam_min = psd_sqrt(f @ f)
-        if lam_min < -psd_tolerance(f @ f):
-            raise NotPositive(lam_min, context="state operator square")
-        f_maps.append(basis.conj().T @ f)
-        ranks.append(rank)
-
-    state_dims = list(ranks)
-    state_dims[-1] += pad_dim
-    d_in = in_map.shape[0]
-    d_out = out_map.shape[0]
-    unitary_ok = (not force_partial) and d_in == d_out
-
-    adjoints = s.adjoints()
-    state_rows = []
-    out_rows = []
-    coord_maps = []
-    for i in range(n):
-        rows = state_dims[i]
-        state_rows.append(_pad_rows(f_maps[i] @ adjoints[i], rows))
-        out_rows.append(_pad_rows(f_maps[i], rows))
-        coord_maps.append(_pad_rows(f_maps[i], rows))
-    ins = np.vstack([in_map] + state_rows)
-    outs = np.vstack([out_target] + out_rows)
-
-    u = complete_pairs(ins, outs, unitary_ok, gram_tol=gram_tol)
-    residual = _generating_residual(u, ins, outs)
-    norm = opnorm(u)
-    unitary_defect = None
-    if unitary_ok:
-        eye = np.eye(u.shape[0], dtype=complex)
-        unitary_defect = max(
-            opnorm(u.conj().T @ u - eye), opnorm(u @ u.conj().T - eye)
-        )
-    return Colligation(
-        matrix=u,
-        geometry=POLYDISC_DIAGONAL,
-        kind=UNITARY if unitary_ok else PARTIAL_ISOMETRY,
-        in_defect_dim=d_in,
-        in_state_dims=tuple(state_dims),
-        out_defect_dim=d_out,
-        out_state_dims=tuple(state_dims),
-        generating_residual=residual,
-        norm=norm,
-        unitary_defect=unitary_defect,
-        in_map=in_map,
-        out_target=out_target,
-        state_in_maps=tuple(state_rows),
-        state_coord_maps=tuple(coord_maps),
-        delta_min_eig=None,
-        delta_norm=None,
+    for f, adj in zip(mats_f, s.adjoints()):
+        _, _, basis, _ = psd_sqrt(f @ f)
+        f_map = basis.conj().T @ f
+        state_ins.append(f_map @ adj)
+        f_maps.append(f_map)
+    return _complete(
+        POLYDISC_DIAGONAL,
+        in_map,
+        out_map @ x.conj().T,
+        state_ins,
+        f_maps,
+        tuple(f_maps),
+        in_map.shape[0] == out_map.shape[0],
     )

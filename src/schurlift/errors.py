@@ -47,11 +47,8 @@ class NotConverged(SchurliftError):
 class GramMismatch(SchurliftError):
     """Input and output Gram matrices of a pair completion disagree."""
 
-    def __init__(self, deviation: float, context: str = ""):
-        msg = f"Gram matrices differ by {deviation:.6e}"
-        if context:
-            msg += f" ({context})"
-        super().__init__(msg)
+    def __init__(self, deviation: float):
+        super().__init__(f"Gram matrices differ by {deviation:.6e}")
         self.deviation = deviation
 
 
@@ -64,14 +61,6 @@ class NotPositive(SchurliftError):
             msg += f" ({context})"
         super().__init__(msg)
         self.min_eig = min_eig
-
-
-class BalanceViolation(SchurliftError):
-    """The polydisc balance identity does not hold for the supplied operators."""
-
-    def __init__(self, residual: float):
-        super().__init__(f"balance identity residual {residual:.6e}")
-        self.residual = residual
 
 
 class NotIntertwining(SchurliftError):

@@ -1,8 +1,8 @@
 """Hereditary calculus for commuting tuples.
 
 Covers the completely positive map of a tuple, the ball and polydisc
-hereditary operators, defect data with PSD square roots, purity
-diagnostics, truncated geometric operator sums, and the coefficients of
+hereditary operators, defect data with PSD square roots, the purity
+gate, truncated geometric operator sums, and the coefficients of
 the canonical dilation.
 """
 
@@ -31,6 +31,9 @@ JOINT_COND_LIMIT = 1e8
 
 #: Off-diagonal allowance of ``V^{-1} T_i V``, relative to ``1 + ||T_i||``.
 JOINT_DIAG_TOL = 1e-10
+
+#: A tuple is pure when its spectral radius is below ``1 - PURITY_MARGIN``.
+PURITY_MARGIN = 1e-10
 
 
 def cp_map(t: TupleOperator, a: np.ndarray) -> np.ndarray:
@@ -112,42 +115,6 @@ def defect(t: TupleOperator, spec: KernelSpec) -> DefectData:
     )
 
 
-@dataclass
-class PurityReport:
-    pure: bool
-    conclusive: bool
-    decay: list[float]
-
-
-def purity_check(
-    t: TupleOperator, spec: KernelSpec, *, tol: float = 1e-12, max_iter: int = 200
-) -> PurityReport:
-    """Iterate decay test for purity.
-
-    Ball geometry iterates the completely positive map on the identity;
-    the polydisc tracks per-coordinate power decay.  Hitting the
-    iteration cap is reported as inconclusive rather than raised.
-    """
-    decay: list[float] = []
-    if spec.geometry == BALL:
-        current = np.eye(t.dim, dtype=complex)
-        for _ in range(max_iter):
-            current = cp_map(t, current)
-            norm = opnorm(current)
-            decay.append(norm)
-            if norm < tol:
-                return PurityReport(pure=True, conclusive=True, decay=decay)
-        return PurityReport(pure=False, conclusive=False, decay=decay)
-    powers = [np.eye(t.dim, dtype=complex) for _ in range(t.n)]
-    for _ in range(max_iter):
-        powers = [p @ m for p, m in zip(powers, t.mats)]
-        norm = max(opnorm(p) for p in powers)
-        decay.append(norm)
-        if norm < tol:
-            return PurityReport(pure=True, conclusive=True, decay=decay)
-    return PurityReport(pure=False, conclusive=False, decay=decay)
-
-
 def joint_eigenvalues(t: TupleOperator) -> np.ndarray | None:
     """Joint eigenvalues of a diagonalizable tuple, one row ``lambda_a`` per
     common eigenvector, or ``None`` when the tuple fails the self-check.
@@ -175,7 +142,7 @@ def joint_eigenvalues(t: TupleOperator) -> np.ndarray | None:
     return lam
 
 
-def is_pure(t: TupleOperator, spec: KernelSpec, margin: float = 1e-10) -> bool:
+def is_pure(t: TupleOperator, spec: KernelSpec) -> bool:
     """Spectral-radius purity gate.
 
     Equivalent to iterate decay on finite matrices but immune to slow
@@ -201,7 +168,7 @@ def is_pure(t: TupleOperator, spec: KernelSpec, margin: float = 1e-10) -> bool:
             radius = max(abs(np.linalg.eigvals(mat)))
     else:
         radius = max(max(abs(np.linalg.eigvals(m))) for m in t.mats)
-    return bool(radius < 1.0 - margin)
+    return bool(radius < 1.0 - PURITY_MARGIN)
 
 
 def _geometric_sum(m: np.ndarray, a: np.ndarray, order: int) -> np.ndarray:

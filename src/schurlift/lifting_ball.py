@@ -32,12 +32,7 @@ from .model_space import (
     multiplier_adjoint_action,
     np_target_operator,
 )
-from .transfer import (
-    CertificateResult,
-    TransferFunction,
-    _series_partial_sum,
-    transfer_function,
-)
+from .transfer import CertificateResult, TransferFunction, _series_partial_sum
 
 INTERTWINE_TOL = 1e-10
 CONTRACTION_SLACK = 1e-10
@@ -111,6 +106,33 @@ def _check_intertwining(t: TupleOperator, s: TupleOperator, x: np.ndarray) -> fl
     return worst
 
 
+def _lift_preamble(
+    t: TupleOperator,
+    s: TupleOperator,
+    x: np.ndarray,
+    spec: KernelSpec,
+    in_map: np.ndarray | None,
+    out_map: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Checks shared by the ball and polydisc lifts, and their defect maps.
+
+    ``x`` must be a contraction intertwining the two tuples, and both
+    tuples must be pure.  A defect coordinate map the caller did not pass
+    comes from ``defect``, which raises ``NotHypercontraction``.
+    """
+    if t.n != s.n:
+        raise DimensionMismatch("tuples must have the same length")
+    _check_contraction(x)
+    _check_intertwining(t, s, x)
+    if not is_pure(t, spec) or not is_pure(s, spec):
+        raise NotPure("both tuples must be pure for the canonical dilation")
+    if in_map is None:
+        in_map = defect(s, spec).coord_map
+    if out_map is None:
+        out_map = defect(t, spec).coord_map
+    return in_map, out_map
+
+
 def lift_ball(
     t: TupleOperator,
     s: TupleOperator,
@@ -134,22 +156,12 @@ def lift_ball(
     coefficient spaces.
     """
     x = as_matrix(x)
-    spec = KernelSpec.ball(m, t.n)
-    if t.n != s.n:
-        raise DimensionMismatch("tuples must have the same length")
-    _check_contraction(x)
-    _check_intertwining(t, s, x)
-    if not is_pure(t, spec) or not is_pure(s, spec):
-        raise NotPure("both tuples must be pure for the canonical dilation")
-    if in_map is None:
-        in_map = defect(s, spec).coord_map
-    if out_map is None:
-        out_map = defect(t, spec).coord_map
+    in_map, out_map = _lift_preamble(t, s, x, KernelSpec.ball(m, t.n), in_map, out_map)
     if gap is None:
         gap = check_positivity(s, x, m).matrix
 
     coll = build_ball_colligation(s, x, gap, in_map=in_map, out_map=out_map)
-    phi = transfer_function(coll)
+    phi = TransferFunction(coll)
 
     # Pick the truncation from the a-priori tail bound, then sum once.
     delta_norm = coll.delta_norm if coll.delta_norm is not None else 1.0
@@ -188,10 +200,55 @@ def target_pick_matrix(spec: KernelSpec, nodes, targets) -> np.ndarray:
 
 
 @dataclass
-class NpSolveExtras:
-    q_domain: KernelSubspace
-    q_codomain: KernelSubspace
+class KernelSpans:
+    """One interpolation instance on kernel spans.
+
+    ``q1`` spans the domain kernels and ``q2`` the target kernels at the
+    same nodes; ``t`` and ``s`` are their model tuples and ``x`` the
+    interpolation operator from ``q1`` to ``q2``.
+    """
+
+    targets: list[np.ndarray]
+    q1: KernelSubspace
+    q2: KernelSubspace
+    t: TupleOperator
+    s: TupleOperator
     x: np.ndarray
+
+    @classmethod
+    def build(cls, spec: KernelSpec, nodes, targets, d_target: int | None = None) -> KernelSpans:
+        targets = [as_matrix(w) for w in targets]
+        if d_target is None:
+            d_target = targets[0].shape[0]
+        q1 = build_subspace(spec, nodes)
+        q2 = build_subspace(spec.with_coeff_dim(d_target), nodes)
+        x = np_target_operator(q1, targets, q2)
+        return cls(targets, q1, q2, model_tuple(q1), model_tuple(q2), x)
+
+    def contractivity(self, psd_base_tol: float) -> tuple[float, Infeasible | None]:
+        """Bottom eigenvalue of the Pick matrix for the domain kernel (weight
+        ``m`` or ``gamma``), and the ``Infeasible`` record when it fails."""
+        pick = target_pick_matrix(self.q1.spec, self.q1.nodes, self.targets)
+        pick_min = min_eig(pick)
+        if pick_min < -psd_tolerance(pick, psd_base_tol):
+            return pick_min, Infeasible(
+                which="contractivity", pick_min_eig=pick_min, pick_matrix=pick
+            )
+        return pick_min, None
+
+    def coeff_maps(self) -> dict:
+        """Defect coordinate maps of the lift: evaluation at the origin, whose
+        Grams are the defects, so the lift acts between coefficient spaces."""
+        return {"in_map": self.q2.coeff_map_at_zero(), "out_map": self.q1.coeff_map_at_zero()}
+
+    def certify(self, result: LiftResult, **extras) -> LiftResult:
+        """Set ``verify_residual`` to the kernel-basis residual of the lift
+        identity and record ``extras`` plus the span data under ``"np"``."""
+        result.certificate.verify_residual = verify_lift(result.phi, self.q2, self.x, self.q1)
+        result.certificate.extras.update(
+            extras, np={"q_domain": self.q1, "q_codomain": self.q2, "x": self.x}
+        )
+        return result
 
 
 def np_solve(
@@ -213,29 +270,19 @@ def np_solve(
     """
     if spec.geometry != "ball":
         raise ValueError("np_solve expects a ball kernel spec")
-    targets = [as_matrix(w) for w in targets]
-    if d_target is None:
-        d_target = targets[0].shape[0]
-    q1 = build_subspace(spec, nodes)
-    q2 = build_subspace(spec.with_coeff_dim(d_target), nodes)
-    t = model_tuple(q1)
-    s = model_tuple(q2)
-    x = np_target_operator(q1, targets, q2)
-
-    pick_m = target_pick_matrix(spec, q1.nodes, targets)
-    pick_m_min = min_eig(pick_m)
-    if pick_m_min < -psd_tolerance(pick_m, psd_base_tol):
-        return Infeasible(
-            which="contractivity", pick_min_eig=pick_m_min, pick_matrix=pick_m
-        )
+    spans = KernelSpans.build(spec, nodes, targets, d_target)
+    pick_m_min, infeasible = spans.contractivity(psd_base_tol)
+    if infeasible is not None:
+        return infeasible
 
     pick_1 = target_pick_matrix(
-        KernelSpec.ball(1, spec.n, spec.d_coeff), q1.nodes, targets
+        KernelSpec.ball(1, spec.n, spec.d_coeff), spans.q1.nodes, spans.targets
     )
     pick_1_min = min_eig(pick_1)
     # On the span the positivity gap is the weight-one Pick matrix in
     # orthonormal coordinates: (1 - sigma_S)^{m-1}(I - X X*) = L2* Pick_1 L2.
-    gap = herm(q2.ortho_factor.conj().T @ pick_1 @ q2.ortho_factor)
+    factor = spans.q2.ortho_factor
+    gap = herm(factor.conj().T @ pick_1 @ factor)
     gap_min = min_eig(gap)
     if gap_min < -psd_tolerance(gap, psd_base_tol):
         return Infeasible(
@@ -245,24 +292,10 @@ def np_solve(
             delta_min_eig=gap_min,
         )
 
-    result = lift_ball(
-        t,
-        s,
-        x,
-        spec.m,
-        in_map=q2.coeff_map_at_zero(),
-        out_map=q1.coeff_map_at_zero(),
-        gap=gap,
+    result = lift_ball(spans.t, spans.s, spans.x, spec.m, gap=gap, **spans.coeff_maps())
+    return spans.certify(
+        result, pick_weight_m_min_eig=pick_m_min, pick_weight_1_min_eig=pick_1_min
     )
-    result.certificate.verify_residual = verify_lift(result.phi, q2, x, q1)
-    result.certificate.extras.update(
-        {
-            "pick_weight_m_min_eig": pick_m_min,
-            "pick_weight_1_min_eig": pick_1_min,
-            "np": NpSolveExtras(q_domain=q1, q_codomain=q2, x=x),
-        }
-    )
-    return result
 
 
 @dataclass

@@ -20,26 +20,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .colligation import Colligation, build_polydisc_colligation
-from .errors import DimensionMismatch, NotPositive, NotPure
-from .hypercontraction import defect, hereditary, is_pure
+from .errors import DimensionMismatch, NotPositive
+from .hypercontraction import hereditary
 from .kernels import KernelSpec, indices_up_to, series_coeff
 from .linalg import as_matrix, clip_psd, herm, min_eig, opnorm, psd_sqrt, psd_tolerance
 from .lifting_ball import (
+    Infeasible,
+    KernelSpans,
     LiftCertificate,
     LiftResult,
-    Infeasible,
-    _check_contraction,
-    _check_intertwining,
-    target_pick_matrix,
-    verify_lift,
+    _lift_preamble,
 )
-from .model_space import (
-    TupleOperator,
-    build_subspace,
-    model_tuple,
-    np_target_operator,
-)
-from .transfer import transfer_function
+from .model_space import TupleOperator
+from .transfer import TransferFunction
 
 
 def transformed_positivity(s: TupleOperator, gamma, i: int, a: np.ndarray) -> np.ndarray:
@@ -305,7 +298,6 @@ def lift_polydisc(
     *,
     in_map: np.ndarray | None = None,
     out_map: np.ndarray | None = None,
-    balance_tol: float = 1e-8,
 ) -> LiftResult:
     """Build the polydisc colligation from the decomposition and lift.
 
@@ -318,21 +310,11 @@ def lift_polydisc(
     """
     x = as_matrix(x)
     gamma = tuple(int(g) for g in gamma)
-    spec = KernelSpec.polydisc(gamma)
-    _check_contraction(x)
-    _check_intertwining(t, s, x)
-    if not is_pure(t, spec) or not is_pure(s, spec):
-        raise NotPure("both tuples must be pure for the canonical dilation")
-    if in_map is None:
-        in_map = defect(s, spec).coord_map
-    if out_map is None:
-        out_map = defect(t, spec).coord_map
+    in_map, out_map = _lift_preamble(t, s, x, KernelSpec.polydisc(gamma), in_map, out_map)
 
     ops = f_operators(s, gamma, dec)
-    coll = build_polydisc_colligation(
-        s, x, gamma, ops, in_map=in_map, out_map=out_map, balance_tol=balance_tol
-    )
-    phi = transfer_function(coll)
+    coll = build_polydisc_colligation(s, x, gamma, ops, in_map=in_map, out_map=out_map)
+    phi = TransferFunction(coll)
     cert = LiftCertificate(
         delta_min_eig=min(dec.cone_min_eigs),
         generating_residual=coll.generating_residual,
@@ -364,51 +346,27 @@ def np_solve_polydisc(
     psd_base_tol: float = 1e-9,
     feasibility_tol: float = 1e-10,
     max_iter: int = 10000,
-    balance_tol: float = 1e-8,
 ) -> LiftResult | Infeasible | Inconclusive:
     """Interpolation front end over polydisc kernel spans."""
     if spec.geometry != "polydisc":
         raise ValueError("np_solve_polydisc expects a polydisc kernel spec")
-    targets = [as_matrix(w) for w in targets]
-    if d_target is None:
-        d_target = targets[0].shape[0]
-    q1 = build_subspace(spec, nodes)
-    q2 = build_subspace(spec.with_coeff_dim(d_target), nodes)
-    t = model_tuple(q1)
-    s = model_tuple(q2)
-    x = np_target_operator(q1, targets, q2)
+    spans = KernelSpans.build(spec, nodes, targets, d_target)
+    pick_min, infeasible = spans.contractivity(psd_base_tol)
+    if infeasible is not None:
+        return infeasible
 
-    pick = target_pick_matrix(spec, q1.nodes, targets)
-    pick_min = min_eig(pick)
-    if pick_min < -psd_tolerance(pick, psd_base_tol):
-        return Infeasible(which="contractivity", pick_min_eig=pick_min, pick_matrix=pick)
-
+    t, s, x = spans.t, spans.s, spans.x
     dec = agler_feasibility(s, x, spec.gamma, tol=feasibility_tol, max_iter=max_iter)
     if isinstance(dec, Inconclusive):
         return dec
 
-    result = lift_polydisc(
-        t,
-        s,
-        x,
-        spec.gamma,
-        dec,
-        in_map=q2.coeff_map_at_zero(),
-        out_map=q1.coeff_map_at_zero(),
-        balance_tol=balance_tol,
+    result = lift_polydisc(t, s, x, spec.gamma, dec, **spans.coeff_maps())
+    return spans.certify(
+        result,
+        pick_min_eig=pick_min,
+        decomposition=dec,
+        hereditary_difference_residual=hereditary_difference_residual(t, s, x, spec.gamma),
     )
-    result.certificate.verify_residual = verify_lift(result.phi, q2, x, q1)
-    result.certificate.extras.update(
-        {
-            "pick_min_eig": pick_min,
-            "decomposition": dec,
-            "hereditary_difference_residual": hereditary_difference_residual(
-                t, s, x, spec.gamma
-            ),
-            "np": {"q_domain": q1, "q_codomain": q2, "x": x},
-        }
-    )
-    return result
 
 
 @dataclass

@@ -8,6 +8,12 @@ from __future__ import annotations
 
 import numpy as np
 
+#: Relative eigenvalue cut below which ``psd_sqrt`` counts no rank.
+SQRT_RANK_TOL = 1e-12
+
+#: Singular values above this go to 1 in ``snap_partial_isometry``, the rest to 0.
+SNAP_CUT = 0.5
+
 
 def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
@@ -45,17 +51,17 @@ def eigh_desc(a: np.ndarray):
     return w[::-1], v[:, ::-1]
 
 
-def psd_sqrt(a: np.ndarray, rank_tol: float = 1e-12):
+def psd_sqrt(a: np.ndarray):
     """PSD square root with eigenvalue clipping.
 
-    Eigenvalues below ``rank_tol * max(lambda_max, 1)`` are treated as zero
+    Eigenvalues below ``SQRT_RANK_TOL * max(lambda_max, 1)`` are treated as zero
     (they are round-off from differences of products).  Returns
     ``(root, rank, range_basis, min_eig)`` where ``range_basis`` has the
     ``rank`` leading eigenvectors as columns.
     """
     w, v = eigh_desc(a)
     lam_min = float(w[-1]) if w.size else 0.0
-    cut = rank_tol * max(float(w[0]) if w.size else 0.0, 1.0)
+    cut = SQRT_RANK_TOL * max(float(w[0]) if w.size else 0.0, 1.0)
     kept = w > cut
     rank = int(np.count_nonzero(kept))
     w_clipped = np.where(w > 0.0, w, 0.0)
@@ -71,12 +77,12 @@ def clip_psd(a: np.ndarray) -> np.ndarray:
     return herm((v * w[..., None, :]) @ np.swapaxes(v, -1, -2).conj())
 
 
-def snap_partial_isometry(u: np.ndarray, cut: float = 0.5) -> np.ndarray:
-    """Nearest partial isometry: singular values above ``cut`` go to 1, rest to 0."""
+def snap_partial_isometry(u: np.ndarray) -> np.ndarray:
+    """Nearest partial isometry: singular values above ``SNAP_CUT`` go to 1, rest to 0."""
     if u.size == 0:
         return u
     a, s, bh = np.linalg.svd(u, full_matrices=False)
-    keep = s > cut
+    keep = s > SNAP_CUT
     return a[:, keep] @ bh[keep, :]
 
 

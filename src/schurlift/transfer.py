@@ -36,7 +36,6 @@ class TransferFunction:
     """
 
     colligation: Colligation
-    cond_limit: float = COND_LIMIT
     d_in: int = field(init=False)
     d_out: int = field(init=False)
     domain: KernelSpec = field(init=False)
@@ -83,15 +82,11 @@ class TransferFunction:
             zd = weights[:, None] * coll.block_d.conj().T
             zb = weights[:, None] * coll.block_b.conj().T
         resolvent = np.eye(zd.shape[0], dtype=complex) - zd
-        if np.linalg.cond(resolvent) >= self.cond_limit:
+        if np.linalg.cond(resolvent) >= COND_LIMIT:
             raise NearSingularResolvent(f"resolvent nearly singular at {z}")
         return a_adj + coll.block_c.conj().T @ np.linalg.solve(resolvent, zb)
 
     __call__ = eval
-
-
-def transfer_function(coll: Colligation) -> TransferFunction:
-    return TransferFunction(coll)
 
 
 def series_partial_lift(

@@ -170,7 +170,7 @@ def test_criterion_5_series_lemma():
         result = np_solve(spec, nodes, targets)
         assert isinstance(result, LiftResult)
         coll = result.colligation
-        s = model_tuple(result.certificate.extras["np"].q_codomain)
+        s = model_tuple(result.certificate.extras["np"]["q_codomain"])
         prev = None
         final = None
         for order in range(1, 13):

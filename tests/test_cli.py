@@ -292,3 +292,26 @@ def test_each_command_solves_once(tmp_path, capsys, monkeypatch, command, doc):
     assert code == EXIT_SOLVED
     assert report["certificates"].get("schur_agler", report["certificates"].get("sup_norm"))
     assert len(calls) == 1
+
+
+def test_scan_of_certify_document_scans_once(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(dict(BIDISC, mode="certify")))
+    main(["certify", str(path), "--grid", "3:3:0.9"])
+    certified = capsys.readouterr().out
+
+    scans = []
+    original = cli.sup_norm_scan
+
+    def counted(*args, **kwargs):
+        scans.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "sup_norm_scan", counted)
+    csv_path = tmp_path / "scan.csv"
+    code = main(["scan", str(path), "--grid", "3:3:0.9", "--csv-out", str(csv_path)])
+    assert code == EXIT_SOLVED
+    assert len(scans) == 1
+    # The scan command reports what certify reports and adds the CSV of the same grid.
+    assert capsys.readouterr().out == certified
+    assert len(csv_path.read_text().strip().split("\n")) == 1 + 81

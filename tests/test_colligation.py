@@ -13,7 +13,7 @@ from schurlift import (
     np_target_operator,
 )
 from schurlift.colligation import PARTIAL_ISOMETRY, UNITARY
-from schurlift.errors import BalanceViolation, GramMismatch, NotPositive
+from schurlift.errors import GramMismatch, NotPositive
 from schurlift.hypercontraction import cp_map, hereditary
 from schurlift.linalg import opnorm
 
@@ -106,6 +106,16 @@ def test_ball_colligation_identity_assertion():
     assert opnorm(lhs - rhs) <= 1e-9
 
 
+def test_ball_colligation_inconsistent_gap():
+    rng = np.random.default_rng(2)
+    q1, q2, t, s, x, _ = _ball_instance(rng, 2, 2, 3)
+    gap = 1.1 * check_positivity(s, x, 2).matrix
+    with pytest.raises(GramMismatch):
+        build_ball_colligation(
+            s, x, gap, in_map=q2.coeff_map_at_zero(), out_map=q1.coeff_map_at_zero()
+        )
+
+
 def test_ball_colligation_zero_intertwiner():
     rng = np.random.default_rng(3)
     spec = KernelSpec.ball(2, 2)
@@ -195,7 +205,7 @@ def test_polydisc_colligation_balance_violation():
     x = np.zeros((q2.dim, q2.dim), dtype=complex)
     bad = [np.eye(q2.dim, dtype=complex), 0.3 * np.eye(q2.dim, dtype=complex)]
     coord = defect(s, spec).coord_map
-    with pytest.raises(BalanceViolation):
+    with pytest.raises(GramMismatch):
         build_polydisc_colligation(s, x, (1, 1), bad, in_map=coord, out_map=coord)
 
 

@@ -14,7 +14,6 @@ from schurlift import (
     dilation_coefficients,
     hereditary,
     model_tuple,
-    purity_check,
     sigma_sum,
 )
 from schurlift.errors import DimensionMismatch, NotConverged, NotHypercontraction
@@ -154,9 +153,6 @@ def test_defect_rejects_expansive_tuple():
 
 
 def test_purity_pure_and_stuck():
-    assert purity_check(scalar_tuple(0.5), KernelSpec.ball(1, 1)).pure
-    report = purity_check(scalar_tuple(1.0), KernelSpec.ball(1, 1))
-    assert not report.pure and not report.conclusive
     assert is_pure(scalar_tuple(0.5), KernelSpec.ball(1, 1))
     assert not is_pure(scalar_tuple(1.0), KernelSpec.ball(1, 1))
 
@@ -165,11 +161,11 @@ def test_purity_model_tuples():
     rng = np.random.default_rng(4)
     space = build_subspace(KernelSpec.ball(1, 2), random_ball_nodes(rng, 3, 2))
     s = model_tuple(space)
-    assert purity_check(s, KernelSpec.ball(1, 2)).pure
+    assert is_pure(s, KernelSpec.ball(1, 2))
     nodes = random_polydisc_nodes(rng, 3, 2)
     space = build_subspace(KernelSpec.polydisc((1, 1)), nodes)
     s = model_tuple(space)
-    assert purity_check(s, KernelSpec.polydisc((1, 1))).pure
+    assert is_pure(s, KernelSpec.polydisc((1, 1)))
 
 
 def test_sigma_sum_order_one_is_operand():

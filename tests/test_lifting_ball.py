@@ -240,7 +240,7 @@ def test_verify_lift_detects_perturbation():
     targets = scaled_targets(rng, spec, nodes)
     res = np_solve(spec, nodes, targets)
     extras = res.certificate.extras["np"]
-    q1, q2, x = extras.q_domain, extras.q_codomain, extras.x
+    q1, q2, x = extras["q_domain"], extras["q_codomain"], extras["x"]
     assert verify_lift(res.phi, q2, x, q1) <= 1e-10
 
     bad_node = nodes[0]

@@ -20,7 +20,6 @@ from schurlift import (
     schur_agler_certificate_ball,
     series_partial_lift,
     sup_norm_scan,
-    transfer_function,
     write_scan_csv,
 )
 from schurlift.colligation import UNITARY

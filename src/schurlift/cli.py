@@ -35,6 +35,7 @@ from .transfer import (
     grid_points,
     schur_agler_certificate_ball,
     sup_norm_scan,
+    values_at,
     write_scan_csv,
 )
 
@@ -295,8 +296,7 @@ def _sample_points(inst: ProblemInstance, count: int) -> list[tuple[complex, ...
 def _node_table(inst: ProblemInstance, phi_eval) -> tuple[list[dict], float]:
     rows = []
     worst = 0.0
-    for z, w in zip(inst.nodes, inst.targets):
-        value = np.atleast_2d(np.asarray(phi_eval(z), dtype=complex))
+    for z, w, value in zip(inst.nodes, inst.targets, values_at(phi_eval, inst.nodes)):
         residual = opnorm(value - w)
         worst = max(worst, residual)
         rows.append(

@@ -111,10 +111,16 @@ class KernelSpec:
                     f"point has {z.size} coordinates, spec expects {self.n}"
                 )
         pts = np.array(rows, dtype=complex).reshape(len(rows), self.n)
-        bad = np.flatnonzero(self._gaps(pts) <= DOMAIN_MARGIN)
-        if bad.size:
-            self.require_interior(pts[bad[0]])
+        first = self.first_exterior(pts)
+        if first < len(pts):
+            self.require_interior(pts[first])
         return pts
+
+    def first_exterior(self, pts: np.ndarray) -> int:
+        """Index of the first row of an ``(N, n)`` array that ``require_interior``
+        rejects, or ``N`` when every row is strictly interior."""
+        bad = np.flatnonzero(self._gaps(pts) <= DOMAIN_MARGIN)
+        return int(bad[0]) if bad.size else len(pts)
 
 
 def _check_index(k, n: int | None = None) -> MultiIndex:

@@ -32,7 +32,7 @@ from .model_space import (
     multiplier_adjoint_action,
     np_target_operator,
 )
-from .transfer import CertificateResult, TransferFunction, _series_partial_sum
+from .transfer import CertificateResult, TransferFunction, _series_partial_sum, values_at
 
 INTERTWINE_TOL = 1e-10
 CONTRACTION_SLACK = 1e-10
@@ -452,7 +452,7 @@ def factorization_criterion(
         raise ValueError("at least one sample point is required")
     if n is None:
         n = points[0].size
-    values = np.stack([as_matrix(phi_eval(u)) for u in points])
+    values = values_at(phi_eval, points)
     kernel_high = kernel_matrix(KernelSpec.ball(p - m + 1, n, 1), points, points)
     kernel_one = kernel_matrix(KernelSpec.ball(1, n, 1), points, points)
     mat = pick_blocks(values, kernel_one, kernel_high)

@@ -222,13 +222,13 @@ def multiplier_adjoint_action(
         domain = space
     if domain.nodes != space.nodes:
         raise DimensionMismatch("spaces must share their nodes")
-    blocks = []
-    for node in space.nodes:
-        value = as_matrix(phi_eval(node))
-        if value.shape != (space.spec.d_coeff, domain.spec.d_coeff):
-            raise DimensionMismatch(
-                f"phi({node}) has shape {value.shape}, expected "
-                f"{(space.spec.d_coeff, domain.spec.d_coeff)}"
-            )
-        blocks.append(value.conj().T)
+    from .transfer import values_at  # transfer imports this module
+
+    values = values_at(phi_eval, space.nodes)
+    expected = (space.spec.d_coeff, domain.spec.d_coeff)
+    if values.shape[1:] != expected:
+        raise DimensionMismatch(
+            f"phi({space.nodes[0]}) has shape {values.shape[1:]}, expected {expected}"
+        )
+    blocks = list(values.conj().swapaxes(-1, -2))
     return domain.ortho_factor_inv @ block_diag(blocks) @ space.ortho_factor

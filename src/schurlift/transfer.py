@@ -1,10 +1,10 @@
 """Transfer-function evaluation and Schur-class certificates.
 
-The transfer function of the adjoint of a colligation is evaluated by a
-direct resolvent solve (never an explicit inverse), the lifting series
-is summed by an operator recursion that is linear in the truncation
-order, and Schur-class membership of emitted functions is certified by
-sampling the Pick-type kernel.
+The transfer function of the adjoint of a colligation is evaluated by
+stacked resolvent solves over chunks of points (never an explicit
+inverse), the lifting series is summed by an operator recursion that is
+linear in the truncation order, and Schur-class membership of emitted
+functions is certified by sampling the Pick-type kernel.
 """
 
 from __future__ import annotations
@@ -24,10 +24,14 @@ from .model_space import TupleOperator
 #: Points where the resolvent condition number exceeds this are rejected.
 COND_LIMIT = 1e12
 
+#: Points per stacked resolvent ``cond`` and ``solve`` in ``eval_many``.  It
+#: bounds the stacked working set, and with it the peak memory of long scans.
+EVAL_CHUNK = 256
+
 
 @dataclass
 class TransferFunction:
-    """Pointwise evaluator ``z -> A* + C* (I - Z D*)^{-1} Z B*``.
+    """Evaluator ``z -> A* + C* (I - Z D*)^{-1} Z B*``, one point or a batch.
 
     ``d_in`` is the dimension the function acts on (the colligation's
     output defect block) and ``d_out`` the dimension it maps into (the
@@ -59,34 +63,76 @@ class TransferFunction:
         return len(self.colligation.in_state_dims)
 
     def eval(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=complex).reshape(-1)
-        if z.size != self.n:
-            raise DomainViolation(
-                f"point has {z.size} coordinates, transfer function expects {self.n}"
-            )
-        self.domain.require_interior(z)
-        coll = self.colligation
-        a_adj = coll.block_a.conj().T
-        state_dim = sum(coll.in_state_dims)
-        if state_dim == 0:
-            return a_adj.copy()
-        if self.geometry == BALL_ROW:
-            d_blocks = coll.d_blocks()
-            b_blocks = coll.b_blocks()
-            zd = sum(z[i] * d_blocks[i].conj().T for i in range(self.n))
-            zb = sum(z[i] * b_blocks[i].conj().T for i in range(self.n))
-        else:
-            weights = np.concatenate(
-                [np.full(d, z[i]) for i, d in enumerate(coll.in_state_dims)]
-            )
-            zd = weights[:, None] * coll.block_d.conj().T
-            zb = weights[:, None] * coll.block_b.conj().T
-        resolvent = np.eye(zd.shape[0], dtype=complex) - zd
-        if np.linalg.cond(resolvent) >= COND_LIMIT:
-            raise NearSingularResolvent(f"resolvent nearly singular at {z}")
-        return a_adj + coll.block_c.conj().T @ np.linalg.solve(resolvent, zb)
+        return self.eval_many([z])[0]
 
     __call__ = eval
+
+    def eval_many(self, points) -> np.ndarray:
+        """Values at each point, stacked as ``(k, d_out, d_in)``.
+
+        The points are taken ``EVAL_CHUNK`` at a time: one stacked ``cond``
+        makes the ``COND_LIMIT`` decision for every point of a chunk and one
+        stacked ``solve`` gives its values.  The exception raised is the one
+        a loop of single-point evaluations would raise first: a wrong
+        coordinate count, a point not strictly inside, or a nearly singular
+        resolvent, whichever comes earliest in input order.
+        """
+        rows = [np.asarray(z, dtype=complex).reshape(-1) for z in points]
+        sized = next((j for j, z in enumerate(rows) if z.size != self.n), len(rows))
+        pts = np.array(rows[:sized], dtype=complex).reshape(sized, self.n)
+        values = np.empty((sized, self.d_out, self.d_in), dtype=complex)
+        for start in range(0, sized, EVAL_CHUNK):
+            chunk = slice(start, start + EVAL_CHUNK)
+            values[chunk] = self._eval_chunk(pts[chunk])
+        if sized < len(rows):
+            raise DomainViolation(
+                f"point has {rows[sized].size} coordinates, transfer function expects {self.n}"
+            )
+        return values
+
+    def _eval_chunk(self, pts: np.ndarray) -> np.ndarray:
+        """Values at the interior prefix of ``pts``; raises for its first bad point."""
+        coll = self.colligation
+        exterior = self.domain.first_exterior(pts)
+        inside = pts[:exterior]
+        a_adj = coll.block_a.conj().T
+        if sum(coll.in_state_dims) == 0:
+            values = np.broadcast_to(a_adj, (len(inside),) + a_adj.shape)
+        else:
+            # Every factor is 3-D so that the complex products take the same
+            # numpy kernel for one point as for many; the ball terms are
+            # summed in index order, as the single-point formula sums them.
+            if self.geometry == BALL_ROW:
+                zd = sum(inside[:, i, None, None] * d.conj().T[None]
+                         for i, d in enumerate(coll.d_blocks()))
+                zb = sum(inside[:, i, None, None] * b.conj().T[None]
+                         for i, b in enumerate(coll.b_blocks()))
+            else:
+                weights = np.repeat(inside, coll.in_state_dims, axis=1)[:, :, None]
+                zd = weights * coll.block_d.conj().T[None]
+                zb = weights * coll.block_b.conj().T[None]
+            resolvents = np.eye(zd.shape[-1], dtype=complex) - zd
+            singular = np.flatnonzero(np.linalg.cond(resolvents) >= COND_LIMIT)
+            if singular.size:
+                raise NearSingularResolvent(
+                    f"resolvent nearly singular at {inside[singular[0]]}"
+                )
+            values = a_adj + coll.block_c.conj().T @ np.linalg.solve(resolvents, zb)
+        if exterior < len(pts):
+            self.domain.require_interior(pts[exterior])
+        return values
+
+
+def values_at(phi_eval, points) -> np.ndarray:
+    """Values of an evaluator at the points, stacked as ``(k, d_out, d_in)``.
+
+    Evaluators with an ``eval_many`` method (``TransferFunction``) are
+    evaluated in one batch; any other callable is called once per point.
+    """
+    if hasattr(phi_eval, "eval_many"):
+        return phi_eval.eval_many(points)
+    values = [as_matrix(phi_eval(z)) for z in points]
+    return np.stack(values) if values else np.zeros((0, 0, 0), dtype=complex)
 
 
 def series_partial_lift(
@@ -157,7 +203,7 @@ def schur_agler_certificate_ball(phi_eval, samples, tol: float) -> CertificateRe
     points = [np.asarray(u, dtype=complex).reshape(-1) for u in samples]
     if not points:
         raise ValueError("at least one sample point is required")
-    values = np.stack([as_matrix(phi_eval(u)) for u in points])
+    values = values_at(phi_eval, points)
     kernel = kernel_matrix(KernelSpec.ball(1, points[0].size), points, points)
     lam = float(np.linalg.eigvalsh(herm(pick_blocks(values, kernel)))[0])
     return CertificateResult(min_eig=lam, passed=lam >= -tol, sample_count=len(points))
@@ -204,14 +250,9 @@ class ScanResult:
 
 def sup_norm_scan(phi_eval, points) -> ScanResult:
     """Operator norm of the function over the points, plus per-point rows."""
-    rows = []
-    max_norm = 0.0
-    for z in points:
-        z = tuple(np.asarray(z, dtype=complex).reshape(-1))
-        norm = opnorm(as_matrix(phi_eval(z)))
-        rows.append((z, norm))
-        max_norm = max(max_norm, norm)
-    return ScanResult(max_norm=max_norm, rows=rows)
+    points = [tuple(np.asarray(z, dtype=complex).reshape(-1)) for z in points]
+    norms = np.linalg.norm(values_at(phi_eval, points), 2, axis=(-2, -1)).tolist()
+    return ScanResult(max_norm=max([0.0, *norms]), rows=list(zip(points, norms)))
 
 
 def write_scan_csv(result: ScanResult, n: int, stream) -> None:

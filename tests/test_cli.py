@@ -1,9 +1,12 @@
+import functools
 import json
 
 import numpy as np
 import pytest
 
 import schurlift.cli as cli
+import schurlift.lifting_ball as lifting_ball
+import schurlift.transfer as transfer
 from schurlift.cli import (
     EXIT_ERROR,
     EXIT_INCONCLUSIVE,
@@ -16,6 +19,9 @@ from schurlift.cli import (
     run,
 )
 from schurlift.errors import ParseError, ValidationError
+from schurlift.transfer import TransferFunction
+
+from test_transfer import _loop_eval, _loop_sup_norm_scan, _loop_values
 
 MOEBIUS = {
     "geometry": "ball",
@@ -42,6 +48,23 @@ BIDISC = {
     "targets": [[[[0.25, 0.05]]], [[[-0.15, 0.0]]]],
     "mode": "lift-polydisc",
     "options": {"max_iter": 10000},
+}
+
+
+BALL_CERTIFY = {
+    "geometry": "ball",
+    "m": 1,
+    "n": 2,
+    "dE": 1,
+    "dEstar": 1,
+    "nodes": [
+        [[0.3, 0.0], [0.1, 0.2]],
+        [[-0.2, 0.1], [0.35, 0.0]],
+        [[0.0, -0.25], [-0.1, -0.3]],
+    ],
+    "targets": [[[[0.2, 0.05]]], [[[-0.1, 0.0]]], [[[0.05, 0.15]]]],
+    "mode": "certify",
+    "options": {"samples": 40, "seed": 3},
 }
 
 
@@ -315,3 +338,38 @@ def test_scan_of_certify_document_scans_once(tmp_path, capsys, monkeypatch):
     # The scan command reports what certify reports and adds the CSV of the same grid.
     assert capsys.readouterr().out == certified
     assert len(csv_path.read_text().strip().split("\n")) == 1 + 81
+
+
+def _pointwise(phi):
+    """Single-point evaluator: the reference formula for transfer functions."""
+    return functools.partial(_loop_eval, phi) if isinstance(phi, TransferFunction) else phi
+
+
+def test_batched_outputs_match_pointwise_reference(tmp_path, capsys, monkeypatch):
+    """Reports (node table and certificates included) and the scan CSV are
+    byte-identical to the ones built from single-point evaluations, one
+    ``opnorm`` per scan row and certificates over those values."""
+    ball = tmp_path / "ball.json"
+    ball.write_text(json.dumps(BALL_CERTIFY))
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps(BIDISC))
+
+    def outputs(tag):
+        csv = tmp_path / f"{tag}.csv"
+        codes = [
+            main(["certify", str(ball)]),
+            main(["scan", str(poly), "--grid", "4:5:0.9", "--csv-out", str(csv)]),
+        ]
+        assert codes == [EXIT_SOLVED, EXIT_SOLVED]
+        return capsys.readouterr().out, csv.read_text()
+
+    batched = outputs("batched")
+    for module in (transfer, lifting_ball, cli):
+        monkeypatch.setattr(module, "values_at", lambda phi, pts: _loop_values(_pointwise(phi), pts))
+    monkeypatch.setattr(
+        cli, "sup_norm_scan", lambda phi, pts: _loop_sup_norm_scan(_pointwise(phi), pts)
+    )
+    pointwise = outputs("pointwise")
+    assert pointwise == batched
+    assert '"schur_agler"' in batched[0] and '"sup_norm"' in batched[0]
+    assert len(batched[1].strip().split("\n")) == 1 + 20**2

@@ -22,11 +22,12 @@ from schurlift import (
     sup_norm_scan,
     write_scan_csv,
 )
-from schurlift.colligation import UNITARY
-from schurlift.errors import DomainViolation
+from schurlift.colligation import BALL_ROW, POLYDISC_DIAGONAL, UNITARY, Colligation
+from schurlift.errors import DomainViolation, NearSingularResolvent
 from schurlift.kernels import kernel_eval
 from schurlift.lifting_ball import factorization_criterion
-from schurlift.linalg import herm, opnorm
+from schurlift.linalg import as_matrix, herm, opnorm
+from schurlift.transfer import COND_LIMIT, EVAL_CHUNK, ScanResult, TransferFunction, values_at
 
 from conftest import random_ball_nodes, random_interior_points, scaled_targets
 
@@ -256,3 +257,204 @@ def test_unitary_transfer_certificate_everywhere():
         samples = random_interior_points(rng, 60, 1, radius=0.97)
         cert = schur_agler_certificate_ball(res.phi, samples, tol=1e-9)
         assert cert.min_eig >= -1e-9
+
+
+def _loop_eval(tf, z):
+    """Reference: the single-point resolvent formula and its errors, one
+    point at a time."""
+    z = np.asarray(z, dtype=complex).reshape(-1)
+    if z.size != tf.n:
+        raise DomainViolation(
+            f"point has {z.size} coordinates, transfer function expects {tf.n}"
+        )
+    tf.domain.require_interior(z)
+    coll = tf.colligation
+    a_adj = coll.block_a.conj().T
+    if sum(coll.in_state_dims) == 0:
+        return a_adj.copy()
+    if tf.geometry == BALL_ROW:
+        d_blocks, b_blocks = coll.d_blocks(), coll.b_blocks()
+        zd = sum(z[i] * d_blocks[i].conj().T for i in range(tf.n))
+        zb = sum(z[i] * b_blocks[i].conj().T for i in range(tf.n))
+    else:
+        weights = np.concatenate(
+            [np.full(d, z[i]) for i, d in enumerate(coll.in_state_dims)]
+        )
+        zd = weights[:, None] * coll.block_d.conj().T
+        zb = weights[:, None] * coll.block_b.conj().T
+    resolvent = np.eye(zd.shape[0], dtype=complex) - zd
+    if np.linalg.cond(resolvent) >= COND_LIMIT:
+        raise NearSingularResolvent(f"resolvent nearly singular at {z}")
+    return a_adj + coll.block_c.conj().T @ np.linalg.solve(resolvent, zb)
+
+
+def _loop_values(phi_eval, points):
+    """Reference: per-point values of any evaluator, stacked."""
+    return np.stack([as_matrix(phi_eval(z)) for z in points])
+
+
+def _loop_sup_norm_scan(phi_eval, points):
+    """Reference: the scan with one ``opnorm`` per point."""
+    rows = []
+    max_norm = 0.0
+    for z in points:
+        z = tuple(np.asarray(z, dtype=complex).reshape(-1))
+        norm = opnorm(as_matrix(phi_eval(z)))
+        rows.append((z, norm))
+        max_norm = max(max_norm, norm)
+    return ScanResult(max_norm=max_norm, rows=rows)
+
+
+def _colligation(matrix, geometry, d_out, d_in, in_state_dims, out_state_dims):
+    """A hand-made colligation; its transfer function maps C^d_in to C^d_out."""
+    return Colligation(
+        matrix=np.asarray(matrix, dtype=complex),
+        geometry=geometry,
+        kind=UNITARY,
+        in_defect_dim=d_out,
+        in_state_dims=tuple(in_state_dims),
+        out_defect_dim=d_in,
+        out_state_dims=tuple(out_state_dims),
+        generating_residual=0.0,
+        norm=1.0,
+    )
+
+
+def _random_transfer(rng, geometry, n, d_out, d_in, state):
+    """Transfer function of a random contractive colligation (norm 1)."""
+    if geometry == BALL_ROW:
+        in_states, out_states = (state,) * n, (state,)
+    else:
+        in_states = out_states = tuple(int(rng.integers(1, state + 1)) for _ in range(n))
+    rows, cols = d_in + sum(out_states), d_out + sum(in_states)
+    mat = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    coll = _colligation(mat / np.linalg.norm(mat, 2), geometry, d_out, d_in, in_states, out_states)
+    return TransferFunction(coll)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    geometry=st.sampled_from([BALL_ROW, POLYDISC_DIAGONAL]),
+    n=st.integers(1, 3),
+    d_out=st.sampled_from([1, 2]),
+    d_in=st.sampled_from([1, 2]),
+    state=st.integers(1, 4),
+    count=st.sampled_from([1, EVAL_CHUNK - 1, EVAL_CHUNK, EVAL_CHUNK + 1, 600]),
+)
+def test_eval_many_is_bit_identical_to_pointwise(seed, geometry, n, d_out, d_in, state, count):
+    rng = np.random.default_rng(seed)
+    tf = _random_transfer(rng, geometry, n, d_out, d_in, state)
+    points = random_interior_points(
+        rng, count, n, radius=0.95, geometry="ball" if geometry == BALL_ROW else "polydisc"
+    )
+    values = tf.eval_many(points)
+    assert values.shape == (count, d_out, d_in)
+    assert np.array_equal(values, np.stack([tf.eval(z) for z in points]))
+    assert np.array_equal(values, np.stack([_loop_eval(tf, z) for z in points]))
+    assert np.array_equal(values_at(tf, points), values)
+
+    scan = sup_norm_scan(tf, points)
+    reference = _loop_sup_norm_scan(tf, points)
+    assert scan.rows == reference.rows
+    assert scan.max_norm == reference.max_norm
+    assert all(norm == opnorm(tf.eval(z)) for z, norm in scan.rows)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 2),
+    m=st.sampled_from([1, 2]),
+    d=st.sampled_from([1, 2]),
+)
+def test_emitted_function_values_are_contractions(seed, n, m, d):
+    rng = np.random.default_rng(seed)
+    nodes = random_ball_nodes(rng, 4, n, radius=0.6, min_sep=0.2)
+    spec = KernelSpec.ball(m, n, d)
+    res = np_solve(spec, nodes, scaled_targets(rng, spec, nodes, d_out=d), d_target=d)
+    points = random_interior_points(rng, 300, n, radius=0.99)
+    norms = np.linalg.norm(values_at(res.phi, points), 2, axis=(-2, -1))
+    assert norms.max() <= 1.0 + 1e-12
+
+
+def _singular_at_half():
+    """Polydisc n=1, state dimension 2: the resolvent ``diag(1 - 2z, 1)``."""
+    mat = np.zeros((3, 3))
+    mat[0, 0], mat[0, 1], mat[1, 0], mat[1, 1] = 0.5, 0.3, 0.3, 2.0
+    return TransferFunction(_colligation(mat, POLYDISC_DIAGONAL, 1, 1, (2,), (2,)))
+
+
+def _loop_error(tf, points):
+    for z in points:
+        try:
+            _loop_eval(tf, z)
+        except Exception as exc:  # noqa: BLE001 - the reference records any error
+            return type(exc), str(exc)
+    return None
+
+
+GOOD, NEAR_SINGULAR, OUTSIDE, WRONG_SIZE = (0.1,), (0.5 - 1e-14,), (1.0,), (0.1, 0.2)
+
+
+@pytest.mark.parametrize(
+    "points, expected",
+    [
+        ([GOOD, WRONG_SIZE], DomainViolation),
+        ([GOOD, OUTSIDE], DomainViolation),
+        ([GOOD, NEAR_SINGULAR], NearSingularResolvent),
+        # Mixed chunks: the earliest bad point in input order decides.
+        ([GOOD, NEAR_SINGULAR, OUTSIDE], NearSingularResolvent),
+        ([GOOD, OUTSIDE, NEAR_SINGULAR], DomainViolation),
+        ([NEAR_SINGULAR, WRONG_SIZE], NearSingularResolvent),
+        ([WRONG_SIZE, NEAR_SINGULAR], DomainViolation),
+        ([GOOD] * (EVAL_CHUNK + 3) + [OUTSIDE, NEAR_SINGULAR], DomainViolation),
+        ([GOOD] * (EVAL_CHUNK + 3) + [NEAR_SINGULAR, OUTSIDE], NearSingularResolvent),
+        ([GOOD] * (EVAL_CHUNK - 1) + [NEAR_SINGULAR, OUTSIDE], NearSingularResolvent),
+        ([GOOD] * EVAL_CHUNK + [WRONG_SIZE, OUTSIDE], DomainViolation),
+    ],
+)
+def test_eval_many_raises_what_the_pointwise_loop_raises_first(points, expected):
+    tf = _singular_at_half()
+    reference = _loop_error(tf, points)
+    assert reference is not None and reference[0] is expected
+    with pytest.raises(expected) as info:
+        tf.eval_many(points)
+    assert (type(info.value), str(info.value)) == reference
+
+
+def test_eval_many_edge_shapes():
+    tf = _singular_at_half()
+    assert tf.eval_many([]).shape == (0, 1, 1)
+
+    a = np.array([[0.2, 0.1j], [0.0, -0.3], [0.4, 0.0]])  # A: C^2 -> C^3
+    stateless = TransferFunction(_colligation(a, BALL_ROW, 2, 3, (0, 0), (0,)))
+    points = [(0.1, 0.2j), (0.0, 0.0), (-0.5, 0.3)]
+    values = stateless.eval_many(points)
+    assert values.shape == (3, 2, 3)
+    assert all(np.array_equal(v, a.conj().T) for v in values)
+    assert stateless.eval_many([]).shape == (0, 2, 3)
+    with pytest.raises(DomainViolation):
+        stateless.eval_many([(0.1, 0.2j), (0.9, 0.9)])
+
+    empty = sup_norm_scan(tf, [])
+    assert empty.max_norm == 0.0 and empty.rows == []
+    assert sup_norm_scan(lambda z: np.eye(2), []).max_norm == 0.0
+    with pytest.raises(ValueError):
+        schur_agler_certificate_ball(tf, [], tol=1e-9)
+    with pytest.raises(ValueError):
+        factorization_criterion(tf, 1, 2, [], tol=1e-9)
+
+
+def test_values_at_falls_back_to_pointwise_calls():
+    calls = []
+
+    def phi(z):
+        calls.append(z)
+        return np.array([[z[0], 0.5]])
+
+    points = [(0.1,), (0.2j,), (-0.3,)]
+    values = values_at(phi, points)
+    assert calls == points
+    assert np.array_equal(values, _loop_values(phi, points))
+    assert values.dtype == complex and values.shape == (3, 1, 2)

@@ -381,6 +381,23 @@ class CompositeInterpolant:
     def __call__(self, w) -> np.ndarray:
         return self.factor_out(w) @ self.factor_in(w)
 
+    def eval_many(self, points) -> np.ndarray:
+        """Values at each point, stacked as ``(k, d_out, d_in)``, with one
+        batched evaluation of ``factor_in``; equal to per-point calls."""
+        points = list(points)
+        try:
+            inner = self.factor_in.eval_many(points)
+        except Exception:
+            # Raise what a loop of per-point calls raises first.
+            for w in points:
+                self(w)
+            raise
+        if not points:
+            d_out = self.factor_out.coeff_space.spec.d_coeff
+            return np.zeros((0, d_out, self.factor_in.d_in), dtype=complex)
+        outer = [self.factor_out(w) for w in points]
+        return np.stack([f @ v for f, v in zip(outer, inner)])
+
 
 @dataclass
 class CompositeLift:

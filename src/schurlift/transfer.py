@@ -24,6 +24,11 @@ from .model_space import TupleOperator
 #: Points where the resolvent condition number exceeds this are rejected.
 COND_LIMIT = 1e12
 
+#: A point whose proven bound on the resolvent condition number lies below
+#: this skips the SVD.  The factor keeps SVD round-off, ``O(q eps)``
+#: relative, far from moving any ``COND_LIMIT`` decision.
+_GATE_LIMIT = COND_LIMIT * 1e-4
+
 #: Points per stacked resolvent ``cond`` and ``solve`` in ``eval_many``.  It
 #: bounds the stacked working set, and with it the peak memory of long scans.
 EVAL_CHUNK = 256
@@ -43,10 +48,15 @@ class TransferFunction:
     d_in: int = field(init=False)
     d_out: int = field(init=False)
     domain: KernelSpec = field(init=False)
+    _d_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.d_in = self.colligation.out_defect_dim
         self.d_out = self.colligation.in_defect_dim
+        # ``||D||`` for the resolvent gate; NaN (gate off) when D has a
+        # non-finite entry, whose SVD would not converge.
+        block_d = self.colligation.block_d
+        self._d_norm = opnorm(block_d) if np.isfinite(block_d).all() else np.nan
         # Only the geometry of the weight-one spec matters: it carries the
         # package's single interior check.
         if self.geometry == BALL_ROW:
@@ -70,23 +80,29 @@ class TransferFunction:
     def eval_many(self, points) -> np.ndarray:
         """Values at each point, stacked as ``(k, d_out, d_in)``.
 
-        The points are taken ``EVAL_CHUNK`` at a time: one stacked ``cond``
-        makes the ``COND_LIMIT`` decision for every point of a chunk and one
-        stacked ``solve`` gives its values.  The exception raised is the one
-        a loop of single-point evaluations would raise first: a wrong
+        ``points`` is a sequence of points or an ``(N, n)`` array, which is
+        used as it is.  The points are taken ``EVAL_CHUNK`` at a time: one
+        stacked ``solve`` gives the values of a chunk, and one stacked
+        ``cond`` makes the ``COND_LIMIT`` decision for the points the
+        resolvent gate cannot clear.  The exception raised is the one a
+        loop of single-point evaluations would raise first: a wrong
         coordinate count, a point not strictly inside, or a nearly singular
         resolvent, whichever comes earliest in input order.
         """
-        rows = [np.asarray(z, dtype=complex).reshape(-1) for z in points]
-        sized = next((j for j, z in enumerate(rows) if z.size != self.n), len(rows))
-        pts = np.array(rows[:sized], dtype=complex).reshape(sized, self.n)
-        values = np.empty((sized, self.d_out, self.d_in), dtype=complex)
-        for start in range(0, sized, EVAL_CHUNK):
+        if isinstance(points, np.ndarray) and points.ndim == 2 and points.shape[1] == self.n:
+            pts, misfit = points.astype(complex, copy=False), None
+        else:
+            rows = [np.asarray(z, dtype=complex).reshape(-1) for z in points]
+            sized = next((j for j, z in enumerate(rows) if z.size != self.n), len(rows))
+            pts = np.array(rows[:sized], dtype=complex).reshape(sized, self.n)
+            misfit = rows[sized] if sized < len(rows) else None
+        values = np.empty((len(pts), self.d_out, self.d_in), dtype=complex)
+        for start in range(0, len(pts), EVAL_CHUNK):
             chunk = slice(start, start + EVAL_CHUNK)
             values[chunk] = self._eval_chunk(pts[chunk])
-        if sized < len(rows):
+        if misfit is not None:
             raise DomainViolation(
-                f"point has {rows[sized].size} coordinates, transfer function expects {self.n}"
+                f"point has {misfit.size} coordinates, transfer function expects {self.n}"
             )
         return values
 
@@ -112,7 +128,8 @@ class TransferFunction:
                 zd = weights * coll.block_d.conj().T[None]
                 zb = weights * coll.block_b.conj().T[None]
             resolvents = np.eye(zd.shape[-1], dtype=complex) - zd
-            singular = np.flatnonzero(np.linalg.cond(resolvents) >= COND_LIMIT)
+            unsure = np.flatnonzero(~self._gate_clears(inside))
+            singular = unsure[np.linalg.cond(resolvents[unsure]) >= COND_LIMIT]
             if singular.size:
                 raise NearSingularResolvent(
                     f"resolvent nearly singular at {inside[singular[0]]}"
@@ -121,6 +138,18 @@ class TransferFunction:
         if exterior < len(pts):
             self.domain.require_interior(pts[exterior])
         return values
+
+    def _gate_clears(self, inside: np.ndarray) -> np.ndarray:
+        """Mask of the points whose resolvent is provably well conditioned.
+
+        With ``t = ||Z|| ||D||`` and ``||Z|| = sqrt(1 - gap)`` (the ball row
+        norm or the polydisc max modulus), Weyl's inequality gives
+        ``cond(I - Z D*) <= (1 + t) / (1 - t)`` when ``t < 1``.  The test
+        below fails for ``t >= 1`` and for a NaN ``t``, so those points keep
+        the SVD.
+        """
+        t = np.sqrt(1.0 - self.domain._gaps(inside)) * self._d_norm
+        return 1.0 + t < _GATE_LIMIT * (1.0 - t)
 
 
 def values_at(phi_eval, points) -> np.ndarray:
@@ -250,9 +279,23 @@ class ScanResult:
 
 def sup_norm_scan(phi_eval, points) -> ScanResult:
     """Operator norm of the function over the points, plus per-point rows."""
-    points = [tuple(np.asarray(z, dtype=complex).reshape(-1)) for z in points]
-    norms = np.linalg.norm(values_at(phi_eval, points), 2, axis=(-2, -1)).tolist()
-    return ScanResult(max_norm=max([0.0, *norms]), rows=list(zip(points, norms)))
+    pts = _point_array(points)
+    norms = np.linalg.norm(values_at(phi_eval, pts), 2, axis=(-2, -1)).tolist()
+    coords = pts.tolist() if isinstance(pts, np.ndarray) else pts
+    return ScanResult(max_norm=max([0.0, *norms]), rows=list(zip(map(tuple, coords), norms)))
+
+
+def _point_array(points):
+    """Points of equal size as one ``(N, n)`` complex array, converted once.
+
+    Scalars count as one-coordinate points.  Otherwise the points stay a
+    list of rows, so that the evaluator names the first misfit.
+    """
+    rows = list(points)
+    try:
+        return np.array(rows, dtype=complex).reshape(len(rows), -1)
+    except ValueError:  # unequal sizes, or no points
+        return [np.asarray(z, dtype=complex).reshape(-1) for z in rows]
 
 
 def write_scan_csv(result: ScanResult, n: int, stream) -> None:
@@ -261,10 +304,12 @@ def write_scan_csv(result: ScanResult, n: int, stream) -> None:
         itertools.chain.from_iterable((f"re(z{i+1})", f"im(z{i+1})") for i in range(n))
     )
     stream.write(header + ",opnorm\n")
-    for z, norm in result.rows:
-        parts = []
-        for zi in z:
-            parts.append(f"{zi.real:.17g}")
-            parts.append(f"{zi.imag:.17g}")
-        parts.append(f"{norm:.17g}")
-        stream.write(",".join(parts) + "\n")
+    if not result.rows:
+        return
+    points = np.array([z for z, _ in result.rows], dtype=complex)
+    table = np.column_stack([points.view(float), [norm for _, norm in result.rows]])
+    template = ",".join(["{:.17g}"] * table.shape[1]) + "\n"
+    # Block by block, so that the Python floats of one block only are alive.
+    for start in range(0, len(table), EVAL_CHUNK):
+        block = table[start : start + EVAL_CHUNK].tolist()
+        stream.write("".join(template.format(*row) for row in block))

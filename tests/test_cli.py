@@ -21,7 +21,7 @@ from schurlift.cli import (
 from schurlift.errors import ParseError, ValidationError
 from schurlift.transfer import TransferFunction
 
-from test_transfer import _loop_eval, _loop_sup_norm_scan, _loop_values
+from test_transfer import _count_cond, _loop_eval, _loop_sup_norm_scan, _loop_values
 
 MOEBIUS = {
     "geometry": "ball",
@@ -373,3 +373,14 @@ def test_batched_outputs_match_pointwise_reference(tmp_path, capsys, monkeypatch
     assert pointwise == batched
     assert '"schur_agler"' in batched[0] and '"sup_norm"' in batched[0]
     assert len(batched[1].strip().split("\n")) == 1 + 20**2
+
+
+def test_polydisc_scan_skips_every_resolvent_svd(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "bidisc.json"
+    path.write_text(json.dumps(BIDISC))
+    seen = _count_cond(monkeypatch)
+    csv_path = tmp_path / "scan.csv"
+    code = main(["scan", str(path), "--grid", "5:8:0.9", "--csv-out", str(csv_path)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == EXIT_SOLVED and report["certificates"]["sup_norm"]["points"] == 40**2
+    assert sum(seen) == 0

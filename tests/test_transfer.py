@@ -1,4 +1,5 @@
 import io
+import types
 
 import numpy as np
 import pytest
@@ -24,9 +25,10 @@ from schurlift import (
 )
 from schurlift.colligation import BALL_ROW, POLYDISC_DIAGONAL, UNITARY, Colligation
 from schurlift.errors import DomainViolation, NearSingularResolvent
-from schurlift.kernels import kernel_eval
+from schurlift.kernels import DOMAIN_MARGIN, kernel_eval
 from schurlift.lifting_ball import factorization_criterion
 from schurlift.linalg import as_matrix, herm, opnorm
+import schurlift.transfer as transfer
 from schurlift.transfer import COND_LIMIT, EVAL_CHUNK, ScanResult, TransferFunction, values_at
 
 from conftest import random_ball_nodes, random_interior_points, scaled_targets
@@ -259,6 +261,22 @@ def test_unitary_transfer_certificate_everywhere():
         assert cert.min_eig >= -1e-9
 
 
+def _loop_resolvent(tf, z):
+    """Reference: ``(I - Z D*, Z B*)`` at one point of a colligation with state."""
+    coll = tf.colligation
+    if tf.geometry == BALL_ROW:
+        d_blocks, b_blocks = coll.d_blocks(), coll.b_blocks()
+        zd = sum(z[i] * d_blocks[i].conj().T for i in range(tf.n))
+        zb = sum(z[i] * b_blocks[i].conj().T for i in range(tf.n))
+    else:
+        weights = np.concatenate(
+            [np.full(d, z[i]) for i, d in enumerate(coll.in_state_dims)]
+        )
+        zd = weights[:, None] * coll.block_d.conj().T
+        zb = weights[:, None] * coll.block_b.conj().T
+    return np.eye(zd.shape[0], dtype=complex) - zd, zb
+
+
 def _loop_eval(tf, z):
     """Reference: the single-point resolvent formula and its errors, one
     point at a time."""
@@ -272,17 +290,7 @@ def _loop_eval(tf, z):
     a_adj = coll.block_a.conj().T
     if sum(coll.in_state_dims) == 0:
         return a_adj.copy()
-    if tf.geometry == BALL_ROW:
-        d_blocks, b_blocks = coll.d_blocks(), coll.b_blocks()
-        zd = sum(z[i] * d_blocks[i].conj().T for i in range(tf.n))
-        zb = sum(z[i] * b_blocks[i].conj().T for i in range(tf.n))
-    else:
-        weights = np.concatenate(
-            [np.full(d, z[i]) for i, d in enumerate(coll.in_state_dims)]
-        )
-        zd = weights[:, None] * coll.block_d.conj().T
-        zb = weights[:, None] * coll.block_b.conj().T
-    resolvent = np.eye(zd.shape[0], dtype=complex) - zd
+    resolvent, zb = _loop_resolvent(tf, z)
     if np.linalg.cond(resolvent) >= COND_LIMIT:
         raise NearSingularResolvent(f"resolvent nearly singular at {z}")
     return a_adj + coll.block_c.conj().T @ np.linalg.solve(resolvent, zb)
@@ -351,6 +359,7 @@ def test_eval_many_is_bit_identical_to_pointwise(seed, geometry, n, d_out, d_in,
     values = tf.eval_many(points)
     assert values.shape == (count, d_out, d_in)
     assert np.array_equal(values, np.stack([tf.eval(z) for z in points]))
+    assert np.array_equal(tf.eval_many(np.array(points)), values)
     assert np.array_equal(values, np.stack([_loop_eval(tf, z) for z in points]))
     assert np.array_equal(values_at(tf, points), values)
 
@@ -458,3 +467,176 @@ def test_values_at_falls_back_to_pointwise_calls():
     assert calls == points
     assert np.array_equal(values, _loop_values(phi, points))
     assert values.dtype == complex and values.shape == (3, 1, 2)
+
+
+def _count_cond(monkeypatch):
+    """Count the matrices ``np.linalg.cond`` sees from ``schurlift.transfer``."""
+    seen = []
+
+    def cond(x, *args, **kwargs):
+        seen.append(1 if np.ndim(x) == 2 else len(x))
+        return np.linalg.cond(x, *args, **kwargs)
+
+    linalg = types.SimpleNamespace(**{**vars(np.linalg), "cond": cond})
+    monkeypatch.setattr(transfer, "np", types.SimpleNamespace(**{**vars(np), "linalg": linalg}))
+    return seen
+
+
+def _near_boundary_points(rng, geometry, n, count):
+    """Points at boundary gaps from ``2 DOMAIN_MARGIN`` to 1, in random directions."""
+    gaps = np.concatenate([[2 * DOMAIN_MARGIN, 1e-9, 1e-6, 1e-3], rng.uniform(0, 1, count - 4)])
+    points = []
+    for gap in gaps:
+        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        u /= np.linalg.norm(u) if geometry == BALL_ROW else np.abs(u).max()
+        points.append(tuple(np.sqrt(1.0 - gap) * u))
+    return points
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    geometry=st.sampled_from([BALL_ROW, POLYDISC_DIAGONAL]),
+    n=st.integers(1, 3),
+    state=st.integers(1, 6),
+    d_norm=st.floats(0.5, 3.0),
+)
+def test_resolvent_gate_never_clears_an_ill_conditioned_point(seed, geometry, n, state, d_norm):
+    rng = np.random.default_rng(seed)
+    if geometry == BALL_ROW:
+        in_states, out_states = (state,) * n, (state,)
+    else:
+        in_states = out_states = tuple(int(rng.integers(1, state + 1)) for _ in range(n))
+    rows, cols = 1 + sum(out_states), 1 + sum(in_states)
+    mat = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    mat[1:, 1:] *= d_norm / np.linalg.norm(mat[1:, 1:], 2)
+    tf = TransferFunction(_colligation(mat, geometry, 1, 1, in_states, out_states))
+    points = [z for z in _near_boundary_points(rng, geometry, n, 40) if tf.domain.contains(z)]
+
+    # Every cleared point has cond < COND_LIMIT, and the Weyl bound from
+    # norms taken here (``||Z||`` the row norm or the max modulus) is small.
+    cleared = tf._gate_clears(np.array(points))
+    for z, skip in zip(np.array(points), cleared):
+        if skip:
+            z_norm = np.linalg.norm(z) if geometry == BALL_ROW else np.abs(z).max()
+            t = z_norm * np.linalg.norm(mat[1:, 1:], 2)
+            assert t < 1 and (1 + t) / (1 - t) <= transfer._GATE_LIMIT * (1 + 1e-9)
+            assert np.linalg.cond(_loop_resolvent(tf, z)[0]) < COND_LIMIT
+    # The gated batch gives the loop's values, or raises the loop's first error.
+    reference = _loop_error(tf, points)
+    if reference is None:
+        assert np.array_equal(tf.eval_many(points), np.stack([_loop_eval(tf, z) for z in points]))
+    else:
+        with pytest.raises(reference[0]) as info:
+            tf.eval_many(points)
+        assert str(info.value) == reference[1]
+
+
+def test_gate_sends_the_near_singular_point_to_the_svd(monkeypatch):
+    tf = _singular_at_half()
+    seen = _count_cond(monkeypatch)
+    assert tf.eval_many([GOOD] * 300).shape == (300, 1, 1)
+    assert sum(seen) == 0
+    with pytest.raises(NearSingularResolvent):
+        tf.eval_many([GOOD] * 10 + [NEAR_SINGULAR])
+    assert sum(seen) == 1
+
+
+def test_gate_falls_back_to_the_svd_without_a_finite_norm(monkeypatch):
+    mat = np.zeros((3, 3), dtype=complex)
+    mat[0, 0], mat[1, 1], mat[2, 2] = 0.5, np.nan, 0.2
+    broken = TransferFunction(_colligation(mat, POLYDISC_DIAGONAL, 1, 1, (2,), (2,)))
+    assert np.isnan(broken._d_norm) and not broken._gate_clears(np.array([GOOD])).any()
+    seen = _count_cond(monkeypatch)
+    reference = _loop_error(broken, [GOOD])
+    assert reference is not None and reference[0] is np.linalg.LinAlgError
+    with pytest.raises(np.linalg.LinAlgError) as info:
+        broken.eval_many([GOOD])
+    assert str(info.value) == reference[1] and sum(seen) == 1
+
+    # A NaN coordinate clears nothing either, and errs as the loop does.
+    tf = _singular_at_half()
+    assert not tf._gate_clears(np.array([(np.nan,)])).any()
+    reference = _loop_error(tf, [GOOD, (np.nan,)])
+    with pytest.raises(reference[0]) as info:
+        tf.eval_many([GOOD, (np.nan,)])
+    assert str(info.value) == reference[1] and sum(seen) == 2
+
+    # Without state there is no resolvent: the value is A* everywhere.
+    a = np.array([[0.2, 0.1j], [0.4, 0.0]])
+    stateless = TransferFunction(_colligation(a, BALL_ROW, 2, 2, (0, 0), (0,)))
+    points = [(0.1, 0.2j), (-0.5, 0.3)]
+    assert np.array_equal(stateless.eval_many(points), np.stack([_loop_eval(stateless, z) for z in points]))
+    assert sum(seen) == 2
+
+
+def _loop_write_scan_csv(result, n, stream):
+    """Reference: the CSV written one formatted coordinate at a time."""
+    header = ",".join(f"re(z{i+1}),im(z{i+1})" for i in range(n))
+    stream.write(header + ",opnorm\n")
+    for z, norm in result.rows:
+        parts = []
+        for zi in z:
+            parts.append(f"{zi.real:.17g}")
+            parts.append(f"{zi.imag:.17g}")
+        parts.append(f"{norm:.17g}")
+        stream.write(",".join(parts) + "\n")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_write_scan_csv_matches_per_row_reference(n):
+    rng = np.random.default_rng(n)
+    special = [0.0, -0.0, 1.0, -1e-300, 5e-324, 1e300, 0.1, 1 / 3, np.inf, np.nan]
+    coords = rng.standard_normal((50, 2 * n)) * 10.0 ** rng.integers(-20, 20, (50, 2 * n))
+    coords[: len(special), 0] = special
+    points = coords.view(complex)
+    norms = np.abs(rng.standard_normal(50)).tolist()
+    norms[:3] = [0.0, 1.0, 2.0 / 3.0]
+    for rows in ([(tuple(z), v) for z, v in zip(points, norms)],
+                 [(tuple(z), v) for z, v in zip(points.tolist(), norms)],
+                 []):
+        got, want = io.StringIO(), io.StringIO()
+        write_scan_csv(ScanResult(max_norm=0.0, rows=rows), n, got)
+        _loop_write_scan_csv(ScanResult(max_norm=0.0, rows=rows), n, want)
+        assert got.getvalue() == want.getvalue()
+
+    tf = _random_transfer(rng, POLYDISC_DIAGONAL, n, 1, 2, 3)
+    scan = sup_norm_scan(tf, grid_points(GridSpec(3, 4, 0.9), POLYDISC_DIAGONAL, n))
+    got, want = io.StringIO(), io.StringIO()
+    write_scan_csv(scan, n, got)
+    _loop_write_scan_csv(scan, n, want)
+    assert got.getvalue() == want.getvalue()
+
+
+def test_sup_norm_scan_accepts_scalars_arrays_and_misfits():
+    tf = _singular_at_half()
+    points = [0.1, 0.2j, -0.3]
+    reference = _loop_sup_norm_scan(tf, points)
+    for given_points in (points, np.array(points), [np.array([[z]]) for z in points]):
+        assert sup_norm_scan(tf, given_points).rows == reference.rows
+    with pytest.raises(DomainViolation) as info:
+        sup_norm_scan(tf, [GOOD, WRONG_SIZE])
+    assert (type(info.value), str(info.value)) == _loop_error(tf, [GOOD, WRONG_SIZE])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_composite_interpolant_batch_equals_pointwise_calls(n):
+    rng = np.random.default_rng(40 + n)
+    nodes = random_ball_nodes(rng, 3, n, radius=0.6, min_sep=0.2)
+    q1 = build_subspace(KernelSpec.ball(1, n), nodes)
+    q2 = build_subspace(KernelSpec.ball(2, n), nodes)
+    targets = scaled_targets(rng, KernelSpec.ball(2, n), nodes, weight_one=False)
+    composite = lift_p_gt_m(q1, q2, np_target_operator(q1, targets, q2)).composite
+    points = random_interior_points(rng, EVAL_CHUNK + 5, n, radius=0.97)
+    values = composite.eval_many(points)
+    assert np.array_equal(values, _loop_values(composite, points))
+    assert np.array_equal(values_at(composite, np.array(points)), values)
+    assert composite.eval_many([]).shape == (0, 1, 1)
+
+    outside, wrong = (1.0,) + (0.0,) * (n - 1), (0.1,) * (n + 1)
+    for bad in ([*points[:3], outside], [*points[:3], wrong, outside]):
+        with pytest.raises(Exception) as info:
+            composite.eval_many(bad)
+        with pytest.raises(Exception) as loop_info:
+            _loop_values(composite, bad)
+        assert (type(info.value), str(info.value)) == (type(loop_info.value), str(loop_info.value))

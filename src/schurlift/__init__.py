@@ -11,7 +11,6 @@ residuals, and kernel-basis verification of the lift).
 from .errors import (
     DimensionMismatch,
     DomainViolation,
-    EvaluationFailure,
     GramMismatch,
     IllConditioned,
     NearSingularResolvent,
@@ -58,6 +57,7 @@ from .colligation import (
 from .transfer import (
     GridSpec,
     TransferFunction,
+    factorization_criterion,
     grid_points,
     schur_agler_certificate_ball,
     series_partial_lift,
@@ -70,7 +70,6 @@ from .lifting_ball import (
     LiftResult,
     check_positivity,
     dilate_p_to_m,
-    factorization_criterion,
     lift_ball,
     lift_p_gt_m,
     np_solve,
@@ -95,7 +94,6 @@ __all__ = [
     "DefectData",
     "DimensionMismatch",
     "DomainViolation",
-    "EvaluationFailure",
     "GramMismatch",
     "GridSpec",
     "IllConditioned",

@@ -22,7 +22,6 @@ from .lifting_ball import (
     KernelSpans,
     LiftResult,
     check_positivity,
-    factorization_criterion,
     lift_ball,
     lift_p_gt_m,
     np_solve,
@@ -32,6 +31,7 @@ from .linalg import opnorm, psd_tolerance
 from .model_space import build_subspace, np_target_operator
 from .transfer import (
     GridSpec,
+    factorization_criterion,
     grid_points,
     schur_agler_certificate_ball,
     sup_norm_scan,
@@ -385,12 +385,25 @@ def _finish_inconclusive(report: dict, outcome: Inconclusive) -> int:
     return EXIT_INCONCLUSIVE
 
 
+def _finish_outcome(report: dict, inst: ProblemInstance, outcome):
+    """Exit code and evaluator of an interpolation front end's outcome."""
+    if isinstance(outcome, Infeasible):
+        return _finish_infeasible(report, outcome), None
+    if isinstance(outcome, Inconclusive):
+        return _finish_inconclusive(report, outcome), None
+    return _finish_solved(report, inst, outcome, outcome.phi), outcome.phi
+
+
+def _finish_error(report: dict, exc: Exception) -> dict:
+    report["status"] = "error"
+    report["error"] = {"type": type(exc).__name__, "message": str(exc)}
+    return report
+
+
 def _solve_ball_np(inst: ProblemInstance, report: dict):
     outcome = np_solve(inst.spec, inst.nodes, inst.targets, d_target=inst.d_target,
                        psd_base_tol=inst.options.psd_tol)
-    if isinstance(outcome, Infeasible):
-        return _finish_infeasible(report, outcome), None
-    return _finish_solved(report, inst, outcome, outcome.phi), outcome.phi
+    return _finish_outcome(report, inst, outcome)
 
 
 def _solve_lift_ball(inst: ProblemInstance, report: dict):
@@ -446,11 +459,7 @@ def _solve_polydisc(inst: ProblemInstance, report: dict):
         feasibility_tol=inst.options.feasibility_tol,
         max_iter=inst.options.max_iter,
     )
-    if isinstance(outcome, Infeasible):
-        return _finish_infeasible(report, outcome), None
-    if isinstance(outcome, Inconclusive):
-        return _finish_inconclusive(report, outcome), None
-    return _finish_solved(report, inst, outcome, outcome.phi), outcome.phi
+    return _finish_outcome(report, inst, outcome)
 
 
 def run(inst: ProblemInstance, *, csv_stream=None, certify: bool = False) -> tuple[dict, int]:
@@ -506,14 +515,8 @@ def run(inst: ProblemInstance, *, csv_stream=None, certify: bool = False) -> tup
             if csv_stream is not None:
                 write_scan_csv(scan, inst.spec.n, csv_stream)
         return report, code
-    except SchurliftError as exc:
-        report["status"] = "error"
-        report["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        return report, EXIT_ERROR
     except Exception as exc:  # noqa: BLE001 - the contract is report-not-crash
-        report["status"] = "error"
-        report["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        return report, EXIT_ERROR
+        return _finish_error(report, exc), EXIT_ERROR
 
 
 def report_to_json(report: dict) -> str:
@@ -575,8 +578,7 @@ def main(argv=None) -> int:
             inst = parse_instance(fh.read())
         _apply_flags(inst, args)
     except (OSError, SchurliftError) as exc:
-        report = {"status": "error", "error": {"type": type(exc).__name__, "message": str(exc)}}
-        print(report_to_json(report))
+        print(report_to_json(_finish_error({}, exc)))
         return EXIT_ERROR
 
     csv_stream = None

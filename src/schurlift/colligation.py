@@ -20,6 +20,7 @@ import numpy as np
 from .errors import DimensionMismatch, GramMismatch, NotPositive
 from .linalg import (
     as_matrix,
+    checked_sqrt,
     herm,
     min_eig,
     opnorm,
@@ -345,37 +346,38 @@ def build_polydisc_colligation(
     s: TupleOperator,
     x: np.ndarray,
     gamma,
-    f_list,
+    squares,
     *,
     in_map: np.ndarray,
     out_map: np.ndarray,
 ) -> Colligation:
-    """Colligation for the polydisc lift from the state operators ``f_list``.
+    """Colligation for the polydisc lift from the transformed summands.
 
-    ``f_list`` holds the PSD operators whose squares balance the defect
+    ``squares`` holds the PSD operators ``F_i^2`` that balance the defect
     identity ``D_S^2 + sum S_i F_i^2 S_i* = X D_T^2 X* + sum F_i^2``;
-    that balance is the Gram agreement the completion checks.
-    ``in_map``/``out_map`` are coordinate maps whose Grams are ``D_S^2``
-    and ``D_T^2``.  State block ``i`` carries the range coordinates of
-    ``F_i``.  The completion is unitary when the two defect dimensions
-    agree.
+    that balance is the Gram agreement the completion checks.  Each must
+    be PSD within ``psd_tolerance`` (``NotPositive`` otherwise), and
+    state block ``i`` carries the range coordinates of ``F_i``, from one
+    ``psd_sqrt`` of ``F_i^2``.  ``in_map``/``out_map`` are coordinate maps
+    whose Grams are ``D_S^2`` and ``D_T^2``.  The completion is unitary
+    when the two defect dimensions agree.
     """
     x = as_matrix(x)
     gamma = tuple(int(g) for g in gamma)
     n = s.n
     if len(gamma) != n:
         raise DimensionMismatch(f"weight vector {gamma} does not match tuple length {n}")
-    mats_f = [herm(as_matrix(f)) for f in f_list]
-    if len(mats_f) != n:
-        raise DimensionMismatch(f"expected {n} state operators, got {len(mats_f)}")
+    squares = [as_matrix(square) for square in squares]
+    if len(squares) != n:
+        raise DimensionMismatch(f"expected {n} transformed summands, got {len(squares)}")
 
     in_map = as_matrix(in_map)
     out_map = as_matrix(out_map)
     state_ins = []
     f_maps = []
-    for f, adj in zip(mats_f, s.adjoints()):
-        _, _, basis, _ = psd_sqrt(f @ f)
-        f_map = basis.conj().T @ f
+    for i, (square, adj) in enumerate(zip(squares, s.adjoints())):
+        root, _, basis, _ = checked_sqrt(square, f"transformed summand {i}")
+        f_map = basis.conj().T @ root
         state_ins.append(f_map @ adj)
         f_maps.append(f_map)
     return _complete(

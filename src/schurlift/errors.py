@@ -83,10 +83,6 @@ class NearSingularResolvent(SchurliftError):
     """The transfer-function resolvent is numerically singular at the point."""
 
 
-class EvaluationFailure(SchurliftError):
-    """A pointwise evaluator failed at a requested point."""
-
-
 class ParseError(SchurliftError):
     """The instance document is not well-formed."""
 

@@ -4,8 +4,11 @@ Two families are supported: ``(1 - <z,w>)^{-m}`` on the ball (integer
 weight ``m >= 1``) and ``prod_i (1 - z_i conj(w_i))^{-gamma_i}`` on the
 polydisc (integer weight vector ``gamma``).  Alongside the closed forms
 this module exposes the power-series coefficient sequences and the
-finitely supported coefficients of the inverse-kernel polynomial, which
-drive the hereditary functional calculus downstream.
+finitely supported coefficients of the polydisc inverse-kernel
+polynomial, whose convolution with the kernel series is the delta at 0.
+The hereditary operators ``hypercontraction.hereditary`` applies are
+these polynomials in the tuple, evaluated as repeated one-step maps, so
+nothing downstream reads the coefficient table.
 
 Coefficients are always accumulated as floating-point products of small
 ratios, never as raw factorials, so orders up to ~60 stay exact to

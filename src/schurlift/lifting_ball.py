@@ -2,7 +2,8 @@
 
 Positivity check, colligation lift with verification, the interpolation
 front end over kernel spans, the dilation route from a higher weight to
-a lower one with its composite lift, and the factorization certificate.
+a lower one with its composite lift.  ``factorization_criterion`` is
+re-exported from ``transfer``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import numpy as np
 from .colligation import Colligation, build_ball_colligation
 from .errors import (
     DimensionMismatch,
-    IllConditioned,
     NotContraction,
     NotIntertwining,
     NotPositive,
@@ -27,12 +27,15 @@ from .model_space import (
     KernelSubspace,
     TupleOperator,
     build_subspace,
-    _shift_tuple,
     model_tuple,
     multiplier_adjoint_action,
     np_target_operator,
 )
-from .transfer import CertificateResult, TransferFunction, _series_partial_sum, values_at
+from .transfer import (
+    TransferFunction,
+    _series_partial_sum,
+    factorization_criterion,
+)
 
 INTERTWINE_TOL = 1e-10
 CONTRACTION_SLACK = 1e-10
@@ -300,16 +303,18 @@ def np_solve(
 
 @dataclass
 class Dilation:
-    """Finite realization of the weight-lowering dilation on a kernel span."""
+    """Finite realization of the weight-lowering dilation on a kernel span.
+
+    In the span's own orthonormal coordinates the dilation is the
+    identity, so the dilated tuple is the span's model tuple.
+    ``coeff_map`` evaluates the image at the origin, a map into the
+    orthonormal coordinates of ``coeff_space``.
+    """
 
     coeff_space: KernelSubspace
-    tuple: TupleOperator
-    isometry: np.ndarray
     isometry_residual: float
     coeff_map: np.ndarray
     image_gram: np.ndarray
-    image_ortho: np.ndarray
-    image_ortho_inv: np.ndarray
 
 
 def dilate_p_to_m(q2: KernelSubspace, m: int) -> Dilation:
@@ -318,9 +323,10 @@ def dilate_p_to_m(q2: KernelSubspace, m: int) -> Dilation:
     The kernel at weight ``p`` factors as the weight-``m`` kernel times
     the weight-``p-m`` kernel, so each basis vector maps to the
     weight-``m`` kernel vector at the same node whose coefficient is the
-    corresponding weight-``p-m`` kernel vector.  Gram matrices match, the
-    map is an isometry, and the compressed shifts transport with the same
-    diagonal adjoint action.
+    corresponding weight-``p-m`` kernel vector.  The image Gram is then
+    ``q2.gram``, and ``q2.ortho_factor`` orthonormalizes the image as
+    well: no second orthonormalization is needed.  ``isometry_residual``
+    is ``||L2* image_gram L2 - I||`` with ``L2 = q2.ortho_factor``.
     """
     p = q2.spec.m
     n = q2.spec.n
@@ -332,77 +338,47 @@ def dilate_p_to_m(q2: KernelSubspace, m: int) -> Dilation:
     coeff_space = build_subspace(KernelSpec.ball(p - m, n, d), q2.nodes)
 
     # Coefficient vectors of the image basis, one column per span vector.
-    c_mat = coeff_space.ortho_factor_inv  # (f, f): column a = coords of basis vector a
+    c_mat = coeff_space.ortho_factor_inv
     kernel_m = kernel_matrix(KernelSpec.ball(m, n, 1), q2.nodes, q2.nodes)
     gram = herm(np.kron(kernel_m, np.ones((d, d))) * (c_mat.conj().T @ c_mat))
-    w, v = np.linalg.eigh(gram)
-    if w[0] < 1e-10 * w[-1]:
-        raise IllConditioned(
-            f"image Gram nearly singular: min eig {w[0]:.3e}",
-            min_eig=float(w[0]),
-            max_eig=float(w[-1]),
-        )
-    ortho = v * (w**-0.5)
-    ortho_inv = (v * (w**0.5)).conj().T
-
-    s_prime = _shift_tuple(q2.nodes, d, ortho, ortho_inv)
-
-    iso = ortho_inv @ q2.ortho_factor
-    residual = opnorm(iso.conj().T @ iso - np.eye(q2.dim))
-    coeff_map = c_mat @ ortho  # evaluation of the image at the origin
+    factor = q2.ortho_factor
+    residual = opnorm(factor.conj().T @ gram @ factor - np.eye(q2.dim))
     return Dilation(
         coeff_space=coeff_space,
-        tuple=s_prime,
-        isometry=iso,
         isometry_residual=residual,
-        coeff_map=coeff_map,
+        coeff_map=c_mat @ factor,
         image_gram=gram,
-        image_ortho=ortho,
-        image_ortho_inv=ortho_inv,
     )
 
 
 @dataclass
-class CoisometricFactor:
-    """Evaluation rule of the adjoint dilation: value of the coefficient
-    function at the point."""
+class CompositeInterpolant:
+    """``w -> E(w) phi(w)``: the coefficient function ``E`` of the dilation
+    (evaluation on ``coeff_space``) after the weight-``m`` lift ``phi``."""
 
     coeff_space: KernelSubspace
-
-    def __call__(self, w) -> np.ndarray:
-        return self.coeff_space.eval_map(w)
-
-
-@dataclass
-class CompositeInterpolant:
-    factor_out: CoisometricFactor
     factor_in: TransferFunction
 
     def __call__(self, w) -> np.ndarray:
-        return self.factor_out(w) @ self.factor_in(w)
+        return self.coeff_space.eval_map(w) @ self.factor_in(w)
 
     def eval_many(self, points) -> np.ndarray:
-        """Values at each point, stacked as ``(k, d_out, d_in)``, with one
-        batched evaluation of ``factor_in``; equal to per-point calls."""
+        """Values at each point, stacked as ``(k, d_out, d_in)``, from one
+        batch of each factor; equal to per-point calls."""
         points = list(points)
         try:
             inner = self.factor_in.eval_many(points)
+            outer = self.coeff_space.eval_many(points)
         except Exception:
             # Raise what a loop of per-point calls raises first.
             for w in points:
                 self(w)
             raise
-        if not points:
-            d_out = self.factor_out.coeff_space.spec.d_coeff
-            return np.zeros((0, d_out, self.factor_in.d_in), dtype=complex)
-        outer = [self.factor_out(w) for w in points]
-        return np.stack([f @ v for f, v in zip(outer, inner)])
+        return outer @ inner
 
 
 @dataclass
 class CompositeLift:
-    phi1: TransferFunction
-    phi2: CoisometricFactor
     composite: CompositeInterpolant
     inner: LiftResult
     dilation: Dilation
@@ -413,10 +389,12 @@ class CompositeLift:
 def lift_p_gt_m(q1: KernelSubspace, q2: KernelSubspace, x: np.ndarray) -> CompositeLift:
     """Composite lift from a weight-``m`` span into a weight-``p`` span, p > m.
 
-    The intertwiner is pushed through the dilation, lifted at weight
-    ``m``, and composed with the co-isometric evaluation factor.  The
-    positivity gap eigenvalue is computed on both sides of the dilation;
-    agreement is part of the returned certificate.
+    The dilation is the identity in ``q2``'s orthonormal coordinates, so
+    the intertwiner is lifted at weight ``m`` against ``q2``'s own model
+    tuple, with the dilation's evaluation at the origin as input defect
+    map, and composed with the coefficient function.  The positivity gap
+    is checked once; ``positivity_min_eigs`` repeats its bottom
+    eigenvalue for both sides of the dilation, which carry the same gap.
     """
     m = q1.spec.m
     x = as_matrix(x)
@@ -430,48 +408,15 @@ def lift_p_gt_m(q1: KernelSubspace, q2: KernelSubspace, x: np.ndarray) -> Compos
         raise NotPositive(pos.min_eig, context="positivity gap on the higher-weight span")
 
     dil = dilate_p_to_m(q2, m)
-    x_tilde = dil.isometry @ x
-    pos_tilde = check_positivity(dil.tuple, x_tilde, m)
-
     inner = lift_ball(
-        t,
-        dil.tuple,
-        x_tilde,
-        m,
-        in_map=dil.coeff_map,
-        out_map=q1.coeff_map_at_zero(),
-        gap=pos_tilde.matrix,
+        t, s, x, m, in_map=dil.coeff_map, out_map=q1.coeff_map_at_zero(), gap=pos.matrix
     )
-    phi2 = CoisometricFactor(dil.coeff_space)
-    composite = CompositeInterpolant(factor_out=phi2, factor_in=inner.phi)
+    composite = CompositeInterpolant(coeff_space=dil.coeff_space, factor_in=inner.phi)
     residual = verify_lift(composite, q2, x, q1)
     return CompositeLift(
-        phi1=inner.phi,
-        phi2=phi2,
         composite=composite,
         inner=inner,
         dilation=dil,
         verify_residual=residual,
-        positivity_min_eigs=(pos.min_eig, pos_tilde.min_eig),
+        positivity_min_eigs=(pos.min_eig, pos.min_eig),
     )
-
-
-def factorization_criterion(
-    phi_eval, m: int, p: int, samples, tol: float, n: int | None = None
-) -> CertificateResult:
-    """Sampled kernel test for factorization through the Schur class.
-
-    Assembles ``K_{p-m+1}(u_a, u_b) I - K_1(u_a, u_b) phi(u_a) phi(u_b)*``
-    over the samples; nonnegativity within ``tol`` passes.
-    """
-    points = [np.asarray(u, dtype=complex).reshape(-1) for u in samples]
-    if not points:
-        raise ValueError("at least one sample point is required")
-    if n is None:
-        n = points[0].size
-    values = values_at(phi_eval, points)
-    kernel_high = kernel_matrix(KernelSpec.ball(p - m + 1, n, 1), points, points)
-    kernel_one = kernel_matrix(KernelSpec.ball(1, n, 1), points, points)
-    mat = pick_blocks(values, kernel_one, kernel_high)
-    lam = float(np.linalg.eigvalsh(herm(mat))[0])
-    return CertificateResult(min_eig=lam, passed=lam >= -tol, sample_count=len(points))

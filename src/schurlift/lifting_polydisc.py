@@ -20,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .colligation import Colligation, build_polydisc_colligation
-from .errors import DimensionMismatch, NotPositive
+from .errors import DimensionMismatch
 from .hypercontraction import hereditary
 from .kernels import KernelSpec, indices_up_to, series_coeff
-from .linalg import as_matrix, clip_psd, herm, min_eig, opnorm, psd_sqrt, psd_tolerance
+from .linalg import as_matrix, checked_sqrt, clip_psd, herm, min_eig, opnorm
 from .lifting_ball import (
     Infeasible,
     KernelSpans,
@@ -275,18 +275,18 @@ def agler_feasibility(
     )
 
 
+def _transformed_summands(s: TupleOperator, gamma, dec: AglerDecomposition) -> list[np.ndarray]:
+    """The squares ``F_i^2``: summand ``i`` under the transformed positivity map."""
+    return [transformed_positivity(s, gamma, i, g) for i, g in enumerate(dec.summands)]
+
+
 def f_operators(s: TupleOperator, gamma, dec: AglerDecomposition) -> list[np.ndarray]:
-    """PSD square roots of the transformed summands; these are the state
-    operators entering the colligation."""
-    ops = []
-    for i, g in enumerate(dec.summands):
-        square = transformed_positivity(s, gamma, i, g)
-        lam = min_eig(square)
-        if lam < -psd_tolerance(square):
-            raise NotPositive(lam, context=f"transformed summand {i}")
-        root, _, _, _ = psd_sqrt(square)
-        ops.append(root)
-    return ops
+    """PSD square roots ``F_i`` of the transformed summands, the state
+    operators of the colligation; ``NotPositive`` if a summand is not PSD."""
+    return [
+        checked_sqrt(square, f"transformed summand {i}")[0]
+        for i, square in enumerate(_transformed_summands(s, gamma, dec))
+    ]
 
 
 def lift_polydisc(
@@ -312,14 +312,13 @@ def lift_polydisc(
     gamma = tuple(int(g) for g in gamma)
     in_map, out_map = _lift_preamble(t, s, x, KernelSpec.polydisc(gamma), in_map, out_map)
 
-    ops = f_operators(s, gamma, dec)
-    coll = build_polydisc_colligation(s, x, gamma, ops, in_map=in_map, out_map=out_map)
+    squares = _transformed_summands(s, gamma, dec)
+    coll = build_polydisc_colligation(s, x, gamma, squares, in_map=in_map, out_map=out_map)
     phi = TransferFunction(coll)
     cert = LiftCertificate(
         delta_min_eig=min(dec.cone_min_eigs),
         generating_residual=coll.generating_residual,
         verify_residual=coll.generating_residual,
-        extras={"state_operators": ops},
     )
     return LiftResult(phi=phi, certificate=cert, colligation=coll)
 

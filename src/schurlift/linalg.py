@@ -8,8 +8,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import NotPositive
+
 #: Relative eigenvalue cut below which ``psd_sqrt`` counts no rank.
 SQRT_RANK_TOL = 1e-12
+
+#: Default ``base`` of ``psd_tolerance``.
+PSD_BASE_TOL = 1e-9
 
 #: Singular values above this go to 1 in ``snap_partial_isometry``, the rest to 0.
 SNAP_CUT = 0.5
@@ -40,7 +45,7 @@ def min_eig(a: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(herm(a))[0])
 
 
-def psd_tolerance(a: np.ndarray, base: float = 1e-9) -> float:
+def psd_tolerance(a: np.ndarray, base: float = PSD_BASE_TOL) -> float:
     """Scale-relative PSD acceptance threshold: base * (1 + ||A||)."""
     return base * (1.0 + opnorm(a))
 
@@ -59,7 +64,24 @@ def psd_sqrt(a: np.ndarray):
     ``(root, rank, range_basis, min_eig)`` where ``range_basis`` has the
     ``rank`` leading eigenvectors as columns.
     """
-    w, v = eigh_desc(a)
+    return _sqrt_from_eigh(*eigh_desc(a))
+
+
+def checked_sqrt(square: np.ndarray, context: str):
+    """``psd_sqrt`` of a square that must be PSD within ``psd_tolerance``.
+
+    One eigendecomposition gives the root, the bottom eigenvalue that is
+    checked and the norm ``max |lambda|`` that scales the tolerance.
+    Raises ``NotPositive`` naming ``context`` otherwise.  Returns what
+    ``psd_sqrt`` returns.
+    """
+    w, v = eigh_desc(square)
+    if w.size and w[-1] < -PSD_BASE_TOL * (1.0 + max(w[0], -w[-1])):
+        raise NotPositive(float(w[-1]), context=context)
+    return _sqrt_from_eigh(w, v)
+
+
+def _sqrt_from_eigh(w: np.ndarray, v: np.ndarray):
     lam_min = float(w[-1]) if w.size else 0.0
     cut = SQRT_RANK_TOL * max(float(w[0]) if w.size else 0.0, 1.0)
     kept = w > cut

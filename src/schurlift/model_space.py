@@ -100,8 +100,18 @@ class KernelSubspace:
 
     def eval_map(self, z) -> np.ndarray:
         """Matrix sending orthonormal coordinates to the function value at ``z``."""
-        row = kernel_matrix(self.spec, [z], self.nodes)
-        return np.kron(row, np.eye(self.spec.d_coeff)) @ self.ortho_factor
+        return self.eval_many([z])[0]
+
+    def eval_many(self, points) -> np.ndarray:
+        """``eval_map`` at each point, stacked as ``(k, d, dim)``.
+
+        One ``kernel_matrix`` call gives the kernel rows; each row, tensored
+        with ``I_d``, takes one stacked product with ``ortho_factor``.
+        """
+        d = self.spec.d_coeff
+        rows = kernel_matrix(self.spec, points, self.nodes)
+        blocks = rows[:, None, :, None] * np.eye(d)[None, :, None, :]
+        return blocks.reshape(len(rows), d, self.dim) @ self.ortho_factor
 
     def coeff_map_at_zero(self) -> np.ndarray:
         """Evaluation at the origin; its Gram reproduces the hereditary defect."""
@@ -150,31 +160,20 @@ def build_subspace(spec: KernelSpec, nodes) -> KernelSubspace:
     )
 
 
-def _shift_tuple(nodes, d: int, ortho: np.ndarray, ortho_inv: np.ndarray) -> TupleOperator:
-    """Tuple whose adjoints act on kernel coefficients by ``diag(conj z_.i) (x) I_d``.
-
-    ``ortho`` is the factor ``L`` sending orthonormal coordinates to
-    kernel coefficients and ``ortho_inv`` its inverse, so the adjoint of
-    entry ``i`` is ``L^{-1} (diag(conj z_.i) (x) I_d) L``.
-    """
-    points = np.asarray(nodes, dtype=complex)
-    mats = []
-    for i in range(points.shape[1]):
-        diag = np.repeat(points[:, i].conj(), d)
-        mats.append((ortho_inv @ (diag[:, None] * ortho)).conj().T)
-    return TupleOperator(tuple(mats))
-
-
 def model_tuple(space: KernelSubspace) -> TupleOperator:
     """Compressed coordinate shifts on the span.
 
-    The adjoint of each shift acts on the kernel basis by multiplication
-    with the conjugated node coordinate; transporting that diagonal action
-    through the orthonormalizing factor gives the model tuple.
+    The adjoint of entry ``i`` acts on kernel coefficients by
+    ``diag(conj z_.i) (x) I_d``; transported through the orthonormalizing
+    factor ``L`` it is ``L^{-1} (diag(conj z_.i) (x) I_d) L``.
     """
-    return _shift_tuple(
-        space.nodes, space.spec.d_coeff, space.ortho_factor, space.ortho_factor_inv
-    )
+    points = np.asarray(space.nodes, dtype=complex)
+    ortho, ortho_inv = space.ortho_factor, space.ortho_factor_inv
+    mats = []
+    for i in range(space.spec.n):
+        diag = np.repeat(points[:, i].conj(), space.spec.d_coeff)
+        mats.append((ortho_inv @ (diag[:, None] * ortho)).conj().T)
+    return TupleOperator(tuple(mats))
 
 
 def np_target_operator(

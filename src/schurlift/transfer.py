@@ -227,14 +227,32 @@ def schur_agler_certificate_ball(phi_eval, samples, tol: float) -> CertificateRe
 
     Assembles ``(I - phi(u_a) phi(u_b)*) / (1 - <u_a, u_b>)`` blockwise
     over the samples; nonnegativity (within ``tol``) certifies membership
-    in the Schur class on the samples.
+    in the Schur class on the samples.  This is ``factorization_criterion``
+    at ``p = m``.
+    """
+    return factorization_criterion(phi_eval, 1, 1, samples, tol)
+
+
+def factorization_criterion(
+    phi_eval, m: int, p: int, samples, tol: float, n: int | None = None
+) -> CertificateResult:
+    """Sampled kernel test for factorization through the Schur class.
+
+    Assembles ``K_{p-m+1}(u_a, u_b) I - K_1(u_a, u_b) phi(u_a) phi(u_b)*``
+    over the samples; nonnegativity within ``tol`` passes.  ``n``
+    defaults to the coordinate count of the first sample.
     """
     points = [np.asarray(u, dtype=complex).reshape(-1) for u in samples]
     if not points:
         raise ValueError("at least one sample point is required")
+    if n is None:
+        n = points[0].size
     values = values_at(phi_eval, points)
-    kernel = kernel_matrix(KernelSpec.ball(1, points[0].size), points, points)
-    lam = float(np.linalg.eigvalsh(herm(pick_blocks(values, kernel)))[0])
+    kernel_one = kernel_matrix(KernelSpec.ball(1, n), points, points)
+    kernel_high = (
+        kernel_one if p == m else kernel_matrix(KernelSpec.ball(p - m + 1, n), points, points)
+    )
+    lam = float(np.linalg.eigvalsh(herm(pick_blocks(values, kernel_one, kernel_high)))[0])
     return CertificateResult(min_eig=lam, passed=lam >= -tol, sample_count=len(points))
 
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import schurlift.cli as cli
-import schurlift.lifting_ball as lifting_ball
 import schurlift.transfer as transfer
 from schurlift.cli import (
     EXIT_ERROR,
@@ -364,7 +363,7 @@ def test_batched_outputs_match_pointwise_reference(tmp_path, capsys, monkeypatch
         return capsys.readouterr().out, csv.read_text()
 
     batched = outputs("batched")
-    for module in (transfer, lifting_ball, cli):
+    for module in (transfer, cli):
         monkeypatch.setattr(module, "values_at", lambda phi, pts: _loop_values(_pointwise(phi), pts))
     monkeypatch.setattr(
         cli, "sup_norm_scan", lambda phi, pts: _loop_sup_norm_scan(_pointwise(phi), pts)

@@ -166,11 +166,8 @@ def test_polydisc_colligation_single_variable_reduces_to_ball():
     targets = scaled_targets(rng, spec, nodes, weight_one=False)
     x = np_target_operator(q2, targets, q2)
     f1_sq = np.eye(q2.dim, dtype=complex) - x @ x.conj().T
-    from schurlift.linalg import psd_sqrt
-
-    f1, _, _, _ = psd_sqrt(f1_sq)
     coord = defect(s, spec).coord_map
-    coll = build_polydisc_colligation(s, x, (1,), [f1], in_map=coord, out_map=coord)
+    coll = build_polydisc_colligation(s, x, (1,), [f1_sq], in_map=coord, out_map=coord)
     assert coll.generating_residual <= 1e-9
     assert coll.norm <= 1 + 1e-10
 
@@ -183,16 +180,11 @@ def test_polydisc_colligation_zero_intertwiner_half_split():
     s = model_tuple(q2)
     x = np.zeros((q2.dim, q2.dim), dtype=complex)
     from schurlift.lifting_polydisc import transformed_positivity
-    from schurlift.linalg import psd_sqrt
 
     eye = np.eye(q2.dim, dtype=complex)
-    ops = []
-    for i in range(2):
-        square = transformed_positivity(s, (1, 1), i, eye / 2)
-        root, _, _, _ = psd_sqrt(square)
-        ops.append(root)
+    squares = [transformed_positivity(s, (1, 1), i, eye / 2) for i in range(2)]
     coord = defect(s, spec).coord_map
-    coll = build_polydisc_colligation(s, x, (1, 1), ops, in_map=coord, out_map=coord)
+    coll = build_polydisc_colligation(s, x, (1, 1), squares, in_map=coord, out_map=coord)
     assert coll.generating_residual <= 1e-9
 
 
@@ -207,6 +199,19 @@ def test_polydisc_colligation_balance_violation():
     coord = defect(s, spec).coord_map
     with pytest.raises(GramMismatch):
         build_polydisc_colligation(s, x, (1, 1), bad, in_map=coord, out_map=coord)
+
+
+def test_polydisc_colligation_rejects_a_negative_summand():
+    rng = np.random.default_rng(8)
+    spec = KernelSpec.polydisc((1, 1))
+    q2 = build_subspace(spec, random_polydisc_nodes(rng, 2, 2))
+    s = model_tuple(q2)
+    x = np.zeros((q2.dim, q2.dim), dtype=complex)
+    eye = np.eye(q2.dim, dtype=complex)
+    coord = defect(s, spec).coord_map
+    with pytest.raises(NotPositive, match="transformed summand 1") as err:
+        build_polydisc_colligation(s, x, (1, 1), [eye / 2, -0.1 * eye], in_map=coord, out_map=coord)
+    assert err.value.min_eig == pytest.approx(-0.1)
 
 
 def test_colligation_json_round_trip_fields():

@@ -18,7 +18,6 @@ from schurlift import (
 )
 from schurlift.errors import DimensionMismatch, NotConverged, NotHypercontraction
 from schurlift.hypercontraction import is_pure, joint_eigenvalues
-from schurlift.lifting_ball import dilate_p_to_m
 from schurlift.kernels import indices_up_to, series_coeff
 from schurlift.linalg import herm, min_eig, opnorm
 from schurlift.model_space import TupleOperator
@@ -277,13 +276,14 @@ def test_hereditary_applied_composition():
 
 
 def _reference_tuples(rng):
-    """Normal, model and dilation tuples in two variables."""
+    """Normal and model tuples in two variables."""
     nodes = random_ball_nodes(rng, 4, 2, radius=0.7, min_sep=0.2)
     yield random_normal_tuple(rng, 4, 2, radius=0.8)
     yield random_normal_tuple(rng, 4, 2, radius=0.8, geometry="polydisc")
     yield model_tuple(build_subspace(KernelSpec.ball(2, 2, 2), nodes))
     yield model_tuple(build_subspace(KernelSpec.polydisc((1, 2)), random_polydisc_nodes(rng, 4, 2)))
-    yield dilate_p_to_m(build_subspace(KernelSpec.ball(3, 2), nodes), 1).tuple
+    # The weight-3 model tuple, which the dilation to weight 1 lifts against.
+    yield model_tuple(build_subspace(KernelSpec.ball(3, 2), nodes))
 
 
 def _random_hermitian_stack(rng, count, dim):
@@ -371,8 +371,8 @@ def test_joint_spectrum_radius_model_and_dilation_tuples(seed, r, n, m, d):
     _assert_gate_matches_kronecker(s)
     # The joint spectrum of a model tuple is its node set.
     assert _joint_radius(s) == pytest.approx(max(np.sum(np.abs(nodes) ** 2, axis=1)), abs=1e-12)
-    dil = dilate_p_to_m(build_subspace(KernelSpec.ball(m + 1, n, d), nodes), m)
-    _assert_gate_matches_kronecker(dil.tuple)
+    # The dilation from weight m + 1 to m lifts against the weight-(m + 1) model tuple.
+    _assert_gate_matches_kronecker(model_tuple(build_subspace(KernelSpec.ball(m + 1, n, d), nodes)))
 
 
 def test_jordan_block_takes_the_kronecker_fallback():

@@ -19,7 +19,7 @@ from schurlift import (
     verify_lift,
 )
 from schurlift.errors import NotContraction, NotIntertwining, NotPositive
-from schurlift.hypercontraction import cp_map, defect
+from schurlift.hypercontraction import cp_map, defect, hereditary
 from schurlift.kernels import kernel_eval
 from schurlift.lifting_ball import target_pick_matrix
 from schurlift.linalg import herm, min_eig, opnorm
@@ -300,23 +300,77 @@ def test_dilation_rejects_equal_weights():
 
 
 def test_dilation_single_node_transport():
+    # the dilated tuple is the span's model tuple: at one node it is the node
     z = (0.4 - 0.1j,)
     q2 = build_subspace(KernelSpec.ball(3, 1), [z])
     dil = dilate_p_to_m(q2, 1)
-    assert dil.tuple[0].shape == (1, 1)
-    assert dil.tuple[0][0, 0] == pytest.approx(z[0])
+    assert dil.image_gram.shape == (1, 1)
+    assert dil.isometry_residual <= 1e-12
+    s = model_tuple(q2)
+    assert s[0].shape == (1, 1)
+    assert s[0][0, 0] == pytest.approx(z[0])
 
 
 def test_dilation_intertwines_adjoints():
+    # Orthonormalize the image span independently of q2 and transport the
+    # node-diagonal adjoints there; the kernel-to-kernel map V between the
+    # two orthonormal bases is an isometry that intertwines S_i* with T_i*.
     rng = np.random.default_rng(14)
     nodes = random_ball_nodes(rng, 3, 2)
     q2 = build_subspace(KernelSpec.ball(3, 2), nodes)
     s = model_tuple(q2)
     dil = dilate_p_to_m(q2, 1)
+    w, v = np.linalg.eigh(dil.image_gram)
+    image_ortho = v * (w**-0.5)
+    image_ortho_inv = (v * (w**0.5)).conj().T
+    isometry = image_ortho_inv @ q2.ortho_factor
+    assert opnorm(isometry.conj().T @ isometry - np.eye(q2.dim)) <= 1e-10
+    points = np.asarray(q2.nodes)
     for i in range(2):
-        lhs = dil.isometry @ s[i].conj().T
-        rhs = dil.tuple[i].conj().T @ dil.isometry
+        t_adj = image_ortho_inv @ (points[:, i].conj()[:, None] * image_ortho)
+        lhs = isometry @ s[i].conj().T
+        rhs = t_adj @ isometry
         assert opnorm(lhs - rhs) <= 1e-10
+
+
+def _separated_ball_nodes(rng, count, n, radius=0.9, separation=0.5):
+    """Nodes whose pairwise pseudo-hyperbolic distance is at least
+    ``separation``, which keeps the Gram condition number moderate."""
+    nodes = []
+    while len(nodes) < count:
+        direction = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        z = radius * np.sqrt(rng.uniform()) * direction / np.linalg.norm(direction)
+        gap_z = 1.0 - np.vdot(z, z).real
+        if all(
+            1.0 - gap_z * (1.0 - np.vdot(w, w).real) / abs(1.0 - np.vdot(w, z)) ** 2
+            >= separation**2
+            for w in nodes
+        ):
+            nodes.append(z)
+    return [tuple(z) for z in nodes]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    r=st.integers(1, 10),
+    n=st.sampled_from([1, 2]),
+    weights=st.sampled_from([(m, p) for p in range(2, 5) for m in range(1, p)]),
+    d=st.sampled_from([1, 2]),
+)
+def test_dilation_is_the_identity_in_span_coordinates(seed, r, n, weights, d):
+    """The image Gram is the span's Gram, so ``q2.ortho_factor`` makes the
+    dilation the identity; evaluating the image at the origin reproduces
+    the weight-``m`` defect of the span's own model tuple."""
+    m, p = weights
+    nodes = _separated_ball_nodes(np.random.default_rng(seed), r, n)
+    q2 = build_subspace(KernelSpec.ball(p, n, d), nodes)
+    dil = dilate_p_to_m(q2, m)
+    assert opnorm(dil.image_gram - q2.gram) <= 1e-13 * opnorm(q2.gram)
+    assert dil.isometry_residual <= 1e-10
+    defect_m = hereditary(model_tuple(q2), m, np.eye(q2.dim, dtype=complex))
+    gram = dil.coeff_map.conj().T @ dil.coeff_map
+    assert opnorm(gram - defect_m) <= 1e-10 * (1.0 + opnorm(defect_m))
 
 
 def test_lift_p_gt_m_zero_intertwiner():

@@ -25,7 +25,7 @@ from schurlift import (
 )
 from schurlift.colligation import BALL_ROW, POLYDISC_DIAGONAL, UNITARY, Colligation
 from schurlift.errors import DomainViolation, NearSingularResolvent
-from schurlift.kernels import DOMAIN_MARGIN, kernel_eval
+from schurlift.kernels import DOMAIN_MARGIN, kernel_eval, kernel_matrix
 from schurlift.lifting_ball import factorization_criterion
 from schurlift.linalg import as_matrix, herm, opnorm
 import schurlift.transfer as transfer
@@ -619,24 +619,37 @@ def test_sup_norm_scan_accepts_scalars_arrays_and_misfits():
     assert (type(info.value), str(info.value)) == _loop_error(tf, [GOOD, WRONG_SIZE])
 
 
+def _loop_composite(composite, z):
+    """Reference: the per-point formula ``(kron(k(z), I_d) L) phi(z)`` of the
+    coefficient function after the weight-``m`` lift."""
+    space = composite.coeff_space
+    row = kernel_matrix(space.spec, [z], space.nodes)
+    outer = np.kron(row, np.eye(space.spec.d_coeff)) @ space.ortho_factor
+    return outer @ _loop_eval(composite.factor_in, z)
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_composite_interpolant_batch_equals_pointwise_calls(n):
     rng = np.random.default_rng(40 + n)
     nodes = random_ball_nodes(rng, 3, n, radius=0.6, min_sep=0.2)
-    q1 = build_subspace(KernelSpec.ball(1, n), nodes)
-    q2 = build_subspace(KernelSpec.ball(2, n), nodes)
-    targets = scaled_targets(rng, KernelSpec.ball(2, n), nodes, weight_one=False)
-    composite = lift_p_gt_m(q1, q2, np_target_operator(q1, targets, q2)).composite
-    points = random_interior_points(rng, EVAL_CHUNK + 5, n, radius=0.97)
-    values = composite.eval_many(points)
-    assert np.array_equal(values, _loop_values(composite, points))
-    assert np.array_equal(values_at(composite, np.array(points)), values)
-    assert composite.eval_many([]).shape == (0, 1, 1)
+    for d in (1, 2):
+        q1 = build_subspace(KernelSpec.ball(1, n, d), nodes)
+        q2 = build_subspace(KernelSpec.ball(2, n, d), nodes)
+        targets = scaled_targets(rng, KernelSpec.ball(2, n, d), nodes, d_out=d, weight_one=False)
+        composite = lift_p_gt_m(q1, q2, np_target_operator(q1, targets, q2)).composite
+        points = random_interior_points(rng, EVAL_CHUNK + 5, n, radius=0.97)
+        for batch in ([], points[:1], points):
+            values = composite.eval_many(batch)
+            assert values.shape == (len(batch), d, d)
+            if batch:
+                assert np.array_equal(values, np.stack([_loop_composite(composite, z) for z in batch]))
+                assert np.array_equal(values, _loop_values(composite, batch))
+        assert np.array_equal(values_at(composite, np.array(points)), values)
 
-    outside, wrong = (1.0,) + (0.0,) * (n - 1), (0.1,) * (n + 1)
-    for bad in ([*points[:3], outside], [*points[:3], wrong, outside]):
-        with pytest.raises(Exception) as info:
-            composite.eval_many(bad)
-        with pytest.raises(Exception) as loop_info:
-            _loop_values(composite, bad)
-        assert (type(info.value), str(info.value)) == (type(loop_info.value), str(loop_info.value))
+        outside, wrong = (1.0,) + (0.0,) * (n - 1), (0.1,) * (n + 1)
+        for bad in ([*points[:3], outside], [*points[:3], wrong, outside]):
+            with pytest.raises(Exception) as info:
+                composite.eval_many(bad)
+            with pytest.raises(Exception) as loop_info:
+                _loop_values(composite, bad)
+            assert (type(info.value), str(info.value)) == (type(loop_info.value), str(loop_info.value))

@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -57,18 +57,6 @@ class Options:
     seed: int = 0
     grid: tuple[int, int, float] = (5, 8, 0.9)
     sample_radius: float = 0.9
-
-    def to_dict(self) -> dict:
-        return {
-            "psd_tol": self.psd_tol,
-            "verify_tol": self.verify_tol,
-            "max_iter": self.max_iter,
-            "feasibility_tol": self.feasibility_tol,
-            "samples": self.samples,
-            "seed": self.seed,
-            "grid": list(self.grid),
-            "sample_radius": self.sample_radius,
-        }
 
 
 @dataclass
@@ -266,7 +254,7 @@ def instance_to_dict(inst: ProblemInstance) -> dict:
         "nodes": [[_pair(c) for c in z] for z in inst.nodes],
         "targets": [_matrix_json(w) for w in inst.targets],
         "mode": inst.mode,
-        "options": inst.options.to_dict(),
+        "options": asdict(inst.options),
     }
     if inst.p is not None:
         doc["p"] = inst.p
@@ -313,7 +301,7 @@ def _node_table(inst: ProblemInstance, phi_eval) -> tuple[list[dict], float]:
 def _base_report(inst: ProblemInstance) -> dict:
     return {
         "mode": inst.mode,
-        "options_used": inst.options.to_dict(),
+        "options_used": asdict(inst.options),
         "status": None,
         "certificates": {},
         "colligation": None,
@@ -377,9 +365,9 @@ def _finish_inconclusive(report: dict, outcome: Inconclusive) -> int:
     report["certificates"].update(
         {
             "iterations": outcome.iterations,
-            "reconstruction_residual": outcome.residuals.get("reconstruction"),
-            "cone_min_eigs": list(outcome.residuals.get("cone_min_eigs", [])),
-            "summand_min_eigs": list(outcome.residuals.get("summand_min_eigs", [])),
+            "reconstruction_residual": outcome.residuals["reconstruction"],
+            "cone_min_eigs": outcome.residuals["cone_min_eigs"],
+            "summand_min_eigs": outcome.residuals["summand_min_eigs"],
         }
     )
     return EXIT_INCONCLUSIVE

@@ -99,10 +99,11 @@ def _check_contraction(x: np.ndarray) -> float:
 
 
 def _check_intertwining(t: TupleOperator, s: TupleOperator, x: np.ndarray) -> float:
+    norm_x = opnorm(x)
     worst = 0.0
     for ti, si in zip(t.mats, s.mats):
         resid = opnorm(x @ ti - si @ x)
-        scale = 1.0 + opnorm(x) * (opnorm(ti) + opnorm(si))
+        scale = 1.0 + norm_x * (opnorm(ti) + opnorm(si))
         worst = max(worst, resid / scale)
     if worst > INTERTWINE_TOL:
         raise NotIntertwining(worst)
@@ -392,25 +393,22 @@ def lift_p_gt_m(q1: KernelSubspace, q2: KernelSubspace, x: np.ndarray) -> Compos
     The dilation is the identity in ``q2``'s orthonormal coordinates, so
     the intertwiner is lifted at weight ``m`` against ``q2``'s own model
     tuple, with the dilation's evaluation at the origin as input defect
-    map, and composed with the coefficient function.  The positivity gap
-    is checked once; ``positivity_min_eigs`` repeats its bottom
-    eigenvalue for both sides of the dilation, which carry the same gap.
+    map, and composed with the coefficient function.  ``lift_ball`` runs
+    every check once; its ``NotPositive`` is re-raised as a failure of the
+    positivity gap on the higher-weight span.  ``positivity_min_eigs``
+    repeats the gap's bottom eigenvalue for both sides of the dilation,
+    which carry the same gap.
     """
     m = q1.spec.m
     x = as_matrix(x)
     s = model_tuple(q2)
     t = model_tuple(q1)
-    _check_contraction(x)
-    _check_intertwining(t, s, x)
-
-    pos = check_positivity(s, x, m)
-    if pos.min_eig < -psd_tolerance(pos.matrix):
-        raise NotPositive(pos.min_eig, context="positivity gap on the higher-weight span")
-
     dil = dilate_p_to_m(q2, m)
-    inner = lift_ball(
-        t, s, x, m, in_map=dil.coeff_map, out_map=q1.coeff_map_at_zero(), gap=pos.matrix
-    )
+    try:
+        inner = lift_ball(t, s, x, m, in_map=dil.coeff_map, out_map=q1.coeff_map_at_zero())
+    except NotPositive as exc:
+        context = "positivity gap on the higher-weight span"
+        raise NotPositive(exc.min_eig, context=context) from None
     composite = CompositeInterpolant(coeff_space=dil.coeff_space, factor_in=inner.phi)
     residual = verify_lift(composite, q2, x, q1)
     return CompositeLift(
@@ -418,5 +416,5 @@ def lift_p_gt_m(q1: KernelSubspace, q2: KernelSubspace, x: np.ndarray) -> Compos
         inner=inner,
         dilation=dil,
         verify_residual=residual,
-        positivity_min_eigs=(pos.min_eig, pos.min_eig),
+        positivity_min_eigs=(inner.certificate.delta_min_eig,) * 2,
     )

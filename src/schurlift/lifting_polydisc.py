@@ -69,7 +69,9 @@ class AglerDecomposition:
 
 @dataclass
 class Inconclusive:
-    """Iteration cap reached; carries the best iterate and its residuals."""
+    """An iterate that fails the acceptance checks: the forced summand of
+    one variable, or the projected iterate at the iteration cap.  Carries
+    that iterate and its residuals."""
 
     iterations: int
     residuals: dict
@@ -163,50 +165,43 @@ def agler_feasibility(
     Success requires the reconstruction residual and every eigenvalue
     violation to fall within ``tol``.  ``initial`` warm-starts the
     iteration from known summands.  For a single variable the summand is
-    forced and the answer is immediate.
+    forced and the answer is immediate.  ``max_iter`` below 1 raises
+    ``ValueError``.
 
     The iteration actually targets a right-hand side shrunk by a tiny
     multiple of the identity and adds the slack back evenly afterwards:
     the transformed map sends the identity to a strictly positive
     operator on model spaces, so the returned summands have strictly PSD
     transforms and the downstream square roots never need clipping.
+
+    Every outcome comes from one summary of an iterate: the decomposition
+    if it passes, else ``Inconclusive`` with the same residuals.
     """
     x = as_matrix(x)
     gamma = tuple(int(g) for g in gamma)
     q = s.dim
     if len(gamma) != s.n:
         raise DimensionMismatch(f"weight vector {gamma} does not match tuple length {s.n}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     r_target = herm(np.eye(q, dtype=complex) - x @ x.conj().T)
 
-    def summarize(gs, iterations, floor=-tol):
+    def summarize(gs, iterations, floor):
         recon = opnorm(sum(gs) - r_target)
         cone = tuple(min_eig(transformed_positivity(s, gamma, i, gs[i])) for i in range(s.n))
         own = tuple(min_eig(g) for g in gs)
-        ok = recon <= tol and all(e >= floor for e in cone) and all(e >= floor for e in own)
-        if ok:
-            return AglerDecomposition(
-                summands=tuple(herm(g) for g in gs),
-                reconstruction_residual=recon,
-                cone_min_eigs=cone,
-                summand_min_eigs=own,
-                iterations=iterations,
-            )
-        return None
+        summands = tuple(herm(g) for g in gs)
+        if recon <= tol and all(e >= floor for e in cone + own):
+            return AglerDecomposition(summands, recon, cone, own, iterations)
+        residuals = {
+            "reconstruction": recon,
+            "cone_min_eigs": list(cone),
+            "summand_min_eigs": list(own),
+        }
+        return Inconclusive(iterations=iterations, residuals=residuals, best=summands)
 
     if s.n == 1:
-        gs = [r_target]
-        found = summarize(gs, 1)
-        if found is not None:
-            return found
-        return Inconclusive(
-            iterations=1,
-            residuals={
-                "reconstruction": 0.0,
-                "cone_min_eigs": [min_eig(transformed_positivity(s, gamma, 0, r_target))],
-                "summand_min_eigs": [min_eig(r_target)],
-            },
-            best=(r_target,),
-        )
+        return summarize([r_target], 1, -tol)
 
     # Slack that survives the iteration's eigenvalue tolerance: the cone
     # floor of the identity tells how much headroom evenly added slack buys.
@@ -227,6 +222,9 @@ def agler_feasibility(
         slack = 0.0
     r_inner = r_target - slack * np.eye(q, dtype=complex)
     pad = (slack / s.n) * np.eye(q, dtype=complex)
+    # With slack active, insist on strict interiority so the state
+    # operator square roots downstream never clip an eigenvalue.
+    floor = tol if slack > 0.0 else -tol
 
     projector = _AffineProjector(s, gamma, r_inner)
     if initial is not None:
@@ -240,7 +238,6 @@ def agler_feasibility(
     def unpack(vec):
         return _vec_to_herm(vec.reshape(2 * s.n, -1), q)
 
-    last = None
     for it in range(1, max_iter + 1):
         w = projector.project(v) + correction
         # One stacked cone projection for all G_i and H_i.
@@ -250,29 +247,9 @@ def agler_feasibility(
 
         if it % 10 == 0 or it == max_iter:
             gs_y = unpack(projector.project(v))[: s.n]
-            # With slack active, insist on strict interiority so the state
-            # operator square roots downstream never clip an eigenvalue.
-            floor = tol if slack > 0.0 else -tol
-            found = summarize([g + pad for g in gs_y], it, floor=floor)
-            if found is not None:
-                return found
-            last = gs_y
-
-    if last is None:
-        last = unpack(projector.project(v))[: s.n]
-    padded = [g + pad for g in last]
-    recon = opnorm(sum(padded) - r_target)
-    cone = [min_eig(transformed_positivity(s, gamma, i, padded[i])) for i in range(s.n)]
-    own = [min_eig(g) for g in padded]
-    return Inconclusive(
-        iterations=max_iter,
-        residuals={
-            "reconstruction": recon,
-            "cone_min_eigs": cone,
-            "summand_min_eigs": own,
-        },
-        best=tuple(herm(g) for g in padded),
-    )
+            summary = summarize([g + pad for g in gs_y], it, floor)
+            if isinstance(summary, AglerDecomposition) or it == max_iter:
+                return summary
 
 
 def _transformed_summands(s: TupleOperator, gamma, dec: AglerDecomposition) -> list[np.ndarray]:

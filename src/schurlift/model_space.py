@@ -94,10 +94,6 @@ class KernelSubspace:
     def node_count(self) -> int:
         return len(self.nodes)
 
-    @property
-    def origin(self) -> tuple[complex, ...]:
-        return (0j,) * self.spec.n
-
     def eval_map(self, z) -> np.ndarray:
         """Matrix sending orthonormal coordinates to the function value at ``z``."""
         return self.eval_many([z])[0]

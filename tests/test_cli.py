@@ -1,11 +1,15 @@
 import functools
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import schurlift.cli as cli
 import schurlift.transfer as transfer
+from schurlift import KernelSpec
 from schurlift.cli import (
     EXIT_ERROR,
     EXIT_INCONCLUSIVE,
@@ -20,6 +24,7 @@ from schurlift.cli import (
 from schurlift.errors import ParseError, ValidationError
 from schurlift.transfer import TransferFunction
 
+from conftest import random_polydisc_nodes, scaled_targets
 from test_transfer import _count_cond, _loop_eval, _loop_sup_norm_scan, _loop_values
 
 MOEBIUS = {
@@ -239,6 +244,43 @@ def test_main_byte_identical_runs(tmp_path, capsys):
     main(["certify", str(path)])
     second = capsys.readouterr().out
     assert first == second
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    gamma=st.sampled_from([(1, 1), (1, 2), (2, 2)]),
+    r=st.integers(1, 4),
+    cap=st.sampled_from([None, 1, 3]),
+)
+def test_polydisc_certify_reports_are_byte_identical(seed, gamma, r, cap):
+    """Identical polydisc ``certify`` documents, solved or capped to
+    ``inconclusive``, give byte-identical reports and scan CSVs."""
+    rng = np.random.default_rng(seed)
+    spec = KernelSpec.polydisc(gamma)
+    nodes = random_polydisc_nodes(rng, r, 2)
+    targets = [0.7 * w for w in scaled_targets(rng, spec, nodes, weight_one=False)]
+    options = {"samples": 20, "seed": 1, "grid": [2, 3, 0.8], "max_iter": 300}
+    if cap is not None:
+        options.update(max_iter=cap, feasibility_tol=1e-14)
+    doc = dict(
+        BIDISC,
+        gamma=list(gamma),
+        nodes=[[[z.real, z.imag] for z in node] for node in nodes],
+        targets=[[[[w[0, 0].real, w[0, 0].imag]]] for w in targets],
+        mode="certify",
+        options=options,
+    )
+
+    def outputs():
+        csv = io.StringIO()
+        report, code = run(parse_instance(json.dumps(doc)), csv_stream=csv)
+        return code, report_to_json(report), csv.getvalue()
+
+    first = outputs()
+    event(f"status {json.loads(first[1])['status']}")
+    assert first[0] in (EXIT_SOLVED, EXIT_INCONCLUSIVE, EXIT_ERROR)
+    assert outputs() == first
 
 
 def _forbid_solves(monkeypatch):

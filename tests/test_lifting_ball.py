@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import schurlift.lifting_ball as lifting_ball
 from schurlift import (
     Infeasible,
     KernelSpec,
@@ -399,6 +400,50 @@ def test_lift_p_gt_m_positivity_eigenvalues_agree():
     assert comp.verify_residual <= 1e-6
     for z, w in zip(nodes, targets):
         assert opnorm(comp.composite(z) - w) <= 1e-6
+
+
+def test_lift_p_gt_m_runs_each_check_once(monkeypatch):
+    calls = {"_check_contraction": 0, "_check_intertwining": 0}
+
+    def counted(name):
+        original = getattr(lifting_ball, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(lifting_ball, name, counted(name))
+    rng = np.random.default_rng(16)
+    nodes = random_ball_nodes(rng, 3, 2)
+    q1 = build_subspace(KernelSpec.ball(1, 2), nodes)
+    q2 = build_subspace(KernelSpec.ball(3, 2), nodes)
+    targets = scaled_targets(rng, KernelSpec.ball(3, 2), nodes, weight_one=False)
+    lift_p_gt_m(q1, q2, np_target_operator(q1, targets, q2))
+    assert calls == {"_check_contraction": 1, "_check_intertwining": 1}
+
+
+def test_lift_p_gt_m_not_positive_names_the_higher_weight_span():
+    # m = 2, p = 3: the targets are contractive at weight 3, but the
+    # positivity gap (the weight-two Pick matrix) is not PSD.
+    rng = np.random.default_rng(0)
+    nodes = random_ball_nodes(rng, 3, 1, radius=0.7, min_sep=0.2)
+    q1 = build_subspace(KernelSpec.ball(2, 1), nodes)
+    q2 = build_subspace(KernelSpec.ball(3, 1), nodes)
+    targets = scaled_targets(rng, KernelSpec.ball(3, 1), nodes, weight_one=False)
+    x = np_target_operator(q1, targets, q2)
+    assert opnorm(x) < 1.0
+    gap_min = check_positivity(model_tuple(q2), x, 2).min_eig
+    assert gap_min < -1e-3
+    with pytest.raises(NotPositive) as err:
+        lift_p_gt_m(q1, q2, x)
+    assert err.value.min_eig == gap_min
+    assert str(err.value) == (
+        f"positivity fails with min eigenvalue {gap_min:.6e} "
+        "(positivity gap on the higher-weight span)"
+    )
 
 
 def test_factorization_criterion_cases():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from schurlift import (
@@ -113,6 +113,60 @@ def test_feasibility_inconclusive_at_iteration_cap():
     assert isinstance(out, Inconclusive)
     assert out.iterations == 3
     assert "reconstruction" in out.residuals
+
+
+def test_feasibility_rejects_an_iteration_cap_below_one():
+    rng = np.random.default_rng(5)
+    spec, nodes, q1, q2, t, s, x, targets = _bidisc_instance(rng)
+    with pytest.raises(ValueError, match="max_iter"):
+        agler_feasibility(s, x, (1, 1), max_iter=0)
+
+
+def _recomputed_summary(s, x, gamma, gs):
+    """Reconstruction residual and bottom eigenvalues of the iterate ``gs``."""
+    r_target = herm(np.eye(s.dim, dtype=complex) - x @ x.conj().T)
+    recon = opnorm(sum(gs) - r_target)
+    cone = [min_eig(transformed_positivity(s, gamma, i, g)) for i, g in enumerate(gs)]
+    own = [min_eig(g) for g in gs]
+    return recon, cone, own
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    gamma=st.sampled_from([(1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2)]),
+    r=st.integers(1, 4),
+    scale=st.floats(0.3, 1.3),
+    max_iter=st.sampled_from([1, 3, 10, 40]),
+    tol=st.sampled_from([1e-14, 1e-10]),
+)
+def test_feasibility_outcome_reports_its_own_iterate(seed, gamma, r, scale, max_iter, tol):
+    """Both outcomes carry the numbers of the iterate they return, and an
+    ``Inconclusive`` never passes the acceptance checks at the strict floor."""
+    rng = np.random.default_rng(seed)
+    spec = KernelSpec.polydisc(gamma)
+    nodes = random_polydisc_nodes(rng, r, len(gamma), radius=0.7, min_sep=0.1)
+    targets = [scale * w for w in scaled_targets(rng, spec, nodes, weight_one=False)]
+    space = build_subspace(spec, nodes)
+    s = model_tuple(space)
+    x = np_target_operator(space, targets, space)
+    out = agler_feasibility(s, x, gamma, tol=tol, max_iter=max_iter)
+    event(f"{type(out).__name__}, n = {len(gamma)}")
+    gs = out.summands if isinstance(out, AglerDecomposition) else out.best
+    assert all(np.array_equal(herm(g), g) for g in gs)
+    recon, cone, own = _recomputed_summary(s, x, gamma, gs)
+    if isinstance(out, AglerDecomposition):
+        assert out.reconstruction_residual == recon
+        assert list(out.cone_min_eigs) == cone and list(out.summand_min_eigs) == own
+        assert recon <= tol and min(cone + own) >= -tol
+    else:
+        assert out.residuals == {
+            "reconstruction": recon,
+            "cone_min_eigs": cone,
+            "summand_min_eigs": own,
+        }
+        assert out.iterations == (1 if len(gamma) == 1 else max_iter)
+        assert not (recon <= tol and min(cone + own) >= tol)
 
 
 def test_f_operators_single_variable():

@@ -3,12 +3,16 @@
 A colligation maps a defect block plus state blocks to a defect block
 plus state blocks.  It is pinned down on a spanning family of
 input/output vector pairs whose Gram matrices agree (that agreement *is*
-the operator identity the construction rests on), and is then completed
-deterministically: to a unitary when the dimension bookkeeping permits,
-to a partial isometry vanishing off the input span otherwise.  Either
-completion keeps the transfer function a Schur-class contraction, and
-the lift verification downstream only uses contractivity of the block
-rows, so the partial-isometry fallback is operationally sound.
+the operator identity the construction rests on).  On the pair span it
+is the orthogonal Procrustes map of the pairs, from one SVD: the exact
+pair map when the Grams agree, and one whose generating residual a small
+Gram mismatch raises only slightly, however small the pair Gram's
+eigenvalues are.  It is then completed deterministically: to a unitary
+when the dimension bookkeeping permits; otherwise it stays the partial
+isometry that vanishes off the input span.  Either completion keeps the
+transfer function a Schur-class contraction, and the lift verification
+downstream only uses contractivity of the block rows, so the
+partial-isometry fallback is operationally sound.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from .linalg import (
     opnorm,
     psd_sqrt,
     psd_tolerance,
-    snap_partial_isometry,
     snap_unitary,
 )
 from .model_space import TupleOperator
@@ -41,8 +44,8 @@ PARTIAL_ISOMETRY = "partial-isometry"
 #: to ``max(1, ||input Gram||)``.
 GRAM_TOL = 1e-9
 
-#: Relative eigenvalue cut when extracting range coordinates.
-RANK_TOL = 1e-10
+#: Relative singular-value cut of the pair map ``outputs inputs*``.
+RANK_TOL = 1e-15
 
 
 @dataclass
@@ -164,13 +167,14 @@ def complete_pairs(
 
     Precondition: the two Gram matrices agree within ``GRAM_TOL``
     (relative to scale); a violation raises ``GramMismatch`` and means the
-    caller's positivity data is inconsistent.  The shared Gram is
-    eigendecomposed once and both sides are orthonormalized through it,
-    so paired vectors land on each other.  With ``want_unitary`` (and
-    equal square dimensions) the orthogonal complements are matched by a
-    fixed Gram-Schmidt completion and the result is snapped to an exact
-    unitary; otherwise the operator vanishes off the input span and is
-    snapped to an exact partial isometry.
+    caller's positivity data is inconsistent.  The map on the pair span is
+    the orthogonal Procrustes solution ``A_r B_r*`` (Schonemann 1966) from
+    one thin SVD ``A S B* = outputs inputs*``, keeping the singular values
+    above ``RANK_TOL * max(s_max, 1)``; it is a partial isometry vanishing
+    off ``range(B_r)``, returned as is unless ``want_unitary``.  With
+    ``want_unitary`` (equal dimensions required) the orthogonal
+    complements of ``range(B_r)`` and ``range(A_r)`` are matched by a fixed
+    Gram-Schmidt completion and the sum is snapped to an exact unitary.
     """
     p = as_matrix(inputs)
     q = as_matrix(outputs)
@@ -178,41 +182,22 @@ def complete_pairs(
         raise DimensionMismatch(
             f"got {p.shape[1]} input vectors but {q.shape[1]} output vectors"
         )
-    if p.shape[1] == 0:
-        if want_unitary:
-            if p.shape[0] != q.shape[0]:
-                raise DimensionMismatch("unitary completion requires equal dimensions")
-            return np.eye(p.shape[0], dtype=complex)
-        return np.zeros((q.shape[0], p.shape[0]), dtype=complex)
-
+    if want_unitary and p.shape[0] != q.shape[0]:
+        raise DimensionMismatch("unitary completion requires equal dimensions")
     gram_in = p.conj().T @ p
-    gram_out = q.conj().T @ q
-    deviation = opnorm(gram_in - gram_out)
+    deviation = opnorm(gram_in - q.conj().T @ q)
     if deviation > GRAM_TOL * max(1.0, opnorm(gram_in)):
         raise GramMismatch(deviation)
 
-    shared = herm((gram_in + gram_out) / 2.0)
-    w, v = np.linalg.eigh(shared)
-    w_max = max(float(w[-1]), 0.0)
-    keep = w > RANK_TOL * max(w_max, 1.0)
-    if not np.any(keep):
-        # All pairs are numerically zero vectors.
-        if want_unitary and p.shape[0] == q.shape[0]:
-            return np.eye(p.shape[0], dtype=complex)
-        return np.zeros((q.shape[0], p.shape[0]), dtype=complex)
-    scale = w[keep] ** -0.5
-    basis_in = p @ (v[:, keep] * scale)
-    basis_out = q @ (v[:, keep] * scale)
-
-    u = basis_out @ basis_in.conj().T
-    if want_unitary:
-        if p.shape[0] != q.shape[0]:
-            raise DimensionMismatch("unitary completion requires equal dimensions")
-        comp_in = _orthonormal_complement(basis_in, p.shape[0])
-        comp_out = _orthonormal_complement(basis_out, q.shape[0])
-        u = u + comp_out @ comp_in.conj().T
-        return snap_unitary(u)
-    return snap_partial_isometry(u)
+    a, s, bh = np.linalg.svd(q @ p.conj().T, full_matrices=False)
+    keep = s > RANK_TOL * s.max(initial=1.0)
+    a, bh = a[:, keep], bh[keep]
+    u = a @ bh
+    if not want_unitary:
+        return u
+    comp_in = _orthonormal_complement(bh.conj().T, p.shape[0])
+    comp_out = _orthonormal_complement(a, q.shape[0])
+    return snap_unitary(u + comp_out @ comp_in.conj().T)
 
 
 def _pad_rows(mat: np.ndarray, rows: int) -> np.ndarray:

@@ -168,11 +168,16 @@ def agler_feasibility(
     forced and the answer is immediate.  ``max_iter`` below 1 raises
     ``ValueError``.
 
-    The iteration actually targets a right-hand side shrunk by a tiny
-    multiple of the identity and adds the slack back evenly afterwards:
-    the transformed map sends the identity to a strictly positive
-    operator on model spaces, so the returned summands have strictly PSD
-    transforms and the downstream square roots never need clipping.
+    The iteration may target a right-hand side shrunk by a tiny multiple
+    of the identity and add the slack back evenly afterwards, so that the
+    returned summands have transforms at least ``tol`` and the downstream
+    square roots need no clipping.  It does so only when the cone floor
+    (the bottom eigenvalue of the transformed identity, over all ``i``)
+    and ``min_eig(I - X X*)`` both exceed ``10 * tol``; otherwise the
+    slack is 0 and the eigenvalue floor is ``-tol``.  The cone floor is
+    often round-off: for gamma=(1,2) on the benchmark's node design
+    ``polydisc_design(0, r)`` it is about 1e-14 at r=16 and negative
+    from r=24 on, so such instances run without slack.
 
     Every outcome comes from one summary of an iterate: the decomposition
     if it passes, else ``Inconclusive`` with the same residuals.

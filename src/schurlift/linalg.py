@@ -16,9 +16,6 @@ SQRT_RANK_TOL = 1e-12
 #: Default ``base`` of ``psd_tolerance``.
 PSD_BASE_TOL = 1e-9
 
-#: Singular values above this go to 1 in ``snap_partial_isometry``, the rest to 0.
-SNAP_CUT = 0.5
-
 
 def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
@@ -97,15 +94,6 @@ def clip_psd(a: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(herm(a))
     w = np.where(w > 0.0, w, 0.0)
     return herm((v * w[..., None, :]) @ np.swapaxes(v, -1, -2).conj())
-
-
-def snap_partial_isometry(u: np.ndarray) -> np.ndarray:
-    """Nearest partial isometry: singular values above ``SNAP_CUT`` go to 1, rest to 0."""
-    if u.size == 0:
-        return u
-    a, s, bh = np.linalg.svd(u, full_matrices=False)
-    keep = s > SNAP_CUT
-    return a[:, keep] @ bh[keep, :]
 
 
 def snap_unitary(u: np.ndarray) -> np.ndarray:

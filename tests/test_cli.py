@@ -24,7 +24,7 @@ from schurlift.cli import (
 from schurlift.errors import ParseError, ValidationError
 from schurlift.transfer import TransferFunction
 
-from conftest import random_polydisc_nodes, scaled_targets
+from conftest import random_ball_nodes, random_polydisc_nodes, scaled_targets
 from test_transfer import _count_cond, _loop_eval, _loop_sup_norm_scan, _loop_values
 
 MOEBIUS = {
@@ -246,29 +246,40 @@ def test_main_byte_identical_runs(tmp_path, capsys):
     assert first == second
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=45, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    gamma=st.sampled_from([(1, 1), (1, 2), (2, 2)]),
+    mode=st.sampled_from(["certify", "np-ball", "lift-pm"]),
     r=st.integers(1, 4),
-    cap=st.sampled_from([None, 1, 3]),
+    data=st.data(),
 )
-def test_polydisc_certify_reports_are_byte_identical(seed, gamma, r, cap):
-    """Identical polydisc ``certify`` documents, solved or capped to
-    ``inconclusive``, give byte-identical reports and scan CSVs."""
+def test_identical_documents_give_byte_identical_reports(seed, mode, r, data):
+    """Identical documents give byte-identical reports and scan CSVs:
+    polydisc ``certify`` documents, solved or capped to ``inconclusive``,
+    and ball ``np-ball`` and ``lift-pm`` documents."""
     rng = np.random.default_rng(seed)
-    spec = KernelSpec.polydisc(gamma)
-    nodes = random_polydisc_nodes(rng, r, 2)
-    targets = [0.7 * w for w in scaled_targets(rng, spec, nodes, weight_one=False)]
     options = {"samples": 20, "seed": 1, "grid": [2, 3, 0.8], "max_iter": 300}
-    if cap is not None:
-        options.update(max_iter=cap, feasibility_tol=1e-14)
-    doc = dict(
-        BIDISC,
-        gamma=list(gamma),
+    if mode == "certify":
+        gamma = data.draw(st.sampled_from([(1, 1), (1, 2), (2, 2)]), label="gamma")
+        cap = data.draw(st.sampled_from([None, 1, 3]), label="cap")
+        if cap is not None:
+            options.update(max_iter=cap, feasibility_tol=1e-14)
+        spec = KernelSpec.polydisc(gamma)
+        nodes = random_polydisc_nodes(rng, r, 2)
+        targets = scaled_targets(rng, spec, nodes, weight_one=False)
+        doc = dict(BIDISC, gamma=list(gamma))
+    else:
+        m = data.draw(st.integers(1, 2), label="m")
+        spec = KernelSpec.ball(m, 2)
+        nodes = random_ball_nodes(rng, r, 2)
+        targets = scaled_targets(rng, spec, nodes)
+        doc = dict(MOEBIUS, m=m, n=2)
+        if mode == "lift-pm":
+            doc["p"] = m + data.draw(st.integers(1, 2), label="p - m")
+    doc.update(
         nodes=[[[z.real, z.imag] for z in node] for node in nodes],
-        targets=[[[[w[0, 0].real, w[0, 0].imag]]] for w in targets],
-        mode="certify",
+        targets=[[[[0.7 * w[0, 0].real, 0.7 * w[0, 0].imag]]] for w in targets],
+        mode=mode,
         options=options,
     )
 
@@ -278,7 +289,7 @@ def test_polydisc_certify_reports_are_byte_identical(seed, gamma, r, cap):
         return code, report_to_json(report), csv.getvalue()
 
     first = outputs()
-    event(f"status {json.loads(first[1])['status']}")
+    event(f"{mode} status {json.loads(first[1])['status']}")
     assert first[0] in (EXIT_SOLVED, EXIT_INCONCLUSIVE, EXIT_ERROR)
     assert outputs() == first
 

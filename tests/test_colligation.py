@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schurlift import (
     KernelSpec,
@@ -62,6 +64,38 @@ def test_complete_pairs_deterministic():
     u2 = complete_pairs(p.copy(), q.copy(), want_unitary=True)
     assert np.array_equal(u1, u2)
     assert opnorm(u1.conj().T @ u1 - np.eye(4)) < 1e-12
+
+
+def _unitary(rng, dim):
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return q
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 8),
+    data=st.data(),
+    floor_exp=st.floats(2.0, 6.0),
+)
+def test_complete_pairs_maps_exact_pairs_of_spread_singular_values(seed, dim, data, floor_exp):
+    """On exact pairs ``q = V p`` with ``p`` of rank ``k`` and singular
+    values log-spaced from 1 down to ``10^-floor_exp``, either completion
+    maps ``p`` onto ``q`` and is a unitary or a partial isometry."""
+    rank = data.draw(st.integers(1, dim), label="rank")
+    cols = data.draw(st.integers(rank, 8), label="cols")
+    rng = np.random.default_rng(seed)
+    sing = np.logspace(0.0, -floor_exp, rank)
+    p = (_unitary(rng, dim)[:, :rank] * sing) @ _unitary(rng, cols)[:rank, :]
+    q = _unitary(rng, dim) @ p
+    eye = np.eye(dim)
+    for want_unitary in (True, False):
+        u = complete_pairs(p, q, want_unitary=want_unitary)
+        assert opnorm(u @ p - q) <= 1e-8
+        if want_unitary:
+            assert opnorm(u.conj().T @ u - eye) <= 1e-12
+        else:
+            assert opnorm(u @ u.conj().T @ u - u) <= 1e-12
 
 
 def _ball_instance(rng, m, n, count, d_out=1):

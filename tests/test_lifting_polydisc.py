@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
@@ -30,6 +34,21 @@ from schurlift.lifting_polydisc import (
 from schurlift.linalg import herm, min_eig, opnorm
 
 from conftest import random_polydisc_nodes, scaled_targets
+
+INSTANCES = Path(__file__).resolve().parents[1] / "perfbench" / "instances.py"
+
+
+def _load_benchmark_generators():
+    """The benchmark's seeded instance generators, loaded from their file."""
+    spec = importlib.util.spec_from_file_location("perfbench_instances", INSTANCES)
+    module = importlib.util.module_from_spec(spec)
+    # Registered before it runs: its dataclass looks its module up by name.
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+GEN = _load_benchmark_generators()
 
 
 def _bidisc_instance(rng, count=3, scale=0.6, gamma=(1, 1)):
@@ -277,6 +296,23 @@ def test_np_solve_polydisc_end_to_end():
         assert res.certificate.verify_residual <= 1e-6
         for z, w in zip(nodes, targets):
             assert opnorm(res.phi(z) - w) <= 1e-6
+
+
+@pytest.mark.parametrize("case", ["fault-r16", "const-r32"])
+def test_np_solve_polydisc_verifies_ill_conditioned_pairs(case):
+    """Pair Grams with eigenvalues near 1e-5 (``fault-r16``) and 1e-10
+    (constant targets on 32 nodes) lift to a verify residual within the
+    CLI's 1e-7 ``verify_tol``."""
+    if case == "fault-r16":
+        nodes = GEN.polydisc_design(1, 16)
+        targets = [np.array([[0.02 * (z[0] + z[1]) / 2]]) for z in nodes]
+    else:
+        phases = GEN.random_phases(np.random.default_rng(1), 2)
+        nodes = GEN.rotate(GEN.polydisc_design(0, 32), phases)
+        targets = GEN.constant_targets(nodes)
+    res = np_solve_polydisc(KernelSpec.polydisc((1, 2)), nodes, targets)
+    assert isinstance(res, LiftResult)
+    assert res.certificate.verify_residual <= 1e-7
 
 
 def test_np_solve_polydisc_contractivity_screen():

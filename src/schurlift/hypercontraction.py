@@ -115,9 +115,10 @@ def defect(t: TupleOperator, spec: KernelSpec) -> DefectData:
     )
 
 
-def joint_eigenvalues(t: TupleOperator) -> np.ndarray | None:
-    """Joint eigenvalues of a diagonalizable tuple, one row ``lambda_a`` per
-    common eigenvector, or ``None`` when the tuple fails the self-check.
+def joint_eigenbasis(t: TupleOperator) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(V, lambda)`` with ``T_i = V diag(lambda[:, i]) V^{-1}``, unit-norm
+    columns ``V`` and one row ``lambda_a`` per common eigenvector of a
+    diagonalizable tuple, or ``None`` when the tuple fails the self-check.
 
     The eigenvectors ``V`` of one fixed generic combination ``sum c_i T_i``
     diagonalize every ``T_i`` together when the tuple is diagonalizable
@@ -139,7 +140,7 @@ def joint_eigenvalues(t: TupleOperator) -> np.ndarray | None:
         lam[:, i] = np.diag(conj)
         if opnorm(conj - np.diag(lam[:, i])) > JOINT_DIAG_TOL * (1.0 + opnorm(m)):
             return None
-    return lam
+    return vecs, lam
 
 
 def is_pure(t: TupleOperator, spec: KernelSpec) -> bool:
@@ -153,14 +154,14 @@ def is_pure(t: TupleOperator, spec: KernelSpec) -> bool:
     ``sum conj(T_i) (x) T_i`` is triangular with diagonal entries
     ``<lambda_a, lambda_b>`` and its spectral radius is the largest
     ``||lambda_a||^2``.  That costs one ``q x q`` eigenproblem; only tuples
-    whose joint eigenvalues fail the self-check of ``joint_eigenvalues``
+    whose joint eigenvalues fail the self-check of ``joint_eigenbasis``
     (non-diagonalizable or clustered) fall back to the eigenvalues of the
     ``q^2 x q^2`` matrix itself.
     """
     if spec.geometry == BALL:
-        lam = joint_eigenvalues(t)
-        if lam is not None:
-            radius = float(np.max(np.sum(np.abs(lam) ** 2, axis=1)))
+        basis = joint_eigenbasis(t)
+        if basis is not None:
+            radius = float(np.max(np.sum(np.abs(basis[1]) ** 2, axis=1)))
         else:
             mat = np.zeros((t.dim * t.dim, t.dim * t.dim), dtype=complex)
             for m in t.mats:

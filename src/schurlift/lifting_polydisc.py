@@ -9,8 +9,10 @@ The existence theory behind the decomposition is non-constructive; here
 feasibility is decided numerically by Dykstra's alternating projections
 between an affine subspace (the decomposition equation plus auxiliary
 variables pinned to the transformed operators) and a product of PSD
-cones.  Failure to converge is reported as inconclusive and is
-explicitly *not* an infeasibility certificate.
+cones, run in the joint eigenbasis of the tuple, where the affine
+projection is entrywise, and accelerated by Anderson extrapolation.
+Failure to converge, or a tuple without a joint eigenbasis, is reported
+as inconclusive and is explicitly *not* an infeasibility certificate.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .colligation import Colligation, build_polydisc_colligation
 from .errors import DimensionMismatch
-from .hypercontraction import hereditary
+from .hypercontraction import hereditary, joint_eigenbasis
 from .kernels import KernelSpec, indices_up_to, series_coeff
 from .linalg import as_matrix, checked_sqrt, clip_psd, herm, min_eig, opnorm
 from .lifting_ball import (
@@ -71,84 +73,44 @@ class AglerDecomposition:
 class Inconclusive:
     """An iterate that fails the acceptance checks: the forced summand of
     one variable, or the projected iterate at the iteration cap.  Carries
-    that iterate and its residuals."""
+    that iterate and its residuals.  A tuple without a joint eigenbasis is
+    not searched: ``iterations`` 0, ``{"joint_eigenbasis": "none"}``, no iterate."""
 
     iterations: int
     residuals: dict
     best: tuple[np.ndarray, ...]
 
 
-# --- Hermitian <-> real vector parametrization (Frobenius-isometric) ---
-#
-# A Hermitian ``q x q`` matrix maps to ``q^2`` reals: the diagonal, then
-# sqrt(2) Re and sqrt(2) Im of the strict upper triangle, row-major.
-# Both maps act on one matrix or on a stack ``(..., q, q)``.
-
-_SQRT2 = np.sqrt(2.0)
+#: History depth of the Anderson acceleration of the Dykstra map.
+ANDERSON_DEPTH = 5
 
 
-def _herm_to_vec(a: np.ndarray) -> np.ndarray:
-    iu, ju = np.triu_indices(a.shape[-1], 1)
-    upper = a[..., iu, ju]
-    diag = np.diagonal(a, axis1=-2, axis2=-1).real
-    return np.concatenate([diag, upper.real * _SQRT2, upper.imag * _SQRT2], axis=-1)
+def _entry_weights(lam: np.ndarray, gamma) -> np.ndarray:
+    """The symbols ``M_i[a, b] = prod_j (1 - lam_aj conj(lam_bj))^(gamma_j - delta_ij)``
+    of the transformed positivity maps in a joint eigenbasis, stacked ``(n, q, q)``."""
+    base = 1.0 - lam.T[:, :, None] * lam.T[:, None, :].conj()
+    full = np.prod([b**g for b, g in zip(base, gamma)], axis=0)
+    return full / base
 
 
-def _vec_to_herm(v: np.ndarray, q: int) -> np.ndarray:
-    iu, ju = np.triu_indices(q, 1)
-    off = iu.size
-    a = np.zeros(v.shape[:-1] + (q, q), dtype=complex)
-    diag = np.arange(q)
-    a[..., diag, diag] = v[..., :q]
-    upper = v[..., q : q + off] / _SQRT2 + 1j * (v[..., q + off :] / _SQRT2)
-    a[..., iu, ju] = upper
-    a[..., ju, iu] = upper.conj()
-    return a
+def _affine_projector(weights: np.ndarray, target: np.ndarray):
+    """Orthogonal projector onto ``sum_i Gamma_i = target``, ``H_i = M_i o Gamma_i``
+    for stacks ``(Gamma_1..Gamma_n, H_1..H_n)`` in the Frobenius metric.
 
-
-class _AffineProjector:
-    """Orthogonal projector onto the affine set
-
-    ``sum_i G_i = R`` and ``H_i = L_i(G_i)`` for all ``i``,
-
-    over the variables ``(G_1..G_n, H_1..H_n)`` in the Frobenius-isometric
-    real parametrization.  Substituting ``H_i = L_i G_i`` leaves the
-    least-squares problem ``min sum |G_i - g_i|^2 + |L_i G_i - h_i|^2``
-    under ``sum G_i = R``, whose solution is
-
-    ``G_i = y_i + N_i^{-1} mu``, ``y_i = N_i^{-1}(g_i + L_i^T h_i)``,
-    ``mu = K^{-1}(R - sum y_i)``,
-
-    with ``N_i = I + L_i^T L_i`` and ``K = sum N_i^{-1}`` (symmetric
-    positive definite, ``q^2``-square).  The build costs ``n + 1``
-    inversions of size ``q^2``; each projection is ``4n + 1``
-    matrix-vector products of that size.
+    Per entry it solves ``min sum |x_i - g_i|^2 + |m_i x_i - h_i|^2`` under
+    ``sum x_i = t``: ``x_i = (g_i + conj(m_i) h_i + mu) / (1 + |m_i|^2)``,
+    with ``mu`` fixed by the sum.  One projection costs O(n q^2).
     """
+    n = len(weights)
+    shrink = 1.0 / (1.0 + np.abs(weights) ** 2)
+    total = shrink.sum(axis=0)
 
-    def __init__(self, s: TupleOperator, gamma, r_target: np.ndarray):
-        self.n = s.n
-        self.q_real = s.dim * s.dim
-        basis = _vec_to_herm(np.eye(self.q_real), s.dim)
-        # Column b of L_i is the transform of the b-th basis matrix.
-        self.l = np.stack(
-            [_herm_to_vec(transformed_positivity(s, gamma, i, basis)).T for i in range(self.n)]
-        )
-        self.l_t = np.swapaxes(self.l, -1, -2)
-        self.n_inv = np.linalg.inv(np.eye(self.q_real) + self.l_t @ self.l)
-        self.k_inv = np.linalg.inv(self.n_inv.sum(axis=0))
-        self.b = _herm_to_vec(r_target)
+    def project(v):
+        y = shrink * (v[:n] + weights.conj() * v[n:])
+        gs = y + shrink * ((target - y.sum(axis=0)) / total)
+        return np.concatenate([gs, weights * gs])
 
-    def project(self, v: np.ndarray) -> np.ndarray:
-        g, h = v.reshape(2, self.n, self.q_real)
-        y = _matvec(self.n_inv, g + _matvec(self.l_t, h))
-        mu = self.k_inv @ (self.b - y.sum(axis=0))
-        gs = y + self.n_inv @ mu
-        return np.concatenate([gs, _matvec(self.l, gs)]).ravel()
-
-
-def _matvec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Products ``mats[i] @ vecs[i]`` over a stack."""
-    return (mats @ vecs[..., None])[..., 0]
+    return project
 
 
 def agler_feasibility(
@@ -175,12 +137,23 @@ def agler_feasibility(
     (the bottom eigenvalue of the transformed identity, over all ``i``)
     and ``min_eig(I - X X*)`` both exceed ``10 * tol``; otherwise the
     slack is 0 and the eigenvalue floor is ``-tol``.  The cone floor is
-    often round-off: for gamma=(1,2) on the benchmark's node design
-    ``polydisc_design(0, r)`` it is about 1e-14 at r=16 and negative
-    from r=24 on, so such instances run without slack.
+    often round-off: for gamma=(1,2) on ``polydisc_design(0, r)`` it is
+    about 1e-14 at r=16 and negative from r=24 on.
 
-    Every outcome comes from one summary of an iterate: the decomposition
-    if it passes, else ``Inconclusive`` with the same residuals.
+    Dykstra runs over ``Gamma_i = V^{-1} G_i V^{-*}`` in the joint
+    eigenbasis ``S_i = V Lambda_i V^{-1}`` of ``joint_eigenbasis``.  There
+    the transformed positivity is the Hadamard product with ``M_i``
+    (``_entry_weights``), so the affine projection is entrywise, and both
+    cones are congruent to the PSD cone; memory is O(n q^2).  The map
+    ``w -> P_A(P_C w) + w - P_C w`` is Anderson-accelerated: an
+    extrapolated point is kept only when its residual is no larger than
+    the plain step's, else the history is reset.  A tuple without a joint
+    eigenbasis returns ``Inconclusive`` at once.
+
+    Every outcome comes from one summary of an iterate (every tenth
+    iteration and at the cap), ``G_i = V Gamma_i V*`` plus the slack in
+    orthonormal coordinates: the decomposition if it passes, else
+    ``Inconclusive`` with the same residuals.
     """
     x = as_matrix(x)
     gamma = tuple(int(g) for g in gamma)
@@ -192,10 +165,10 @@ def agler_feasibility(
     r_target = herm(np.eye(q, dtype=complex) - x @ x.conj().T)
 
     def summarize(gs, iterations, floor):
-        recon = opnorm(sum(gs) - r_target)
-        cone = tuple(min_eig(transformed_positivity(s, gamma, i, gs[i])) for i in range(s.n))
-        own = tuple(min_eig(g) for g in gs)
         summands = tuple(herm(g) for g in gs)
+        recon = opnorm(sum(summands) - r_target)
+        cone = tuple(min_eig(transformed_positivity(s, gamma, i, g)) for i, g in enumerate(summands))
+        own = tuple(min_eig(g) for g in summands)
         if recon <= tol and all(e >= floor for e in cone + own):
             return AglerDecomposition(summands, recon, cone, own, iterations)
         residuals = {
@@ -231,28 +204,53 @@ def agler_feasibility(
     # operator square roots downstream never clip an eigenvalue.
     floor = tol if slack > 0.0 else -tol
 
-    projector = _AffineProjector(s, gamma, r_inner)
-    if initial is not None:
-        gs = [herm(as_matrix(g)) - pad for g in initial]
-    else:
-        gs = [r_inner / s.n for _ in range(s.n)]
-    hs = [transformed_positivity(s, gamma, i, gs[i]) for i in range(s.n)]
-    v = _herm_to_vec(np.stack(gs + hs)).ravel()
-    correction = np.zeros_like(v)
+    basis = joint_eigenbasis(s)
+    if basis is None:
+        return Inconclusive(iterations=0, residuals={"joint_eigenbasis": "none"}, best=())
+    vecs, lam = basis
+    vecs_inv = np.linalg.inv(vecs)
 
-    def unpack(vec):
-        return _vec_to_herm(vec.reshape(2 * s.n, -1), q)
+    def to_eig(a):
+        return herm(vecs_inv @ a @ vecs_inv.conj().T)
 
+    weights = _entry_weights(lam, gamma)
+    project = _affine_projector(weights, to_eig(r_inner))
+
+    def dykstra_map(w):
+        # The affine set needs no correction term.  Also returns ``P_A(P_C w)``.
+        v = clip_psd(w)
+        y = project(v)
+        return y + w - v, y
+
+    if initial is None:
+        initial = [r_target / s.n] * s.n
+    gs = to_eig(np.stack([herm(as_matrix(g)) - pad for g in initial]))
+    w = np.concatenate([gs, weights * gs])
+    fw = dykstra_map(w)[0]
+    # Anderson acceleration (Walker-Ni): the last ANDERSON_DEPTH changes of
+    # the residual ``F(w) - w`` and of the map value ``F(w)``.
+    res_changes, map_changes = [], []
     for it in range(1, max_iter + 1):
-        w = projector.project(v) + correction
-        # One stacked cone projection for all G_i and H_i.
-        v_new = _herm_to_vec(clip_psd(unpack(w))).ravel()
-        correction = w - v_new
-        v = v_new
+        res = fw - w
+        w_new = fw
+        if res_changes:
+            columns = np.stack([c.ravel().view(float) for c in res_changes], axis=1)
+            coef = np.linalg.lstsq(columns, res.ravel().view(float), rcond=None)[0]
+            w_new = fw - np.tensordot(coef, np.stack(map_changes), axes=1)
+        fw_new, y_new = dykstra_map(w_new)
+        # Safeguard: an extrapolation whose residual exceeds the plain
+        # step's length is dropped with the history, for the plain step.
+        if res_changes and np.linalg.norm(fw_new - w_new) > np.linalg.norm(res):
+            res_changes, map_changes = [], []
+            w_new = fw
+            fw_new, y_new = dykstra_map(w_new)
+        res_changes.append(fw_new - w_new - res)
+        map_changes.append(fw_new - fw)
+        del res_changes[:-ANDERSON_DEPTH], map_changes[:-ANDERSON_DEPTH]
+        w, fw, y = w_new, fw_new, y_new
 
         if it % 10 == 0 or it == max_iter:
-            gs_y = unpack(projector.project(v))[: s.n]
-            summary = summarize([g + pad for g in gs_y], it, floor)
+            summary = summarize(vecs @ y[: s.n] @ vecs.conj().T + pad, it, floor)
             if isinstance(summary, AglerDecomposition) or it == max_iter:
                 return summary
 

@@ -17,7 +17,7 @@ from schurlift import (
     sigma_sum,
 )
 from schurlift.errors import DimensionMismatch, NotConverged, NotHypercontraction
-from schurlift.hypercontraction import is_pure, joint_eigenvalues
+from schurlift.hypercontraction import is_pure, joint_eigenbasis
 from schurlift.kernels import indices_up_to, series_coeff
 from schurlift.linalg import herm, min_eig, opnorm
 from schurlift.model_space import TupleOperator
@@ -333,8 +333,16 @@ def _kronecker_radius(t):
 
 
 def _joint_radius(t):
-    lam = joint_eigenvalues(t)
-    assert lam is not None
+    basis = joint_eigenbasis(t)
+    assert basis is not None
+    vecs, lam = basis
+    # Unit-norm columns that diagonalize every T_i together, to the
+    # self-check's allowance amplified by the condition number of V.
+    assert np.allclose(np.linalg.norm(vecs, axis=0), 1.0, rtol=0, atol=1e-12)
+    allowance = 2e-10 * np.linalg.cond(vecs)
+    for i, m in enumerate(t.mats):
+        rebuilt = (vecs * lam[:, i]) @ np.linalg.inv(vecs)
+        assert opnorm(rebuilt - m) <= allowance * (1.0 + opnorm(m))
     return float(np.max(np.sum(np.abs(lam) ** 2, axis=1)))
 
 
@@ -379,6 +387,6 @@ def test_jordan_block_takes_the_kronecker_fallback():
     nilpotent = np.diag(np.ones(3), 1).astype(complex)
     for shift, pure in ((0.0, True), (0.5, True), (1.2, False)):
         t = TupleOperator((shift * np.eye(4) + 0.5 * nilpotent, 0.3 * nilpotent))
-        assert joint_eigenvalues(t) is None
+        assert joint_eigenbasis(t) is None
         assert is_pure(t, KernelSpec.ball(1, 2)) is pure
         assert (_kronecker_radius(t) < 1.0 - 1e-10) is pure

@@ -361,15 +361,12 @@ def _finish_infeasible(report: dict, outcome: Infeasible) -> int:
 
 
 def _finish_inconclusive(report: dict, outcome: Inconclusive) -> int:
+    # Every residual of the outcome: an iterate's three, or ``joint_eigenbasis``.
     report["status"] = "inconclusive"
-    report["certificates"].update(
-        {
-            "iterations": outcome.iterations,
-            "reconstruction_residual": outcome.residuals["reconstruction"],
-            "cone_min_eigs": outcome.residuals["cone_min_eigs"],
-            "summand_min_eigs": outcome.residuals["summand_min_eigs"],
-        }
-    )
+    report["certificates"]["iterations"] = outcome.iterations
+    for key, value in outcome.residuals.items():
+        key = "reconstruction_residual" if key == "reconstruction" else key
+        report["certificates"][key] = value
     return EXIT_INCONCLUSIVE
 
 

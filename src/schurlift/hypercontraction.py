@@ -32,6 +32,10 @@ JOINT_COND_LIMIT = 1e8
 #: Off-diagonal allowance of ``V^{-1} T_i V``, relative to ``1 + ||T_i||``.
 JOINT_DIAG_TOL = 1e-10
 
+#: Eigenvalues of the generic combination this close, relative to its
+#: ``1 + ||.||``, form one cluster for ``joint_eigenbasis`` to split.
+JOINT_CLUSTER_TOL = 1e-4
+
 #: A tuple is pure when its spectral radius is below ``1 - PURITY_MARGIN``.
 PURITY_MARGIN = 1e-10
 
@@ -115,23 +119,15 @@ def defect(t: TupleOperator, spec: KernelSpec) -> DefectData:
     )
 
 
-def joint_eigenbasis(t: TupleOperator) -> tuple[np.ndarray, np.ndarray] | None:
-    """``(V, lambda)`` with ``T_i = V diag(lambda[:, i]) V^{-1}``, unit-norm
-    columns ``V`` and one row ``lambda_a`` per common eigenvector of a
-    diagonalizable tuple, or ``None`` when the tuple fails the self-check.
+def _combination(mats, phase: float) -> np.ndarray:
+    """``sum_k exp(i phase k) (1 + k / 2) T_k``: fixed generic weights with
+    irrational phases and distinct moduli, no random state."""
+    k = np.arange(1, len(mats) + 1)
+    return sum(w * m for w, m in zip(np.exp(1j * phase * k) * (1.0 + 0.5 * k), mats))
 
-    The eigenvectors ``V`` of one fixed generic combination ``sum c_i T_i``
-    diagonalize every ``T_i`` together when the tuple is diagonalizable
-    with separated joint eigenvalues; ``lambda_ai`` is then the diagonal
-    of ``V^{-1} T_i V``.  The check requires ``V`` to be well conditioned
-    and each ``V^{-1} T_i V`` to be diagonal within ``JOINT_DIAG_TOL``
-    relative to ``||T_i||``.
-    """
-    # Fixed generic weights: irrational phases and distinct moduli, no random state.
-    k = np.arange(1, t.n + 1)
-    weights = np.exp(1j * np.sqrt(2.0) * k) * (1.0 + 0.5 * k)
-    combo = sum(w * m for w, m in zip(weights, t.mats))
-    _, vecs = np.linalg.eig(combo)
+
+def _checked_eigenbasis(t: TupleOperator, vecs: np.ndarray):
+    """``(vecs, lambda)`` if ``vecs`` passes the self-check, else ``None``."""
     if np.linalg.cond(vecs) > JOINT_COND_LIMIT:
         return None
     lam = np.empty((t.dim, t.n), dtype=complex)
@@ -141,6 +137,34 @@ def joint_eigenbasis(t: TupleOperator) -> tuple[np.ndarray, np.ndarray] | None:
         if opnorm(conj - np.diag(lam[:, i])) > JOINT_DIAG_TOL * (1.0 + opnorm(m)):
             return None
     return vecs, lam
+
+
+def joint_eigenbasis(t: TupleOperator) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(V, lambda)`` with ``T_i = V diag(lambda[:, i]) V^{-1}``, unit-norm
+    columns ``V`` and one row ``lambda_a`` per common eigenvector, or
+    ``None`` when the tuple fails the self-check: ``V`` well conditioned
+    and each ``V^{-1} T_i V`` diagonal within ``JOINT_DIAG_TOL`` relative
+    to ``||T_i||``.
+
+    ``V`` are the eigenvectors of a fixed generic combination of the
+    ``T_i``.  When they fail the check, each cluster of the combination's
+    eigenvalues (within ``JOINT_CLUSTER_TOL``) is split by a second
+    combination; for pairs the two separate any two distinct joint eigenvalues.
+    """
+    combo = _combination(t.mats, np.sqrt(2.0))
+    vals, vecs = np.linalg.eig(combo)
+    basis = _checked_eigenbasis(t, vecs)
+    if basis is not None:
+        return basis
+    # A cluster's eigenvectors are only right as a span, which every T_i
+    # leaves invariant: with an orthonormal basis Q of it, the eigenvectors
+    # W of a second combination of the Q* T_i Q give unit-norm columns Q W.
+    near = np.abs(vals[:, None] - vals) <= JOINT_CLUSTER_TOL * (1.0 + opnorm(combo))
+    for members in np.unique(near[near.sum(axis=1) > 1], axis=0):
+        q = np.linalg.qr(vecs[:, members])[0]
+        parts = [q.conj().T @ m @ q for m in t.mats]
+        vecs[:, members] = q @ np.linalg.eig(_combination(parts, np.sqrt(3.0)))[1]
+    return _checked_eigenbasis(t, vecs)
 
 
 def is_pure(t: TupleOperator, spec: KernelSpec) -> bool:
@@ -154,9 +178,9 @@ def is_pure(t: TupleOperator, spec: KernelSpec) -> bool:
     ``sum conj(T_i) (x) T_i`` is triangular with diagonal entries
     ``<lambda_a, lambda_b>`` and its spectral radius is the largest
     ``||lambda_a||^2``.  That costs one ``q x q`` eigenproblem; only tuples
-    whose joint eigenvalues fail the self-check of ``joint_eigenbasis``
-    (non-diagonalizable or clustered) fall back to the eigenvalues of the
-    ``q^2 x q^2`` matrix itself.
+    without a ``joint_eigenbasis`` (non-diagonalizable, or a cluster the
+    second combination does not split) fall back to the eigenvalues of
+    the ``q^2 x q^2`` matrix itself.
     """
     if spec.geometry == BALL:
         basis = joint_eigenbasis(t)

@@ -22,6 +22,7 @@ from schurlift.cli import (
     run,
 )
 from schurlift.errors import ParseError, ValidationError
+from schurlift.lifting_polydisc import Inconclusive
 from schurlift.transfer import TransferFunction
 
 from conftest import random_ball_nodes, random_polydisc_nodes, scaled_targets
@@ -150,6 +151,38 @@ def test_run_polydisc_solved_and_inconclusive():
     report, code = run(inst)
     assert code == EXIT_INCONCLUSIVE
     assert report["status"] == "inconclusive"
+
+
+#: Two nodes on which the generic combination ``sum_k w_k S_k`` of
+#: ``joint_eigenbasis``, ``w_k = exp(i sqrt(2) k) (1 + k / 2)``, takes one
+#: eigenvalue: ``w_1 (0.3 - 0) + w_2 (z - 0) = 0``.
+DEGENERATE_PAIR_Z2 = -0.225 * np.exp(-1j * np.sqrt(2.0))
+DEGENERATE_PAIR = dict(
+    BIDISC,
+    nodes=[[[0.0, 0.0], [0.0, 0.0]], [[0.3, 0.0], [DEGENERATE_PAIR_Z2.real, DEGENERATE_PAIR_Z2.imag]]],
+    targets=[[[[0.1, 0.0]]], [[[-0.05, 0.0]]]],
+)
+
+
+@pytest.mark.parametrize("gamma", [[1, 1], [1, 2]])
+def test_run_polydisc_solves_nodes_of_a_degenerate_combination(gamma):
+    report, code = run(parse_instance(json.dumps(dict(DEGENERATE_PAIR, gamma=gamma))))
+    assert code == EXIT_SOLVED
+    assert report["certificates"]["verify_residual"] <= 1e-10
+    assert report["certificates"]["max_node_residual"] <= 1e-10
+
+
+def test_inconclusive_report_without_a_joint_eigenbasis(monkeypatch):
+    monkeypatch.setattr(
+        cli,
+        "np_solve_polydisc",
+        lambda *args, **kwargs: Inconclusive(0, {"joint_eigenbasis": "none"}, ()),
+    )
+    report, code = run(parse_instance(json.dumps(BIDISC)))
+    assert code == EXIT_INCONCLUSIVE
+    assert report["status"] == "inconclusive"
+    assert report["certificates"]["iterations"] == 0
+    assert report["certificates"]["joint_eigenbasis"] == "none"
 
 
 def test_run_lift_pm_mode():

@@ -383,6 +383,27 @@ def test_joint_spectrum_radius_model_and_dilation_tuples(seed, r, n, m, d):
     _assert_gate_matches_kronecker(model_tuple(build_subspace(KernelSpec.ball(m + 1, n, d), nodes)))
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_joint_eigenbasis_splits_a_degenerate_combination(d):
+    # Two nodes with w_1 dz_1 + w_2 dz_2 = 0 for the fixed weights
+    # w_k = exp(i sqrt(2) k) (1 + k / 2): the first combination has a
+    # double eigenvalue on distinct joint eigenvalues, and its arbitrary
+    # eigenvectors fail the self-check.
+    weights = np.exp(1j * np.sqrt(2.0) * np.arange(1, 3)) * (1.0 + 0.5 * np.arange(1, 3))
+    step = np.array([weights[1], -weights[0]]) * 0.3 / abs(weights[1])
+    nodes = np.array([(0.1, -0.2j), (0.1 + step[0], -0.2j + step[1]), (-0.4, 0.3)])
+    for spec in (KernelSpec.polydisc((1, 2), d), KernelSpec.ball(1, 2, d)):
+        t = model_tuple(build_subspace(spec, [tuple(z) for z in nodes]))
+        vecs, lam = joint_eigenbasis(t)
+        assert np.allclose(np.linalg.norm(vecs, axis=0), 1.0, rtol=0, atol=1e-12)
+        for i, m in enumerate(t.mats):
+            rebuilt = (vecs * lam[:, i]) @ np.linalg.inv(vecs)
+            assert opnorm(rebuilt - m) <= 2e-10 * np.linalg.cond(vecs) * (1.0 + opnorm(m))
+        # The joint spectrum is the node set, each node d times.
+        hits = np.linalg.norm(lam[:, None, :] - nodes[None, :, :], axis=2) < 1e-10
+        assert (hits.sum(axis=0) == d).all() and (hits.sum(axis=1) == 1).all()
+
+
 def test_jordan_block_takes_the_kronecker_fallback():
     nilpotent = np.diag(np.ones(3), 1).astype(complex)
     for shift, pure in ((0.0, True), (0.5, True), (1.2, False)):

@@ -150,7 +150,31 @@ def joint_eigenbasis(t: TupleOperator) -> tuple[np.ndarray, np.ndarray] | None:
     ``T_i``.  When they fail the check, each cluster of the combination's
     eigenvalues (within ``JOINT_CLUSTER_TOL``) is split by a second
     combination; for pairs the two separate any two distinct joint eigenvalues.
+
+    The result is computed once per tuple and kept on it, keyed on the
+    identity of ``t.mats``: rebinding ``t.mats`` recomputes it, while
+    changing a matrix in place is not seen.  The returned arrays are
+    shared by every caller and therefore read-only.
     """
+    cached = getattr(t, "_joint_eigenbasis", None)
+    if cached is not None and cached[0] is t.mats:
+        return cached[1]
+    basis = _compute_joint_eigenbasis(t)
+    if basis is not None:
+        for a in basis:
+            a.flags.writeable = False
+    t._joint_eigenbasis = (t.mats, basis)
+    return basis
+
+
+def ball_spectral_radius(lam: np.ndarray) -> float:
+    """Spectral radius ``max_a ||lambda_a||^2`` of ``sigma_T`` from the joint
+    eigenvalues ``lambda`` of ``joint_eigenbasis``."""
+    return float(np.max(np.sum(np.abs(lam) ** 2, axis=1)))
+
+
+def _compute_joint_eigenbasis(t: TupleOperator) -> tuple[np.ndarray, np.ndarray] | None:
+    """The uncached ``joint_eigenbasis``."""
     combo = _combination(t.mats, np.sqrt(2.0))
     vals, vecs = np.linalg.eig(combo)
     basis = _checked_eigenbasis(t, vecs)
@@ -185,7 +209,7 @@ def is_pure(t: TupleOperator, spec: KernelSpec) -> bool:
     if spec.geometry == BALL:
         basis = joint_eigenbasis(t)
         if basis is not None:
-            radius = float(np.max(np.sum(np.abs(basis[1]) ** 2, axis=1)))
+            radius = ball_spectral_radius(basis[1])
         else:
             mat = np.zeros((t.dim * t.dim, t.dim * t.dim), dtype=complex)
             for m in t.mats:

@@ -20,7 +20,14 @@ from .errors import (
     NotPositive,
     NotPure,
 )
-from .hypercontraction import cp_map, defect, hereditary, is_pure
+from .hypercontraction import (
+    ball_spectral_radius,
+    cp_map,
+    defect,
+    hereditary,
+    is_pure,
+    joint_eigenbasis,
+)
 from .kernels import KernelSpec, kernel_matrix
 from .linalg import as_matrix, herm, min_eig, opnorm, pick_blocks, psd_tolerance
 from .model_space import (
@@ -40,7 +47,11 @@ from .transfer import (
 INTERTWINE_TOL = 1e-10
 CONTRACTION_SLACK = 1e-10
 
-#: Cap on the series order used for the built-in lift verification.
+#: Cap on the series order used for the built-in lift verification.  The
+#: order is the first ``k`` with ``||Delta|| sqrt(||sigma_S^{k+1}(I)||) <= 1e-12``.
+#: Since ``||sigma_S^k(I)|| >= rho^k`` for the spectral radius ``rho`` of
+#: ``sigma_S``, every ``k`` with ``||Delta|| rho^{(k+1)/2} > 2e-12`` is known
+#: to fail that test, and the search starts after them.
 SERIES_ORDER_CAP = 60
 
 
@@ -158,6 +169,16 @@ def lift_ball(
     ``NotHypercontraction``, and ``check_positivity``).  Kernel spans pass
     evaluation at the origin, so the emitted function acts between their
     coefficient spaces.
+
+    The series order is the first ``k < SERIES_ORDER_CAP`` whose tail bound
+    ``||Delta|| sqrt(||sigma_S^{k+1}(I)||)`` is at most 1e-12, else the cap.
+    For the positive map ``sigma_S``, ``||sigma_S^k(I)|| = ||sigma_S^k|| >=
+    rho^k`` with ``rho = max_a ||lambda_a||^2`` its spectral radius, read from
+    the ``joint_eigenbasis`` the purity gate computed.  So every order with
+    ``||Delta|| rho^{(k+1)/2} > 2e-12`` fails the test without being tried
+    (the factor 2 absorbs round-off in ``rho``), and when all orders below
+    the cap do, no tail is built.  A tuple without a joint eigenbasis takes
+    ``rho = 0`` and tries every order from 1.
     """
     x = as_matrix(x)
     in_map, out_map = _lift_preamble(t, s, x, KernelSpec.ball(m, t.n), in_map, out_map)
@@ -168,12 +189,20 @@ def lift_ball(
     phi = TransferFunction(coll)
 
     # Pick the truncation from the a-priori tail bound, then sum once.
+    # Orders whose spectral lower bound already exceeds it are skipped.
     delta_norm = coll.delta_norm if coll.delta_norm is not None else 1.0
+    basis = joint_eigenbasis(s)
+    rho = ball_spectral_radius(basis[1]) if basis is not None else 0.0
     order = 1
-    tail = cp_map(s, cp_map(s, np.eye(s.dim, dtype=complex)))
-    while delta_norm * np.sqrt(max(opnorm(tail), 0.0)) > 1e-12 and order < SERIES_ORDER_CAP:
+    while order < SERIES_ORDER_CAP and delta_norm * rho ** ((order + 1) / 2) > 2e-12:
         order += 1
-        tail = cp_map(s, tail)
+    if order < SERIES_ORDER_CAP:
+        tail = np.eye(s.dim, dtype=complex)
+        for _ in range(order + 1):
+            tail = cp_map(s, tail)
+        while delta_norm * np.sqrt(opnorm(tail)) > 1e-12 and order < SERIES_ORDER_CAP:
+            order += 1
+            tail = cp_map(s, tail)
     partial = _series_partial_sum(coll, s, order)
     series_residual = opnorm(partial - coll.out_target)
 

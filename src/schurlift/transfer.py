@@ -177,7 +177,7 @@ def series_partial_lift(
     tail = np.eye(s.dim, dtype=complex)
     for _ in range(order + 1):
         tail = cp_map(s, tail)
-    bound = float(np.sqrt(max(opnorm(tail), 0.0)))
+    bound = float(np.sqrt(opnorm(tail)))
     if coll.delta_norm is not None:
         bound *= coll.delta_norm
     return partial, bound

@@ -411,3 +411,25 @@ def test_jordan_block_takes_the_kronecker_fallback():
         assert joint_eigenbasis(t) is None
         assert is_pure(t, KernelSpec.ball(1, 2)) is pure
         assert (_kronecker_radius(t) < 1.0 - 1e-10) is pure
+
+
+def test_joint_eigenbasis_is_cached_read_only_and_follows_mats():
+    rng = np.random.default_rng(11)
+    t = random_normal_tuple(rng, 4, 2, radius=0.6)
+    vecs, lam = joint_eigenbasis(t)
+    # The second call returns the cached arrays, which no caller can change.
+    again = joint_eigenbasis(t)
+    assert again[0] is vecs and again[1] is lam
+    for a in (vecs, lam):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 0.0
+    # Rebinding the matrices recomputes the basis for the new tuple.
+    t.mats = tuple(2.0 * m for m in t.mats)
+    vecs2, lam2 = joint_eigenbasis(t)
+    assert vecs2 is not vecs
+    assert np.allclose(np.sort_complex(lam2[:, 0]), np.sort_complex(2.0 * lam[:, 0]), atol=1e-12)
+    nilpotent = np.diag(np.ones(3), 1).astype(complex)
+    t.mats = (0.5 * nilpotent, 0.3 * nilpotent)
+    assert joint_eigenbasis(t) is None
+    assert joint_eigenbasis(t) is None

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import schurlift.hypercontraction as hypercontraction
 import schurlift.lifting_ball as lifting_ball
 from schurlift import (
     Infeasible,
@@ -22,8 +23,9 @@ from schurlift import (
 from schurlift.errors import NotContraction, NotIntertwining, NotPositive
 from schurlift.hypercontraction import cp_map, defect, hereditary
 from schurlift.kernels import kernel_eval
-from schurlift.lifting_ball import target_pick_matrix
+from schurlift.lifting_ball import SERIES_ORDER_CAP, KernelSpans, target_pick_matrix
 from schurlift.linalg import herm, min_eig, opnorm
+from schurlift.model_space import TupleOperator
 
 from conftest import (
     random_ball_nodes,
@@ -93,6 +95,84 @@ def test_lift_identity_intertwiner():
         gap=check_positivity(s, x, 2).matrix,
     )
     assert np.array_equal(given_data.colligation.matrix, res.colligation.matrix)
+
+
+def _reference_series_order(coll, s):
+    """The series order from its definition: the first order whose tail
+    bound ``||Delta|| sqrt(||sigma_S^{order+1}(I)||)`` is at most 1e-12,
+    trying every order from 1 up to the cap."""
+    delta_norm = coll.delta_norm if coll.delta_norm is not None else 1.0
+    order = 1
+    tail = cp_map(s, cp_map(s, np.eye(s.dim, dtype=complex)))
+    while delta_norm * np.sqrt(opnorm(tail)) > 1e-12 and order < SERIES_ORDER_CAP:
+        order += 1
+        tail = cp_map(s, tail)
+    return order
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    r=st.integers(1, 8),
+    m=st.sampled_from([1, 2, 3]),
+    radius=st.floats(0.3, 0.9),
+)
+@example(seed=0, r=2, m=1, radius=0.3)  # below the cap
+@example(seed=0, r=8, m=2, radius=0.9)  # at the cap
+def test_series_order_matches_the_definition(seed, r, m, radius):
+    rng = np.random.default_rng(seed)
+    spec = KernelSpec.ball(m, 2)
+    nodes = random_ball_nodes(rng, r, 2, radius=radius, min_sep=0.3 * radius)
+    spans = KernelSpans.build(spec, nodes, scaled_targets(rng, spec, nodes))
+    res = lift_ball(spans.t, spans.s, spans.x, m, **spans.coeff_maps())
+    assert res.certificate.series_order == _reference_series_order(res.colligation, spans.s)
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.2])
+@pytest.mark.parametrize("m", [1, 2])
+def test_series_order_without_a_joint_eigenbasis(shift, m):
+    # A Jordan block has no joint eigenbasis, so no order is skipped.
+    nilpotent = np.diag(np.ones(3), 1).astype(complex)
+    s = TupleOperator((shift * np.eye(4) + 0.3 * nilpotent, 0.3 * nilpotent))
+    assert hypercontraction.joint_eigenbasis(s) is None
+    res = lift_ball(s, s, 0.5 * np.eye(4), m)
+    assert res.certificate.series_order == _reference_series_order(res.colligation, s)
+    assert res.certificate.verify_residual <= 1e-12
+
+
+def test_capped_lift_skips_the_order_search(monkeypatch):
+    # At radius 0.8 every order below the cap fails the spectral lower
+    # bound, so the order needs no cp_map, and the purity gate's joint
+    # eigenbasis of each tuple is computed once per np_solve.
+    cp_calls = []
+    eig_calls = []
+    pure_calls = []
+    compute = hypercontraction._compute_joint_eigenbasis
+
+    def counted_compute(t):
+        eig_calls.append(t)
+        return compute(t)
+
+    def counted_cp_map(t, a):
+        cp_calls.append(t)
+        return cp_map(t, a)
+
+    def counted_is_pure(t, spec):
+        pure_calls.append(t)
+        return hypercontraction.is_pure(t, spec)
+
+    monkeypatch.setattr(hypercontraction, "_compute_joint_eigenbasis", counted_compute)
+    monkeypatch.setattr(lifting_ball, "cp_map", counted_cp_map)
+    monkeypatch.setattr(lifting_ball, "is_pure", counted_is_pure)
+    rng = np.random.default_rng(5)
+    spec = KernelSpec.ball(2, 2)
+    nodes = random_ball_nodes(rng, 10, 2, radius=0.8, min_sep=0.2)
+    res = np_solve(spec, nodes, scaled_targets(rng, spec, nodes))
+    assert isinstance(res, LiftResult)
+    assert res.certificate.series_order == SERIES_ORDER_CAP
+    assert cp_calls == []
+    assert len(pure_calls) == 2
+    assert len(eig_calls) == 2 and eig_calls[0] is not eig_calls[1]
 
 
 def test_lift_rejects_expansive_and_nonintertwining():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import schurlift.hypercontraction as hypercontraction
 from schurlift import (
     AglerDecomposition,
     Inconclusive,
@@ -484,3 +485,25 @@ def test_affine_projector_matches_dense_reference(gamma, count):
         assert np.allclose(out, herm(out), rtol=0, atol=1e-14)
         assert opnorm(sum(out[:n]) - target) <= 1e-12 * (1 + opnorm(target))
         assert np.linalg.norm(project(out) - out) <= 1e-12 * np.linalg.norm(out)
+
+
+def test_feasibility_reads_the_cached_joint_eigenbasis(monkeypatch):
+    calls = []
+    compute = hypercontraction._compute_joint_eigenbasis
+
+    def counted(t):
+        calls.append(t)
+        return compute(t)
+
+    monkeypatch.setattr(hypercontraction, "_compute_joint_eigenbasis", counted)
+    rng = np.random.default_rng(21)
+    spec = KernelSpec.polydisc((1, 2))
+    nodes = random_polydisc_nodes(rng, 3, 2)
+    s = model_tuple(build_subspace(spec, nodes))
+    x = 0.3 * np.eye(s.dim, dtype=complex)
+    first = agler_feasibility(s, x, (1, 2))
+    second = agler_feasibility(s, x, (1, 2))
+    assert isinstance(first, AglerDecomposition)
+    assert len(calls) == 1
+    for a, b in zip(first.summands, second.summands):
+        assert np.array_equal(a, b)

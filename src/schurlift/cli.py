@@ -74,9 +74,11 @@ def _as_complex(value, path: str) -> complex:
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
-        or not all(isinstance(v, (int, float)) for v in value)
+        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
     ):
         raise ParseError("complex numbers are [re, im] pairs", path)
+    if not all(math.isfinite(v) for v in value):
+        raise ParseError("complex numbers must be finite", path)
     return complex(value[0], value[1])
 
 
@@ -125,7 +127,8 @@ def _get(doc: dict, key: str, types, path: str, required: bool = True, default=N
             raise ParseError(f"missing field '{key}'", path)
         return default
     value = doc[key]
-    if types is not None and not isinstance(value, types):
+    # No field is a boolean, and a JSON boolean is no integer.
+    if types is not None and (isinstance(value, bool) or not isinstance(value, types)):
         raise ParseError(f"field '{key}' has wrong type", f"{path}.{key}")
     return value
 
@@ -155,7 +158,7 @@ def parse_instance(text: str) -> ProblemInstance:
             raise ValidationError(str(exc), "$.m")
     elif geometry == "polydisc":
         gamma = _get(doc, "gamma", list, "$")
-        if len(gamma) != n or not all(isinstance(g, int) for g in gamma):
+        if len(gamma) != n or not all(isinstance(g, int) and not isinstance(g, bool) for g in gamma):
             raise ValidationError("gamma must be a list of n integers", "$.gamma")
         try:
             spec = KernelSpec.polydisc(gamma, d_e)
@@ -495,7 +498,7 @@ def run(inst: ProblemInstance, *, csv_stream=None, certify: bool = False) -> tup
             scan = sup_norm_scan(phi, grid)
             report["certificates"]["sup_norm"] = {
                 "max": scan.max_norm,
-                "points": len(scan.rows),
+                "points": len(scan.norms),
             }
             if csv_stream is not None:
                 write_scan_csv(scan, inst.spec.n, csv_stream)

@@ -119,10 +119,13 @@ class KernelSpec:
             self.require_interior(pts[first])
         return pts
 
-    def first_exterior(self, pts: np.ndarray) -> int:
+    def first_exterior(self, pts: np.ndarray, gaps: np.ndarray | None = None) -> int:
         """Index of the first row of an ``(N, n)`` array that ``require_interior``
-        rejects, or ``N`` when every row is strictly interior."""
-        bad = np.flatnonzero(self._gaps(pts) <= DOMAIN_MARGIN)
+        rejects, or ``N`` when every row is strictly interior.  ``gaps``, when
+        given, are the rows' ``_gaps``, already computed."""
+        if gaps is None:
+            gaps = self._gaps(pts)
+        bad = np.flatnonzero(gaps <= DOMAIN_MARGIN)
         return int(bad[0]) if bad.size else len(pts)
 
 

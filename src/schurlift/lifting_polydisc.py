@@ -227,26 +227,32 @@ def agler_feasibility(
     gs = to_eig(np.stack([herm(as_matrix(g)) - pad for g in initial]))
     w = np.concatenate([gs, weights * gs])
     fw = dykstra_map(w)[0]
-    # Anderson acceleration (Walker-Ni): the last ANDERSON_DEPTH changes of
-    # the residual ``F(w) - w`` and of the map value ``F(w)``.
-    res_changes, map_changes = [], []
+    # Anderson acceleration (Walker-Ni): the last ``depth`` changes of the
+    # residual ``F(w) - w``, as real columns oldest first, and of the map
+    # value ``F(w)``, as rows.
+    res_changes = np.empty((2 * w.size, ANDERSON_DEPTH), order="F")
+    map_changes = np.empty((ANDERSON_DEPTH, w.size), dtype=complex)
+    depth = 0
     for it in range(1, max_iter + 1):
         res = fw - w
         w_new = fw
-        if res_changes:
-            columns = np.stack([c.ravel().view(float) for c in res_changes], axis=1)
-            coef = np.linalg.lstsq(columns, res.ravel().view(float), rcond=None)[0]
-            w_new = fw - np.tensordot(coef, np.stack(map_changes), axes=1)
+        if depth:
+            coef = np.linalg.lstsq(res_changes[:, :depth], res.ravel().view(float), rcond=None)[0]
+            w_new = fw - (coef @ map_changes[:depth]).reshape(w.shape)
         fw_new, y_new = dykstra_map(w_new)
         # Safeguard: an extrapolation whose residual exceeds the plain
         # step's length is dropped with the history, for the plain step.
-        if res_changes and np.linalg.norm(fw_new - w_new) > np.linalg.norm(res):
-            res_changes, map_changes = [], []
+        if depth and np.linalg.norm(fw_new - w_new) > np.linalg.norm(res):
+            depth = 0
             w_new = fw
             fw_new, y_new = dykstra_map(w_new)
-        res_changes.append(fw_new - w_new - res)
-        map_changes.append(fw_new - fw)
-        del res_changes[:-ANDERSON_DEPTH], map_changes[:-ANDERSON_DEPTH]
+        if depth == ANDERSON_DEPTH:
+            res_changes[:, :-1] = res_changes[:, 1:]
+            map_changes[:-1] = map_changes[1:]
+            depth -= 1
+        res_changes[:, depth] = (fw_new - w_new - res).ravel().view(float)
+        map_changes[depth] = (fw_new - fw).ravel()
+        depth += 1
         w, fw, y = w_new, fw_new, y_new
 
         if it % 10 == 0 or it == max_iter:

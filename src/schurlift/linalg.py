@@ -29,10 +29,28 @@ def herm(a: np.ndarray) -> np.ndarray:
     return (a + np.swapaxes(a, -1, -2).conj()) / 2.0
 
 
+def opnorms(a: np.ndarray) -> np.ndarray:
+    """Operator 2-norms of a stack of matrices ``(..., d_out, d_in)``.
+
+    A row or a column (``min(d_out, d_in) == 1``) takes the Euclidean norm
+    of its entries, as a chain of ``hypot`` with no SVD, so it neither
+    overflows nor underflows; its last bit may differ from the largest
+    singular value's.  Other shapes take the largest singular value of the
+    stacked SVD.  Empty matrices have norm 0.
+    """
+    a = np.asarray(a)
+    shape = a.shape[-2:]
+    if 0 in shape:
+        return np.zeros(a.shape[:-2])
+    if min(shape) == 1:
+        return np.hypot.reduce(np.abs(a.reshape(*a.shape[:-2], shape[0] * shape[1])), axis=-1)
+    return np.linalg.svd(a, compute_uv=False)[..., 0]
+
+
 def opnorm(a: np.ndarray) -> float:
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.norm(a, 2))
+    """Operator 2-norm of one matrix: ``opnorms`` of the one-matrix stack, so
+    that a norm taken alone and one taken in a stack agree bit for bit."""
+    return float(opnorms(np.asarray(a)[None])[0])
 
 
 def min_eig(a: np.ndarray) -> float:

@@ -9,7 +9,6 @@ functions is certified by sampling the Pick-type kernel.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +17,7 @@ from .errors import DomainViolation, NearSingularResolvent
 from .colligation import BALL_ROW, Colligation
 from .hypercontraction import cp_map
 from .kernels import KernelSpec, kernel_matrix
-from .linalg import as_matrix, herm, opnorm, pick_blocks
+from .linalg import as_matrix, herm, opnorm, opnorms, pick_blocks
 from .model_space import TupleOperator
 
 #: Points where the resolvent condition number exceeds this are rejected.
@@ -109,7 +108,8 @@ class TransferFunction:
     def _eval_chunk(self, pts: np.ndarray) -> np.ndarray:
         """Values at the interior prefix of ``pts``; raises for its first bad point."""
         coll = self.colligation
-        exterior = self.domain.first_exterior(pts)
+        gaps = self.domain._gaps(pts)
+        exterior = self.domain.first_exterior(pts, gaps)
         inside = pts[:exterior]
         a_adj = coll.block_a.conj().T
         if sum(coll.in_state_dims) == 0:
@@ -127,8 +127,9 @@ class TransferFunction:
                 weights = np.repeat(inside, coll.in_state_dims, axis=1)[:, :, None]
                 zd = weights * coll.block_d.conj().T[None]
                 zb = weights * coll.block_b.conj().T[None]
-            resolvents = np.eye(zd.shape[-1], dtype=complex) - zd
-            unsure = np.flatnonzero(~self._gate_clears(inside))
+            # The resolvents ``I - Z D*`` are built in the buffer of ``zd``.
+            resolvents = np.subtract(np.eye(zd.shape[-1], dtype=complex), zd, out=zd)
+            unsure = np.flatnonzero(~self._gate_clears(gaps[:exterior]))
             singular = unsure[np.linalg.cond(resolvents[unsure]) >= COND_LIMIT]
             if singular.size:
                 raise NearSingularResolvent(
@@ -139,8 +140,9 @@ class TransferFunction:
             self.domain.require_interior(pts[exterior])
         return values
 
-    def _gate_clears(self, inside: np.ndarray) -> np.ndarray:
-        """Mask of the points whose resolvent is provably well conditioned.
+    def _gate_clears(self, gaps: np.ndarray) -> np.ndarray:
+        """Mask of the points, given by their boundary gaps, whose resolvent
+        is provably well conditioned.
 
         With ``t = ||Z|| ||D||`` and ``||Z|| = sqrt(1 - gap)`` (the ball row
         norm or the polydisc max modulus), Weyl's inequality gives
@@ -148,7 +150,7 @@ class TransferFunction:
         below fails for ``t >= 1`` and for a NaN ``t``, so those points keep
         the SVD.
         """
-        t = np.sqrt(1.0 - self.domain._gaps(inside)) * self._d_norm
+        t = np.sqrt(1.0 - gaps) * self._d_norm
         return 1.0 + t < _GATE_LIMIT * (1.0 - t)
 
 
@@ -272,62 +274,81 @@ class GridSpec:
             raise ValueError(f"grid radius must lie in (0, 1), got {self.radius}")
 
 
-def grid_points(grid: GridSpec, geometry: str, n: int) -> list[tuple[complex, ...]]:
-    """Full product grid over the coordinates, in deterministic order.
+def grid_points(grid: GridSpec, geometry: str, n: int) -> np.ndarray:
+    """Full product grid over the coordinates as an ``(N, n)`` complex array.
 
-    On the ball the per-axis radius is shrunk by ``sqrt(n)`` so every
-    product point stays inside the unit sphere.
+    The axis holds ``radii * angles`` values, radius-major; the points run
+    over the axis to the power ``n`` with the first coordinate the slowest,
+    the order of ``itertools.product``.  On the ball the per-axis radius is
+    shrunk by ``sqrt(n)`` so every product point stays inside the unit
+    sphere.
     """
     on_ball = geometry in (BALL_ROW, "ball")
     scale = grid.radius / np.sqrt(n) if on_ball else grid.radius
-    axis_values = []
-    for t in range(grid.radii):
-        r = scale * (t + 1) / grid.radii
-        for a in range(grid.angles):
-            theta = 2.0 * np.pi * a / grid.angles
-            axis_values.append(r * np.exp(1j * theta))
-    return [tuple(p) for p in itertools.product(axis_values, repeat=n)]
+    radii = scale * np.arange(1, grid.radii + 1) / grid.radii
+    phases = np.exp(1j * (2.0 * np.pi * np.arange(grid.angles) / grid.angles))
+    axis = (radii[:, None] * phases[None, :]).ravel()
+    return np.stack(np.meshgrid(*[axis] * n, indexing="ij"), axis=-1).reshape(-1, n)
 
 
 @dataclass
 class ScanResult:
+    """Operator norms of a function over scanned points: the points
+    ``(N, n)``, their norms ``(N,)`` and the largest norm (0 for no points)."""
+
+    points: np.ndarray
+    norms: np.ndarray
     max_norm: float
-    rows: list[tuple[tuple[complex, ...], float]]
 
 
 def sup_norm_scan(phi_eval, points) -> ScanResult:
-    """Operator norm of the function over the points, plus per-point rows."""
+    """Operator norm of the function at each point, and their maximum.
+
+    The values are evaluated in one batch and their norms taken by one
+    ``opnorms`` call, so each equals ``opnorm`` of the value alone.
+    """
     pts = _point_array(points)
-    norms = np.linalg.norm(values_at(phi_eval, pts), 2, axis=(-2, -1)).tolist()
-    coords = pts.tolist() if isinstance(pts, np.ndarray) else pts
-    return ScanResult(max_norm=max([0.0, *norms]), rows=list(zip(map(tuple, coords), norms)))
+    norms = opnorms(values_at(phi_eval, pts))
+    if not isinstance(pts, np.ndarray):
+        raise DomainViolation("scan points must all have the same number of coordinates")
+    # ``fmax`` skips NaN norms, as the comparison ``max`` of floats did.
+    return ScanResult(points=pts, norms=norms, max_norm=float(np.fmax.reduce(norms, initial=0.0)))
 
 
 def _point_array(points):
     """Points of equal size as one ``(N, n)`` complex array, converted once.
 
-    Scalars count as one-coordinate points.  Otherwise the points stay a
-    list of rows, so that the evaluator names the first misfit.
+    An ``(N, n)`` complex array is used as it is.  Scalars count as
+    one-coordinate points, and no points give a ``(0, 0)`` array.
+    Otherwise the points stay a list of rows, so that the evaluator names
+    the first misfit.
     """
+    if isinstance(points, np.ndarray) and points.ndim == 2:
+        return points.astype(complex, copy=False)
     rows = list(points)
+    if not rows:
+        return np.zeros((0, 0), dtype=complex)
     try:
         return np.array(rows, dtype=complex).reshape(len(rows), -1)
-    except ValueError:  # unequal sizes, or no points
+    except ValueError:  # unequal sizes
         return [np.asarray(z, dtype=complex).reshape(-1) for z in rows]
 
 
 def write_scan_csv(result: ScanResult, n: int, stream) -> None:
-    """CSV rows ``re(z1),im(z1),...,re(zn),im(zn),opnorm`` at 17 significant digits."""
-    header = ",".join(
-        itertools.chain.from_iterable((f"re(z{i+1})", f"im(z{i+1})") for i in range(n))
-    )
+    """CSV rows ``re(z1),im(z1),...,re(zn),im(zn),opnorm`` at 17 significant digits.
+
+    The table is formatted straight from the arrays, one ``%`` call per
+    block of ``EVAL_CHUNK`` rows, so only one block's Python floats are
+    alive at a time.
+    """
+    header = ",".join(f"re(z{i+1}),im(z{i+1})" for i in range(n))
     stream.write(header + ",opnorm\n")
-    if not result.rows:
+    count = len(result.norms)
+    if not count:
         return
-    points = np.array([z for z, _ in result.rows], dtype=complex)
-    table = np.column_stack([points.view(float), [norm for _, norm in result.rows]])
-    template = ",".join(["{:.17g}"] * table.shape[1]) + "\n"
-    # Block by block, so that the Python floats of one block only are alive.
-    for start in range(0, len(table), EVAL_CHUNK):
-        block = table[start : start + EVAL_CHUNK].tolist()
-        stream.write("".join(template.format(*row) for row in block))
+    coords = np.ascontiguousarray(result.points, dtype=complex).view(float).reshape(count, 2 * n)
+    table = np.column_stack([coords, result.norms])
+    row = ",".join(["%.17g"] * (2 * n + 1)) + "\n"
+    for start in range(0, count, EVAL_CHUNK):
+        block = table[start : start + EVAL_CHUNK]
+        stream.write(row * len(block) % tuple(block.ravel().tolist()))

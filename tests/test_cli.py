@@ -1,6 +1,8 @@
+import contextlib
 import functools
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -325,6 +327,83 @@ def test_identical_documents_give_byte_identical_reports(seed, mode, r, data):
     event(f"{mode} status {json.loads(first[1])['status']}")
     assert first[0] in (EXIT_SOLVED, EXIT_INCONCLUSIVE, EXIT_ERROR)
     assert outputs() == first
+
+
+#: Valid documents of each geometry and of the modes with extra fields.
+VALID_DOCUMENTS = {
+    "np-ball": MOEBIUS,
+    "certify-ball": BALL_CERTIFY,
+    "lift-pm": dict(MOEBIUS, mode="lift-pm", p=2),
+    "lift-polydisc": BIDISC,
+}
+
+#: Values of every JSON type; a field is retyped to one of another type.
+JSON_VALUES = (None, True, False, 0, 2, 2.5, "x", [], [[0.0, 0.0]], {}, {"n": 1})
+
+
+def _numeric_leaves(doc, path=()):
+    """Paths to the numbers of a document, booleans excepted."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return [path] if isinstance(doc, (int, float)) and not isinstance(doc, bool) else []
+    return [leaf for key, value in items for leaf in _numeric_leaves(value, path + (key,))]
+
+
+def _damage(doc, data, damage):
+    """A deep copy of the document with one field dropped, retyped or made non-finite."""
+    doc = json.loads(json.dumps(doc))
+    if damage == "drop":
+        # Every field but ``options`` is required.
+        del doc[data.draw(st.sampled_from(sorted(set(doc) - {"options"})), label="dropped")]
+    elif damage == "retype":
+        key = data.draw(st.sampled_from(sorted(doc)), label="retyped")
+        others = [v for v in JSON_VALUES if type(v) is not type(doc[key])]
+        doc[key] = data.draw(st.sampled_from(others), label="to")
+    else:
+        *parents, leaf = data.draw(st.sampled_from(_numeric_leaves(doc)), label="number")
+        holder = functools.reduce(lambda d, k: d[k], parents, doc)
+        holder[leaf] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]), label="to")
+    return doc
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    name=st.sampled_from(sorted(VALID_DOCUMENTS)),
+    damage=st.sampled_from(["drop", "retype", "non-finite"]),
+    command=st.sampled_from(["solve", "certify", "scan"]),
+    data=st.data(),
+)
+def test_damaged_documents_give_a_json_error_report(tmp_path_factory, name, damage, command, data):
+    """A valid document with a field dropped, retyped or set to a non-finite
+    number is rejected when it is parsed: ``main`` prints a JSON error
+    report and returns 1, and never raises."""
+    doc = _damage(VALID_DOCUMENTS[name], data, damage)
+    event(damage)
+    workdir = tmp_path_factory.mktemp("damaged")
+    path = workdir / "inst.json"
+    path.write_text(json.dumps(doc))  # ``NaN`` and ``Infinity`` as Python's JSON writes them
+    argv = [command, str(path)]
+    if command == "scan":
+        argv += ["--csv-out", str(workdir / "scan.csv")]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    report = json.loads(out.getvalue())
+    assert code == EXIT_ERROR
+    assert report["status"] == "error"
+    assert report["error"]["type"] in ("ParseError", "ValidationError")
+    assert not (workdir / "scan.csv").exists()
+
+
+def test_valid_documents_of_the_damage_property_solve(tmp_path, capsys):
+    for doc in VALID_DOCUMENTS.values():
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", str(path)]) == EXIT_SOLVED
+        assert json.loads(capsys.readouterr().out)["status"] == "solved"
 
 
 def _forbid_solves(monkeypatch):

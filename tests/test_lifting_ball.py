@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import schurlift.hypercontraction as hypercontraction
@@ -20,11 +20,11 @@ from schurlift import (
     np_target_operator,
     verify_lift,
 )
-from schurlift.errors import NotContraction, NotIntertwining, NotPositive
+from schurlift.errors import NotContraction, NotIntertwining, NotPositive, SchurliftError
 from schurlift.hypercontraction import cp_map, defect, hereditary
 from schurlift.kernels import kernel_eval
 from schurlift.lifting_ball import SERIES_ORDER_CAP, KernelSpans, target_pick_matrix
-from schurlift.linalg import herm, min_eig, opnorm
+from schurlift.linalg import herm, min_eig, opnorm, psd_tolerance
 from schurlift.model_space import TupleOperator
 
 from conftest import (
@@ -263,6 +263,33 @@ def test_pick_congruence_is_the_positivity_gap(seed, r, n, m, d):
     gap = herm(q2.ortho_factor.conj().T @ pick_1 @ q2.ortho_factor)
     reference = check_positivity(model_tuple(q2), x, m).matrix
     assert opnorm(gap - reference) <= 1e-14 * q2.gram_cond
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    r=st.integers(1, 6),
+    n=st.integers(1, 3),
+    m=st.integers(1, 3),
+    d=st.integers(1, 2),
+    scale=st.floats(0.9, 1.1),
+)
+def test_solved_implies_a_psd_weight_one_pick_matrix(seed, r, n, m, d, scale):
+    """Targets scaled around the edge of solvability: whenever ``np_solve``
+    returns a lift, the weight-one Pick matrix is PSD within ``psd_tolerance``."""
+    rng = np.random.default_rng(seed)
+    spec = KernelSpec.ball(m, n)
+    nodes = random_ball_nodes(rng, r, n)
+    targets = [scale * w for w in scaled_targets(rng, spec, nodes, d_out=d, margin=0.0)]
+    try:
+        outcome = np_solve(spec, nodes, targets)
+    except SchurliftError as exc:
+        event(f"raised {type(exc).__name__}")
+        return
+    event(type(outcome).__name__)
+    if isinstance(outcome, LiftResult):
+        pick_1 = target_pick_matrix(KernelSpec.ball(1, n), nodes, targets)
+        assert min_eig(pick_1) >= -psd_tolerance(pick_1)
 
 
 def test_np_solve_constant_targets():

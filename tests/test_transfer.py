@@ -1,4 +1,5 @@
 import io
+import itertools
 import types
 
 import numpy as np
@@ -214,10 +215,36 @@ def test_grid_points_interior_and_deterministic():
     grid = GridSpec(radii=3, angles=4, radius=0.9)
     pts1 = grid_points(grid, "ball", 2)
     pts2 = grid_points(grid, "ball", 2)
-    assert pts1 == pts2
-    assert len(pts1) == 144
-    for z in pts1:
-        assert np.sum(np.abs(np.asarray(z)) ** 2) < 1.0
+    assert np.array_equal(pts1, pts2)
+    assert pts1.shape == (144, 2)
+    assert np.all(np.sum(np.abs(pts1) ** 2, axis=1) < 1.0)
+
+
+def _product_grid(grid, geometry, n):
+    """Reference: the axis values one at a time, then ``itertools.product``."""
+    scale = grid.radius / np.sqrt(n) if geometry in (BALL_ROW, "ball") else grid.radius
+    axis = []
+    for t in range(grid.radii):
+        r = scale * (t + 1) / grid.radii
+        for a in range(grid.angles):
+            axis.append(r * np.exp(1j * (2.0 * np.pi * a / grid.angles)))
+    return list(itertools.product(axis, repeat=n))
+
+
+@pytest.mark.parametrize("geometry", ["ball", POLYDISC_DIAGONAL])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("grid", [GridSpec(3, 4, 0.9), GridSpec(1, 1, 0.5), GridSpec(4, 7, 0.37)])
+def test_grid_points_follow_the_product_order(geometry, n, grid):
+    pts = grid_points(grid, geometry, n)
+    reference = _product_grid(grid, geometry, n)
+    assert pts.shape == (len(reference), n) and pts.dtype == complex
+    assert pts.flags.c_contiguous
+    # Element for element, signed zeros included.
+    for z, want in zip(pts, reference):
+        for got_i, want_i in zip(z, want):
+            assert got_i == want_i
+            assert np.signbit(got_i.real) == np.signbit(want_i.real)
+            assert np.signbit(got_i.imag) == np.signbit(want_i.imag)
 
 
 def test_write_scan_csv_format():
@@ -303,14 +330,25 @@ def _loop_values(phi_eval, points):
 
 def _loop_sup_norm_scan(phi_eval, points):
     """Reference: the scan with one ``opnorm`` per point."""
-    rows = []
+    coords, norms = [], []
     max_norm = 0.0
     for z in points:
         z = tuple(np.asarray(z, dtype=complex).reshape(-1))
         norm = opnorm(as_matrix(phi_eval(z)))
-        rows.append((z, norm))
+        coords.append(z)
+        norms.append(norm)
         max_norm = max(max_norm, norm)
-    return ScanResult(max_norm=max_norm, rows=rows)
+    return ScanResult(points=np.array(coords, dtype=complex).reshape(len(coords), -1),
+                      norms=np.array(norms), max_norm=max_norm)
+
+
+def _same_scan(scan, reference):
+    """Equal points, equal norms bit for bit, and the same maximum."""
+    return (
+        np.array_equal(scan.points, reference.points)
+        and np.array_equal(scan.norms, reference.norms)
+        and scan.max_norm == reference.max_norm
+    )
 
 
 def _colligation(matrix, geometry, d_out, d_in, in_state_dims, out_state_dims):
@@ -364,10 +402,8 @@ def test_eval_many_is_bit_identical_to_pointwise(seed, geometry, n, d_out, d_in,
     assert np.array_equal(values_at(tf, points), values)
 
     scan = sup_norm_scan(tf, points)
-    reference = _loop_sup_norm_scan(tf, points)
-    assert scan.rows == reference.rows
-    assert scan.max_norm == reference.max_norm
-    assert all(norm == opnorm(tf.eval(z)) for z, norm in scan.rows)
+    assert _same_scan(scan, _loop_sup_norm_scan(tf, points))
+    assert all(norm == opnorm(tf.eval(z)) for z, norm in zip(scan.points, scan.norms))
 
 
 @settings(max_examples=10, deadline=None)
@@ -447,7 +483,7 @@ def test_eval_many_edge_shapes():
         stateless.eval_many([(0.1, 0.2j), (0.9, 0.9)])
 
     empty = sup_norm_scan(tf, [])
-    assert empty.max_norm == 0.0 and empty.rows == []
+    assert empty.max_norm == 0.0 and empty.points.size == 0 and empty.norms.shape == (0,)
     assert sup_norm_scan(lambda z: np.eye(2), []).max_norm == 0.0
     with pytest.raises(ValueError):
         schur_agler_certificate_ball(tf, [], tol=1e-9)
@@ -515,7 +551,7 @@ def test_resolvent_gate_never_clears_an_ill_conditioned_point(seed, geometry, n,
 
     # Every cleared point has cond < COND_LIMIT, and the Weyl bound from
     # norms taken here (``||Z||`` the row norm or the max modulus) is small.
-    cleared = tf._gate_clears(np.array(points))
+    cleared = tf._gate_clears(tf.domain._gaps(np.array(points)))
     for z, skip in zip(np.array(points), cleared):
         if skip:
             z_norm = np.linalg.norm(z) if geometry == BALL_ROW else np.abs(z).max()
@@ -546,7 +582,7 @@ def test_gate_falls_back_to_the_svd_without_a_finite_norm(monkeypatch):
     mat = np.zeros((3, 3), dtype=complex)
     mat[0, 0], mat[1, 1], mat[2, 2] = 0.5, np.nan, 0.2
     broken = TransferFunction(_colligation(mat, POLYDISC_DIAGONAL, 1, 1, (2,), (2,)))
-    assert np.isnan(broken._d_norm) and not broken._gate_clears(np.array([GOOD])).any()
+    assert np.isnan(broken._d_norm) and not broken._gate_clears(broken.domain._gaps(np.array([GOOD]))).any()
     seen = _count_cond(monkeypatch)
     reference = _loop_error(broken, [GOOD])
     assert reference is not None and reference[0] is np.linalg.LinAlgError
@@ -556,7 +592,7 @@ def test_gate_falls_back_to_the_svd_without_a_finite_norm(monkeypatch):
 
     # A NaN coordinate clears nothing either, and errs as the loop does.
     tf = _singular_at_half()
-    assert not tf._gate_clears(np.array([(np.nan,)])).any()
+    assert not tf._gate_clears(tf.domain._gaps(np.array([(np.nan,)]))).any()
     reference = _loop_error(tf, [GOOD, (np.nan,)])
     with pytest.raises(reference[0]) as info:
         tf.eval_many([GOOD, (np.nan,)])
@@ -574,7 +610,7 @@ def _loop_write_scan_csv(result, n, stream):
     """Reference: the CSV written one formatted coordinate at a time."""
     header = ",".join(f"re(z{i+1}),im(z{i+1})" for i in range(n))
     stream.write(header + ",opnorm\n")
-    for z, norm in result.rows:
+    for z, norm in zip(result.points.tolist(), result.norms.tolist()):
         parts = []
         for zi in z:
             parts.append(f"{zi.real:.17g}")
@@ -592,12 +628,12 @@ def test_write_scan_csv_matches_per_row_reference(n):
     points = coords.view(complex)
     norms = np.abs(rng.standard_normal(50)).tolist()
     norms[:3] = [0.0, 1.0, 2.0 / 3.0]
-    for rows in ([(tuple(z), v) for z, v in zip(points, norms)],
-                 [(tuple(z), v) for z, v in zip(points.tolist(), norms)],
-                 []):
+    for count in (len(norms), EVAL_CHUNK + 1, 1, 0):
+        result = ScanResult(points=np.resize(points, (count, n)),
+                            norms=np.resize(norms, count), max_norm=0.0)
         got, want = io.StringIO(), io.StringIO()
-        write_scan_csv(ScanResult(max_norm=0.0, rows=rows), n, got)
-        _loop_write_scan_csv(ScanResult(max_norm=0.0, rows=rows), n, want)
+        write_scan_csv(result, n, got)
+        _loop_write_scan_csv(result, n, want)
         assert got.getvalue() == want.getvalue()
 
     tf = _random_transfer(rng, POLYDISC_DIAGONAL, n, 1, 2, 3)
@@ -612,8 +648,12 @@ def test_sup_norm_scan_accepts_scalars_arrays_and_misfits():
     tf = _singular_at_half()
     points = [0.1, 0.2j, -0.3]
     reference = _loop_sup_norm_scan(tf, points)
-    for given_points in (points, np.array(points), [np.array([[z]]) for z in points]):
-        assert sup_norm_scan(tf, given_points).rows == reference.rows
+    for given_points in (points, np.array(points), [np.array([[z]]) for z in points],
+                         np.array(points)[:, None]):
+        assert _same_scan(sup_norm_scan(tf, given_points), reference)
+    # An ``(N, n)`` complex array is scanned without a copy.
+    given_array = np.array(points, dtype=complex)[:, None]
+    assert sup_norm_scan(tf, given_array).points is given_array
     with pytest.raises(DomainViolation) as info:
         sup_norm_scan(tf, [GOOD, WRONG_SIZE])
     assert (type(info.value), str(info.value)) == _loop_error(tf, [GOOD, WRONG_SIZE])

@@ -36,15 +36,19 @@ def opnorms(a: np.ndarray) -> np.ndarray:
     of its entries, as a chain of ``hypot`` with no SVD, so it neither
     overflows nor underflows; its last bit may differ from the largest
     singular value's.  Other shapes take the largest singular value of the
-    stacked SVD.  Empty matrices have norm 0.
+    stacked SVD.  Empty matrices have norm 0.  A NaN norm raises
+    ``LinAlgError`` for every shape, as the SVD of a NaN entry does.
     """
     a = np.asarray(a)
     shape = a.shape[-2:]
     if 0 in shape:
         return np.zeros(a.shape[:-2])
-    if min(shape) == 1:
-        return np.hypot.reduce(np.abs(a.reshape(*a.shape[:-2], shape[0] * shape[1])), axis=-1)
-    return np.linalg.svd(a, compute_uv=False)[..., 0]
+    if min(shape) > 1:
+        return np.linalg.svd(a, compute_uv=False)[..., 0]
+    norms = np.hypot.reduce(np.abs(a.reshape(*a.shape[:-2], shape[0] * shape[1])), axis=-1)
+    if np.isnan(norms).any():
+        raise np.linalg.LinAlgError("norm of a matrix with a NaN entry")
+    return norms
 
 
 def opnorm(a: np.ndarray) -> float:

@@ -311,7 +311,7 @@ def sup_norm_scan(phi_eval, points) -> ScanResult:
     norms = opnorms(values_at(phi_eval, pts))
     if not isinstance(pts, np.ndarray):
         raise DomainViolation("scan points must all have the same number of coordinates")
-    # ``fmax`` skips NaN norms, as the comparison ``max`` of floats did.
+    # ``fmax`` passes over NaN norms, as ``max`` over Python floats from 0.0 does.
     return ScanResult(points=pts, norms=norms, max_norm=float(np.fmax.reduce(norms, initial=0.0)))
 
 

@@ -398,6 +398,27 @@ def test_damaged_documents_give_a_json_error_report(tmp_path_factory, name, dama
     assert not (workdir / "scan.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        dict(MOEBIUS, m=True),
+        dict(MOEBIUS, dE=True),
+        dict(MOEBIUS, dEstar=True),
+        dict(BIDISC, gamma=[True, 1]),
+        dict(MOEBIUS, nodes=[[[False, 0.0]]]),
+        dict(MOEBIUS, targets=[[[[0.5, False]]]]),
+    ],
+)
+def test_booleans_are_not_numbers(tmp_path, capsys, doc):
+    # Python counts ``True`` as the integer 1, so each document would solve.
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path)]) == EXIT_ERROR
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "error"
+    assert report["error"]["type"] in ("ParseError", "ValidationError")
+
+
 def test_valid_documents_of_the_damage_property_solve(tmp_path, capsys):
     for doc in VALID_DOCUMENTS.values():
         path = tmp_path / "inst.json"

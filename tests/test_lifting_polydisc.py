@@ -29,6 +29,7 @@ from schurlift import (
 from schurlift.hypercontraction import defect, joint_eigenbasis
 from schurlift.lifting_ball import KernelSpans
 from schurlift.lifting_polydisc import (
+    ANDERSON_DEPTH,
     _affine_projector,
     _entry_weights,
     hereditary_difference_residual,
@@ -126,6 +127,39 @@ def test_feasibility_warm_start_reproduces():
     again = agler_feasibility(s, x, (1, 1), tol=1e-10, initial=list(dec.summands))
     assert isinstance(again, AglerDecomposition)
     assert again.iterations <= dec.iterations
+
+
+def test_anderson_history_is_a_sliding_window(monkeypatch):
+    """Each least-squares problem holds the previous one's residual changes,
+    oldest first, plus the newest: one column more, or the oldest dropped
+    once ``ANDERSON_DEPTH`` are held, or a single column after the
+    safeguard reset the history.  The iteration count is the one recorded
+    for this class (design 0, r=8, gamma=(1,2))."""
+    problems = []
+    lstsq = np.linalg.lstsq
+
+    def recording(a, b, rcond=None):
+        problems.append(np.array(a))
+        return lstsq(a, b, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", recording)
+    nodes = GEN.polydisc_design(0, 8)
+    spans = KernelSpans.build(KernelSpec.polydisc((1, 2)), nodes, GEN.z1z2_targets(nodes))
+    out = agler_feasibility(spans.s, spans.x, (1, 2), tol=1e-10)
+    assert isinstance(out, AglerDecomposition) and out.iterations == 120
+    assert problems[0].shape[1] == 1
+    kinds = set()
+    for old, new in zip(problems, problems[1:]):
+        if new.shape[1] == old.shape[1] + 1:
+            assert np.array_equal(new[:, :-1], old)
+            kinds.add("grown")
+        elif new.shape[1] == old.shape[1] == ANDERSON_DEPTH:
+            assert np.array_equal(new[:, :-1], old[:, 1:])
+            kinds.add("shifted")
+        else:
+            assert new.shape[1] == 1
+            kinds.add("reset")
+    assert {"grown", "shifted"} <= kinds
 
 
 def test_feasibility_inconclusive_at_iteration_cap():

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -70,3 +71,11 @@ def test_opnorms_of_rows_and_columns_take_no_svd(monkeypatch):
     assert np.array_equal(opnorms(np.zeros((0, 2, 1))), np.zeros(0))
     assert np.array_equal(opnorms(np.ones((2, 3, 0))), np.zeros(2))
     assert opnorm(np.zeros((0, 0))) == 0.0
+    # A NaN entry raises for a row or a column as for a square matrix.
+    monkeypatch.undo()
+    for a in (np.array([[np.nan, 1.0]]), np.array([[1.0], [np.nan]]), np.array([[np.nan, 0], [0, 1]])):
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.norm(a, 2)
+        with pytest.raises(np.linalg.LinAlgError):
+            opnorm(a)
+    assert opnorm(np.array([[np.inf, 1.0]])) == np.inf

@@ -201,6 +201,9 @@ def test_sup_norm_scan_zero_and_constant():
     c = np.array([[0.3, 0.1], [0.2, 0.4]])
     const = sup_norm_scan(lambda z: c, pts)
     assert const.max_norm == pytest.approx(opnorm(c))
+    # A NaN value is an error, not a norm that the maximum passes over.
+    with pytest.raises(np.linalg.LinAlgError):
+        sup_norm_scan(lambda z: np.array([[np.nan]]), pts)
 
 
 def test_sup_norm_scan_moebius_bounded():
@@ -657,6 +660,9 @@ def test_sup_norm_scan_accepts_scalars_arrays_and_misfits():
     with pytest.raises(DomainViolation) as info:
         sup_norm_scan(tf, [GOOD, WRONG_SIZE])
     assert (type(info.value), str(info.value)) == _loop_error(tf, [GOOD, WRONG_SIZE])
+    # An evaluator that takes points of any size still gets no ragged scan.
+    with pytest.raises(DomainViolation, match="same number of coordinates"):
+        sup_norm_scan(lambda z: np.eye(1), [(0.1,), (0.1, 0.2)])
 
 
 def _loop_composite(composite, z):

@@ -15,19 +15,17 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import SchurliftError, ParseError, ValidationError
-from .kernels import KernelSpec
-from .lifting_ball import (
-    Infeasible,
-    KernelSpans,
-    LiftResult,
-    check_positivity,
-    lift_ball,
-    lift_p_gt_m,
-    np_solve,
+from .errors import (
+    NotContraction,
+    NotPositive,
+    ParseError,
+    SchurliftError,
+    ValidationError,
 )
+from .kernels import KernelSpec
+from .lifting_ball import Infeasible, LiftResult, lift_p_gt_m, np_solve
 from .lifting_polydisc import Inconclusive, np_solve_polydisc
-from .linalg import opnorm, psd_tolerance
+from .linalg import opnorm
 from .model_space import build_subspace, np_target_operator
 from .transfer import (
     GridSpec,
@@ -157,6 +155,8 @@ def parse_instance(text: str) -> ProblemInstance:
         except ValueError as exc:
             raise ValidationError(str(exc), "$.m")
     elif geometry == "polydisc":
+        if mode in ("np-ball", "lift-ball"):
+            raise ValidationError(f"mode {mode!r} needs ball geometry", "$.mode")
         gamma = _get(doc, "gamma", list, "$")
         if len(gamma) != n or not all(isinstance(g, int) and not isinstance(g, bool) for g in gamma):
             raise ValidationError("gamma must be a list of n integers", "$.gamma")
@@ -351,13 +351,15 @@ def _finish_solved(report: dict, inst: ProblemInstance, result: LiftResult, phi_
     return EXIT_SOLVED
 
 
-def _finish_infeasible(report: dict, outcome: Infeasible) -> int:
+def _finish_infeasible(
+    report: dict, failed_test: str, pick_min_eig: float, delta_min_eig: float | None = None
+) -> int:
     report["status"] = "infeasible"
     report["certificates"].update(
         {
-            "failed_test": outcome.which,
-            "pick_min_eig": outcome.pick_min_eig,
-            "delta_min_eig": outcome.delta_min_eig,
+            "failed_test": failed_test,
+            "pick_min_eig": pick_min_eig,
+            "delta_min_eig": delta_min_eig,
         }
     )
     return EXIT_INFEASIBLE
@@ -376,7 +378,10 @@ def _finish_inconclusive(report: dict, outcome: Inconclusive) -> int:
 def _finish_outcome(report: dict, inst: ProblemInstance, outcome):
     """Exit code and evaluator of an interpolation front end's outcome."""
     if isinstance(outcome, Infeasible):
-        return _finish_infeasible(report, outcome), None
+        code = _finish_infeasible(
+            report, outcome.which, outcome.pick_min_eig, outcome.delta_min_eig
+        )
+        return code, None
     if isinstance(outcome, Inconclusive):
         return _finish_inconclusive(report, outcome), None
     return _finish_solved(report, inst, outcome, outcome.phi), outcome.phi
@@ -394,37 +399,17 @@ def _solve_ball_np(inst: ProblemInstance, report: dict):
     return _finish_outcome(report, inst, outcome)
 
 
-def _solve_lift_ball(inst: ProblemInstance, report: dict):
-    """Direct lift over the spans, without the interpolation pre-screen."""
-    spans = KernelSpans.build(inst.spec, inst.nodes, inst.targets, inst.d_target)
-    norm_x = opnorm(spans.x)
-    if norm_x > 1.0 + 1e-10:
-        report["certificates"]["intertwiner_norm"] = norm_x
-        return _finish_infeasible(
-            report,
-            Infeasible(which="contractivity", pick_min_eig=1.0 - norm_x**2,
-                       pick_matrix=np.zeros((0, 0))),
-        ), None
-    pos = check_positivity(spans.s, spans.x, inst.spec.m)
-    if pos.min_eig < -psd_tolerance(pos.matrix, inst.options.psd_tol):
-        return _finish_infeasible(
-            report,
-            Infeasible(which="positivity-gap", pick_min_eig=pos.min_eig,
-                       pick_matrix=pos.matrix, delta_min_eig=pos.min_eig),
-        ), None
-    result = lift_ball(
-        spans.t, spans.s, spans.x, inst.spec.m, gap=pos.matrix, **spans.coeff_maps()
-    )
-    spans.certify(result)
-    return _finish_solved(report, inst, result, result.phi), result.phi
-
-
 def _solve_lift_pm(inst: ProblemInstance, report: dict):
     q1 = build_subspace(inst.spec, inst.nodes)
     spec_p = KernelSpec.ball(inst.p, inst.spec.n, inst.d_target)
     q2 = build_subspace(spec_p, inst.nodes)
     x = np_target_operator(q1, inst.targets, q2)
-    composite = lift_p_gt_m(q1, q2, x)
+    try:
+        composite = lift_p_gt_m(q1, q2, x)
+    except NotContraction as exc:
+        return _finish_infeasible(report, "contractivity", 1.0 - exc.norm**2), None
+    except NotPositive as exc:
+        return _finish_infeasible(report, "positivity-gap", exc.min_eig, exc.min_eig), None
     report["certificates"].update(
         {
             "dilation_isometry_residual": composite.dilation.isometry_residual,
@@ -458,11 +443,7 @@ def run(inst: ProblemInstance, *, csv_stream=None, certify: bool = False) -> tup
     """
     report = _base_report(inst)
     try:
-        if inst.mode == "np-ball":
-            code, phi = _solve_ball_np(inst, report)
-        elif inst.mode == "lift-ball":
-            code, phi = _solve_lift_ball(inst, report)
-        elif inst.mode in ("lift-pm", "factorize"):
+        if inst.mode in ("lift-pm", "factorize"):
             code, phi = _solve_lift_pm(inst, report)
             if code == EXIT_SOLVED and inst.mode == "factorize":
                 points = _sample_points(inst, inst.options.samples)
@@ -474,13 +455,11 @@ def run(inst: ProblemInstance, *, csv_stream=None, certify: bool = False) -> tup
                     "pass": crit.passed,
                     "samples": crit.sample_count,
                 }
-        elif inst.mode in ("lift-polydisc", "certify"):
-            if inst.spec.geometry == "polydisc":
-                code, phi = _solve_polydisc(inst, report)
-            else:
-                code, phi = _solve_ball_np(inst, report)
-        else:  # pragma: no cover - parse_instance guards the mode set
-            raise ValidationError(f"unsupported mode {inst.mode}")
+        elif inst.spec.geometry == "polydisc":
+            code, phi = _solve_polydisc(inst, report)
+        else:
+            # np-ball, lift-ball, and lift-polydisc or certify of a ball document.
+            code, phi = _solve_ball_np(inst, report)
 
         certifying = certify or inst.mode == "certify"
         on_ball = inst.spec.geometry == "ball"

@@ -21,17 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, GramMismatch, NotPositive
-from .linalg import (
-    as_matrix,
-    checked_sqrt,
-    herm,
-    min_eig,
-    opnorm,
-    psd_sqrt,
-    psd_tolerance,
-    snap_unitary,
-)
+from .errors import DimensionMismatch, GramMismatch
+from .linalg import as_matrix, checked_sqrt, herm, opnorm, snap_unitary
 from .model_space import TupleOperator
 
 BALL_ROW = "ball-row"
@@ -269,7 +260,9 @@ def build_ball_colligation(
     coordinates of ``X* k`` and the gap coordinates of ``k`` on the
     output side; their Gram agreement is exactly the lifting identity,
     which the completion checks.  ``gap`` is the positivity gap
-    ``(1 - sigma_S)^{m-1}(I - X X*)``.  ``in_map``/``out_map`` are the
+    ``(1 - sigma_S)^{m-1}(I - X X*)``; one ``checked_sqrt`` tests it
+    (``NotPositive`` otherwise) and gives its bottom eigenvalue and its
+    range coordinates.  ``in_map``/``out_map`` are the
     defect coordinate maps of ``s`` and of the domain tuple: any maps whose
     Grams are the two defects (``DefectData.coord_map``, or on model
     subspaces the evaluation at the origin, so the transfer function acts
@@ -289,10 +282,7 @@ def build_ball_colligation(
     gap_sq = herm(as_matrix(gap))
     if gap_sq.shape != (q2, q2):
         raise DimensionMismatch(f"gap shape {gap_sq.shape} does not match tuple dimension {q2}")
-    gap_min = min_eig(gap_sq)
-    if gap_min < -psd_tolerance(gap_sq):
-        raise NotPositive(gap_min, context="positivity gap")
-    gap_root, gap_rank, gap_basis, _ = psd_sqrt(gap_sq)
+    gap_root, gap_rank, gap_basis, gap_min = checked_sqrt(gap_sq, "positivity gap")
     gap_map = gap_basis.conj().T @ gap_root
 
     in_map = as_matrix(in_map)
@@ -343,7 +333,7 @@ def build_polydisc_colligation(
     that balance is the Gram agreement the completion checks.  Each must
     be PSD within ``psd_tolerance`` (``NotPositive`` otherwise), and
     state block ``i`` carries the range coordinates of ``F_i``, from one
-    ``psd_sqrt`` of ``F_i^2``.  ``in_map``/``out_map`` are coordinate maps
+    ``checked_sqrt`` of ``F_i^2``.  ``in_map``/``out_map`` are coordinate maps
     whose Grams are ``D_S^2`` and ``D_T^2``.  The completion is unitary
     when the two defect dimensions agree.
     """

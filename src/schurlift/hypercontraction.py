@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotConverged, NotHypercontraction
+from .errors import DimensionMismatch, NotConverged, NotHypercontraction, NotPositive
 from .kernels import (
     BALL,
     KernelSpec,
@@ -20,11 +20,8 @@ from .kernels import (
     indices_up_to,
     series_coeff,
 )
-from .linalg import as_matrix, herm, min_eig, opnorm, psd_sqrt, psd_tolerance
+from .linalg import as_matrix, checked_sqrt, herm, opnorm
 from .model_space import TupleOperator
-
-#: Base factor for the scale-relative PSD acceptance threshold.
-PSD_BASE_TOL = 1e-9
 
 #: Joint eigenvectors whose condition number exceeds this are not trusted.
 JOINT_COND_LIMIT = 1e8
@@ -99,17 +96,17 @@ def defect(t: TupleOperator, spec: KernelSpec) -> DefectData:
     """Defect data of the tuple for the spec's geometry.
 
     Raises ``NotHypercontraction`` when the hereditary operator fails the
-    scale-relative PSD test; eigenvalues inside the tolerance band below
-    zero are clipped before taking the square root.
+    scale-relative PSD test of ``checked_sqrt``, whose one
+    eigendecomposition also gives the square root and its range.
     """
     if spec.n != t.n:
         raise DimensionMismatch(f"spec dimension {spec.n} does not match tuple length {t.n}")
     weight = spec.m if spec.geometry == BALL else spec.gamma
     square = hereditary(t, weight, np.eye(t.dim, dtype=complex))
-    lam_min = min_eig(square)
-    if lam_min < -psd_tolerance(square, PSD_BASE_TOL):
-        raise NotHypercontraction(lam_min)
-    root, rank, basis, _ = psd_sqrt(square)
+    try:
+        root, rank, basis, lam_min = checked_sqrt(square, "defect")
+    except NotPositive as exc:
+        raise NotHypercontraction(exc.min_eig) from None
     return DefectData(
         defect_square=square,
         defect=root,

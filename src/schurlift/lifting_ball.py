@@ -258,16 +258,14 @@ class KernelSpans:
         x = np_target_operator(q1, targets, q2)
         return cls(targets, q1, q2, model_tuple(q1), model_tuple(q2), x)
 
-    def contractivity(self, psd_base_tol: float) -> tuple[float, Infeasible | None]:
-        """Bottom eigenvalue of the Pick matrix for the domain kernel (weight
-        ``m`` or ``gamma``), and the ``Infeasible`` record when it fails."""
+    def contractivity(self, psd_base_tol: float) -> tuple[Infeasible, bool]:
+        """The ``Infeasible`` record of the contractivity test, which carries
+        the Pick matrix for the domain kernel (weight ``m`` or ``gamma``) and
+        its bottom eigenvalue, and whether that matrix fails the test."""
         pick = target_pick_matrix(self.q1.spec, self.q1.nodes, self.targets)
         pick_min = min_eig(pick)
-        if pick_min < -psd_tolerance(pick, psd_base_tol):
-            return pick_min, Infeasible(
-                which="contractivity", pick_min_eig=pick_min, pick_matrix=pick
-            )
-        return pick_min, None
+        record = Infeasible(which="contractivity", pick_min_eig=pick_min, pick_matrix=pick)
+        return record, pick_min < -psd_tolerance(pick, psd_base_tol)
 
     def coeff_maps(self) -> dict:
         """Defect coordinate maps of the lift: evaluation at the origin, whose
@@ -297,37 +295,49 @@ def np_solve(
     Builds the two spans, the interpolation operator, and runs the lift;
     infeasibility carries the failing matrix (the weight-``m`` block
     matrix for contractivity, the weight-one matrix with the positivity
-    gap eigenvalue otherwise).  On success the returned certificate's
-    ``verify_residual`` is the kernel-basis residual of the lift identity
-    and the extras carry the node-level data.
+    gap eigenvalue otherwise).  The gates test both at ``psd_base_tol``;
+    when the lift's own checks reject what the gates passed, the gate's
+    record is returned all the same (``NotContraction`` for contractivity,
+    ``NotPositive`` for the gap, with the lift's gap eigenvalue).  On
+    success the returned certificate's ``verify_residual`` is the
+    kernel-basis residual of the lift identity and the extras carry the
+    node-level data.
     """
     if spec.geometry != "ball":
         raise ValueError("np_solve expects a ball kernel spec")
     spans = KernelSpans.build(spec, nodes, targets, d_target)
-    pick_m_min, infeasible = spans.contractivity(psd_base_tol)
-    if infeasible is not None:
-        return infeasible
+    contractivity, failed = spans.contractivity(psd_base_tol)
+    if failed:
+        return contractivity
 
     pick_1 = target_pick_matrix(
         KernelSpec.ball(1, spec.n, spec.d_coeff), spans.q1.nodes, spans.targets
     )
-    pick_1_min = min_eig(pick_1)
     # On the span the positivity gap is the weight-one Pick matrix in
     # orthonormal coordinates: (1 - sigma_S)^{m-1}(I - X X*) = L2* Pick_1 L2.
     factor = spans.q2.ortho_factor
     gap = herm(factor.conj().T @ pick_1 @ factor)
     gap_min = min_eig(gap)
+    positivity = Infeasible(
+        which="positivity-gap",
+        pick_min_eig=min_eig(pick_1),
+        pick_matrix=pick_1,
+        delta_min_eig=gap_min,
+    )
     if gap_min < -psd_tolerance(gap, psd_base_tol):
-        return Infeasible(
-            which="positivity-gap",
-            pick_min_eig=pick_1_min,
-            pick_matrix=pick_1,
-            delta_min_eig=gap_min,
-        )
+        return positivity
 
-    result = lift_ball(spans.t, spans.s, spans.x, spec.m, gap=gap, **spans.coeff_maps())
+    try:
+        result = lift_ball(spans.t, spans.s, spans.x, spec.m, gap=gap, **spans.coeff_maps())
+    except NotContraction:
+        return contractivity
+    except NotPositive as exc:
+        positivity.delta_min_eig = exc.min_eig
+        return positivity
     return spans.certify(
-        result, pick_weight_m_min_eig=pick_m_min, pick_weight_1_min_eig=pick_1_min
+        result,
+        pick_weight_m_min_eig=contractivity.pick_min_eig,
+        pick_weight_1_min_eig=positivity.pick_min_eig,
     )
 
 

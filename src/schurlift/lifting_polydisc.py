@@ -336,9 +336,9 @@ def np_solve_polydisc(
     if spec.geometry != "polydisc":
         raise ValueError("np_solve_polydisc expects a polydisc kernel spec")
     spans = KernelSpans.build(spec, nodes, targets, d_target)
-    pick_min, infeasible = spans.contractivity(psd_base_tol)
-    if infeasible is not None:
-        return infeasible
+    contractivity, failed = spans.contractivity(psd_base_tol)
+    if failed:
+        return contractivity
 
     t, s, x = spans.t, spans.s, spans.x
     dec = agler_feasibility(s, x, spec.gamma, tol=feasibility_tol, max_iter=max_iter)
@@ -348,7 +348,7 @@ def np_solve_polydisc(
     result = lift_polydisc(t, s, x, spec.gamma, dec, **spans.coeff_maps())
     return spans.certify(
         result,
-        pick_min_eig=pick_min,
+        pick_min_eig=contractivity.pick_min_eig,
         decomposition=dec,
         hereditary_difference_residual=hereditary_difference_residual(t, s, x, spec.gamma),
     )

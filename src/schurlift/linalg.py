@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import NotPositive
 
-#: Relative eigenvalue cut below which ``psd_sqrt`` counts no rank.
+#: Relative eigenvalue cut below which ``checked_sqrt`` counts no rank.
 SQRT_RANK_TOL = 1e-12
 
 #: Default ``base`` of ``psd_tolerance``.
@@ -69,44 +69,25 @@ def psd_tolerance(a: np.ndarray, base: float = PSD_BASE_TOL) -> float:
     return base * (1.0 + opnorm(a))
 
 
-def eigh_desc(a: np.ndarray):
-    """Hermitian eigendecomposition with eigenvalues in descending order."""
-    w, v = np.linalg.eigh(herm(a))
-    return w[::-1], v[:, ::-1]
-
-
-def psd_sqrt(a: np.ndarray):
-    """PSD square root with eigenvalue clipping.
-
-    Eigenvalues below ``SQRT_RANK_TOL * max(lambda_max, 1)`` are treated as zero
-    (they are round-off from differences of products).  Returns
-    ``(root, rank, range_basis, min_eig)`` where ``range_basis`` has the
-    ``rank`` leading eigenvectors as columns.
-    """
-    return _sqrt_from_eigh(*eigh_desc(a))
-
-
 def checked_sqrt(square: np.ndarray, context: str):
-    """``psd_sqrt`` of a square that must be PSD within ``psd_tolerance``.
+    """PSD square root of a square that must be PSD within ``psd_tolerance``.
 
-    One eigendecomposition gives the root, the bottom eigenvalue that is
-    checked and the norm ``max |lambda|`` that scales the tolerance.
-    Raises ``NotPositive`` naming ``context`` otherwise.  Returns what
-    ``psd_sqrt`` returns.
+    One eigendecomposition gives the bottom eigenvalue that is checked,
+    the norm ``max |lambda|`` that scales the tolerance, and the root.
+    Raises ``NotPositive`` naming ``context`` otherwise.  Eigenvalues
+    below ``SQRT_RANK_TOL * max(lambda_max, 1)`` count no rank (they are
+    round-off from differences of products), and negative ones are
+    clipped.  Returns ``(root, rank, range_basis, min_eig)``, where
+    ``range_basis`` has the ``rank`` leading eigenvectors as columns.
     """
-    w, v = eigh_desc(square)
-    if w.size and w[-1] < -PSD_BASE_TOL * (1.0 + max(w[0], -w[-1])):
-        raise NotPositive(float(w[-1]), context=context)
-    return _sqrt_from_eigh(w, v)
-
-
-def _sqrt_from_eigh(w: np.ndarray, v: np.ndarray):
+    w, v = np.linalg.eigh(herm(square))
+    w, v = w[::-1], v[:, ::-1]
     lam_min = float(w[-1]) if w.size else 0.0
-    cut = SQRT_RANK_TOL * max(float(w[0]) if w.size else 0.0, 1.0)
-    kept = w > cut
-    rank = int(np.count_nonzero(kept))
-    w_clipped = np.where(w > 0.0, w, 0.0)
-    root = (v * np.sqrt(w_clipped)) @ v.conj().T
+    lam_max = float(w[0]) if w.size else 0.0
+    if lam_min < -PSD_BASE_TOL * (1.0 + max(lam_max, -lam_min)):
+        raise NotPositive(lam_min, context=context)
+    rank = int(np.count_nonzero(w > SQRT_RANK_TOL * max(lam_max, 1.0)))
+    root = (v * np.sqrt(np.where(w > 0.0, w, 0.0))) @ v.conj().T
     return herm(root), rank, v[:, :rank], lam_min
 
 

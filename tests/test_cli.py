@@ -142,6 +142,58 @@ def test_run_infeasible_two_node():
     assert report["certificates"]["pick_min_eig"] < -1e-6
 
 
+#: Three nodes of the disc, for targets ``c z`` there.
+THREE_NODES = [[[0.0, 0.0]], [[0.5, 0.0]], [[-0.3, 0.2]]]
+
+
+def _linear_targets(c: float) -> list:
+    return [[[[c * z[0][0], c * z[0][1]]]] for z in THREE_NODES]
+
+
+def _main_report(tmp_path, capsys, doc, *flags):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    code = main(["solve", str(path), *flags])
+    return code, json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("m, failed_test", [(1, "contractivity"), (2, "positivity-gap")])
+def test_loose_psd_tol_still_reports_infeasible(tmp_path, capsys, m, failed_test):
+    # (1 + 1e-7) z passes both Pick gates at --psd-tol 1e-5; the lift's own
+    # contraction check (m = 1) or gap check (m = 2) then rejects it.
+    doc = dict(MOEBIUS, m=m, nodes=THREE_NODES, targets=_linear_targets(1 + 1e-7))
+    code, report = _main_report(tmp_path, capsys, doc, "--psd-tol", "1e-5")
+    assert code == EXIT_INFEASIBLE
+    assert report["status"] == "infeasible"
+    assert report["certificates"]["failed_test"] == failed_test
+    assert report["certificates"]["pick_min_eig"] < 0
+
+
+@pytest.mark.parametrize("mode", ["np-ball", "lift-ball", "lift-pm", "factorize"])
+@pytest.mark.parametrize("c, expected", [(1.5, EXIT_INFEASIBLE), (0.5, EXIT_SOLVED)])
+def test_every_ball_mode_reports_the_verdict(tmp_path, capsys, mode, c, expected):
+    doc = dict(MOEBIUS, mode=mode, p=2, nodes=THREE_NODES, targets=_linear_targets(c),
+               options={"samples": 20})
+    code, report = _main_report(tmp_path, capsys, doc)
+    assert code == expected
+    if expected == EXIT_INFEASIBLE:
+        assert report["status"] == "infeasible"
+        assert report["certificates"]["failed_test"] == "contractivity"
+        assert report["certificates"]["pick_min_eig"] < 0
+    else:
+        assert report["status"] == "solved"
+
+
+@pytest.mark.parametrize("c", [1.5, 0.5])
+def test_lift_ball_reports_what_np_ball_reports(c):
+    doc = dict(MOEBIUS, nodes=THREE_NODES, targets=_linear_targets(c))
+    reports = {mode: run(parse_instance(json.dumps(dict(doc, mode=mode))))[0]
+               for mode in ("np-ball", "lift-ball")}
+    assert reports["np-ball"].pop("mode") == "np-ball"
+    assert reports["lift-ball"].pop("mode") == "lift-ball"
+    assert report_to_json(reports["lift-ball"]) == report_to_json(reports["np-ball"])
+
+
 def test_run_polydisc_solved_and_inconclusive():
     inst = parse_instance(json.dumps(BIDISC))
     report, code = run(inst)
@@ -472,6 +524,18 @@ def test_malformed_options_are_rejected_before_solving(
     assert report["error"]["type"] == "ValidationError"
 
 
+@pytest.mark.parametrize("mode", ["np-ball", "lift-ball"])
+def test_ball_modes_on_polydisc_documents_are_rejected_before_solving(
+    tmp_path, capsys, monkeypatch, mode
+):
+    _forbid_solves(monkeypatch)
+    code, report = _main_report(tmp_path, capsys, dict(BIDISC, mode=mode))
+    assert code == EXIT_ERROR
+    assert report["status"] == "error"
+    assert report["error"]["type"] == "ValidationError"
+    assert report["error"]["message"].startswith("$.mode:")
+
+
 @pytest.mark.parametrize(
     "command, doc",
     [
@@ -484,7 +548,7 @@ def test_malformed_options_are_rejected_before_solving(
 )
 def test_each_command_solves_once(tmp_path, capsys, monkeypatch, command, doc):
     calls = []
-    for name in ("np_solve", "np_solve_polydisc", "lift_p_gt_m", "lift_ball"):
+    for name in ("np_solve", "np_solve_polydisc", "lift_p_gt_m"):
         original = getattr(cli, name)
 
         def counted(*args, _original=original, **kwargs):

@@ -191,6 +191,49 @@ def test_ball_colligation_bit_identical_rebuild():
     assert np.array_equal(c1.matrix, c2.matrix)
 
 
+def _count_decompositions(monkeypatch, square):
+    """Count the ``eigh``, ``eigvalsh`` and ``svd`` calls that take ``square``
+    (alone or as a one-matrix stack)."""
+    calls = []
+    for name in ("eigh", "eigvalsh", "svd"):
+        original = getattr(np.linalg, name)
+
+        def counted(a, *args, _name=name, _original=original, **kwargs):
+            a = np.asarray(a)
+            if a.size == square.size and np.array_equal(a.reshape(square.shape), square):
+                calls.append(_name)
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_ball_colligation_decomposes_the_gap_twice(monkeypatch):
+    # One eigh gives the PSD test, the bottom eigenvalue and the root; one
+    # SVD gives the norm behind the series order.
+    rng = np.random.default_rng(7)
+    q1, q2, t, s, x, _ = _ball_instance(rng, 2, 2, 4)
+    gap = check_positivity(s, x, 2).matrix
+    calls = _count_decompositions(monkeypatch, gap)
+    coll = build_ball_colligation(
+        s, x, gap, in_map=q2.coeff_map_at_zero(), out_map=q1.coeff_map_at_zero()
+    )
+    assert sorted(calls) == ["eigh", "svd"]
+    assert coll.delta_min_eig == np.linalg.eigh(gap)[0][0]
+
+
+def test_defect_decomposes_the_square_once(monkeypatch):
+    rng = np.random.default_rng(8)
+    spec = KernelSpec.ball(2, 2)
+    s = model_tuple(build_subspace(spec, random_ball_nodes(rng, 4, 2)))
+    square = hereditary(s, 2, np.eye(s.dim, dtype=complex))
+    calls = _count_decompositions(monkeypatch, square)
+    data = defect(s, spec)
+    assert calls == ["eigh"]
+    assert np.array_equal(data.defect_square, square)
+    assert opnorm(data.defect @ data.defect - square) <= 1e-12
+
+
 def test_polydisc_colligation_single_variable_reduces_to_ball():
     rng = np.random.default_rng(6)
     spec = KernelSpec.polydisc((1,))

@@ -22,7 +22,7 @@ from schurlift import (
 )
 from schurlift.errors import NotContraction, NotIntertwining, NotPositive
 from schurlift.hypercontraction import cp_map, defect, hereditary
-from schurlift.kernels import kernel_eval
+from schurlift.kernels import kernel_eval, kernel_matrix
 from schurlift.lifting_ball import SERIES_ORDER_CAP, KernelSpans, target_pick_matrix
 from schurlift.linalg import herm, min_eig, opnorm, psd_tolerance
 from schurlift.model_space import TupleOperator
@@ -308,6 +308,39 @@ def test_np_solve_infeasible_two_node():
     assert res.pick_min_eig < -1e-6
 
 
+def test_np_solve_contraction_edge_is_infeasible():
+    # Seed 10 of an edge sweep (n = 2, m = 1, six nodes): targets scaled by
+    # bisection to the zero of the Cholesky-normalized weight-one Pick
+    # eigenvalue, then pushed out by 1e-9.  The Pick gate passes them at its
+    # 1e-9 relative tolerance, the lift's contraction check rejects them at
+    # 1e-10, and np_solve returns the gate's record instead of raising.
+    seed = 10
+    n, m, r = 1 + seed % 3, 1 + (seed // 3) % 3, 2 + seed % 6
+    rng = np.random.default_rng(seed)
+    nodes = random_ball_nodes(rng, r, n)
+    raw = [4 * random_contraction(rng, 1, 1, 0.95) for _ in nodes]
+    spec = KernelSpec.ball(m, n)
+    chol = np.linalg.cholesky(kernel_matrix(spec, nodes, nodes))
+
+    def normalized_min_eig(tau):
+        half = np.linalg.solve(chol, target_pick_matrix(spec, nodes, [tau * w for w in raw]))
+        return min_eig(np.linalg.solve(chol, half.conj().T))
+
+    lo, hi = 0.0, 1.0
+    for _ in range(80):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if normalized_min_eig(mid) >= 0 else (lo, mid)
+    targets = [(1 + 1e-9) * (lo * w) for w in raw]
+    spans = KernelSpans.build(spec, nodes, targets)
+    assert not spans.contractivity(1e-9)[1]
+    assert opnorm(spans.x) > 1 + 1e-10
+    res = np_solve(spec, nodes, targets)
+    assert isinstance(res, Infeasible)
+    assert res.which == "contractivity" and res.delta_min_eig is None
+    assert np.array_equal(res.pick_matrix, target_pick_matrix(spec, nodes, targets))
+    assert res.pick_min_eig == min_eig(res.pick_matrix) < 0
+
+
 def test_np_solve_matrix_targets():
     rng = np.random.default_rng(7)
     spec = KernelSpec.ball(2, 2, d_coeff=2)
@@ -538,7 +571,10 @@ def test_lift_p_gt_m_not_positive_names_the_higher_weight_span():
     targets = scaled_targets(rng, KernelSpec.ball(3, 1), nodes, weight_one=False)
     x = np_target_operator(q1, targets, q2)
     assert opnorm(x) < 1.0
-    gap_min = check_positivity(model_tuple(q2), x, 2).min_eig
+    gap = check_positivity(model_tuple(q2), x, 2).matrix
+    # The colligation builder tests the gap with the one eigendecomposition
+    # that also gives its root, so the raised eigenvalue is that of ``eigh``.
+    gap_min = float(np.linalg.eigh(gap)[0][0])
     assert gap_min < -1e-3
     with pytest.raises(NotPositive) as err:
         lift_p_gt_m(q1, q2, x)

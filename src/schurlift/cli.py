@@ -144,6 +144,9 @@ def parse_instance(text: str) -> ProblemInstance:
     n = _get(doc, "n", int, "$")
     d_e = _get(doc, "dE", int, "$")
     d_star = _get(doc, "dEstar", int, "$")
+    for key, value in (("n", n), ("dE", d_e), ("dEstar", d_star)):
+        if value < 1:
+            raise ValidationError(f"{key} must be at least 1", f"$.{key}")
     mode = _get(doc, "mode", str, "$")
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}", "$.mode")

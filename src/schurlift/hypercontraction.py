@@ -148,19 +148,19 @@ def joint_eigenbasis(t: TupleOperator) -> tuple[np.ndarray, np.ndarray] | None:
     eigenvalues (within ``JOINT_CLUSTER_TOL``) is split by a second
     combination; for pairs the two separate any two distinct joint eigenvalues.
 
-    The result is computed once per tuple and kept on it, keyed on the
-    identity of ``t.mats``: rebinding ``t.mats`` recomputes it, while
-    changing a matrix in place is not seen.  The returned arrays are
-    shared by every caller and therefore read-only.
+    The result is kept in ``t.eigenbasis_cache``, where a model tuple brings
+    its own, keyed on the identity of ``t.mats``: rebinding ``t.mats``
+    recomputes it, while changing a matrix in place is not seen.  The
+    returned arrays are shared by every caller and therefore read-only.
     """
-    cached = getattr(t, "_joint_eigenbasis", None)
+    cached = t.eigenbasis_cache
     if cached is not None and cached[0] is t.mats:
         return cached[1]
     basis = _compute_joint_eigenbasis(t)
     if basis is not None:
         for a in basis:
             a.flags.writeable = False
-    t._joint_eigenbasis = (t.mats, basis)
+    t.eigenbasis_cache = (t.mats, basis)
     return basis
 
 
@@ -198,10 +198,10 @@ def is_pure(t: TupleOperator, spec: KernelSpec) -> bool:
     On the ball, commuting matrices triangularize together, so
     ``sum conj(T_i) (x) T_i`` is triangular with diagonal entries
     ``<lambda_a, lambda_b>`` and its spectral radius is the largest
-    ``||lambda_a||^2``.  That costs one ``q x q`` eigenproblem; only tuples
-    without a ``joint_eigenbasis`` (non-diagonalizable, or a cluster the
-    second combination does not split) fall back to the eigenvalues of
-    the ``q^2 x q^2`` matrix itself.
+    ``||lambda_a||^2``.  That costs one ``q x q`` eigenproblem, none for a
+    model tuple; only tuples without a ``joint_eigenbasis`` (not
+    diagonalizable, or a cluster the second combination does not split)
+    fall back to the eigenvalues of the ``q^2 x q^2`` matrix itself.
     """
     if spec.geometry == BALL:
         basis = joint_eigenbasis(t)

@@ -143,8 +143,10 @@ def agler_feasibility(
     Dykstra runs over ``Gamma_i = V^{-1} G_i V^{-*}`` in the joint
     eigenbasis ``S_i = V Lambda_i V^{-1}`` of ``joint_eigenbasis``.  There
     the transformed positivity is the Hadamard product with ``M_i``
-    (``_entry_weights``), so the affine projection is entrywise, and both
-    cones are congruent to the PSD cone; memory is O(n q^2).  The map
+    (``_entry_weights``), so the affine projection is entrywise; memory is
+    O(n q^2).  Only the ``H_i`` are clipped: ``1 / M_i`` is the Gram of the
+    weight ``gamma - e_i`` kernel at the joint eigenvalues, so ``H_i >= 0``
+    gives ``Gamma_i = (1 / M_i) o H_i >= 0`` (Schur product theorem).  The map
     ``w -> P_A(P_C w) + w - P_C w`` is Anderson-accelerated: an
     extrapolated point is kept only when its residual is no larger than
     the plain step's, else the history is reset.  A tuple without a joint
@@ -218,7 +220,7 @@ def agler_feasibility(
 
     def dykstra_map(w):
         # The affine set needs no correction term.  Also returns ``P_A(P_C w)``.
-        v = clip_psd(w)
+        v = np.concatenate([w[: s.n], clip_psd(w[s.n :])])
         y = project(v)
         return y + w - v, y
 

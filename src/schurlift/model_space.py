@@ -31,6 +31,8 @@ class TupleOperator:
     """A commuting tuple of square complex matrices in orthonormal coordinates."""
 
     mats: tuple[np.ndarray, ...]
+    #: ``(mats, joint_eigenbasis(self))`` for the ``mats`` it was found for.
+    eigenbasis_cache: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mats = tuple(as_matrix(m) for m in self.mats)
@@ -162,14 +164,21 @@ def model_tuple(space: KernelSubspace) -> TupleOperator:
     The adjoint of entry ``i`` acts on kernel coefficients by
     ``diag(conj z_.i) (x) I_d``; transported through the orthonormalizing
     factor ``L`` it is ``L^{-1} (diag(conj z_.i) (x) I_d) L``.
+
+    So ``S_i L* = L* (diag(z_.i) (x) I_d)``: the columns of ``L*``, scaled
+    to unit norm, are a joint eigenbasis, and the nodes, each ``d`` times,
+    the joint eigenvalues.  The tuple carries both as read-only arrays.
     """
-    points = np.asarray(space.nodes, dtype=complex)
+    lam = np.repeat(np.asarray(space.nodes, dtype=complex), space.spec.d_coeff, axis=0)
     ortho, ortho_inv = space.ortho_factor, space.ortho_factor_inv
     mats = []
     for i in range(space.spec.n):
-        diag = np.repeat(points[:, i].conj(), space.spec.d_coeff)
-        mats.append((ortho_inv @ (diag[:, None] * ortho)).conj().T)
-    return TupleOperator(tuple(mats))
+        mats.append((ortho_inv @ (lam[:, i, None].conj() * ortho)).conj().T)
+    t = TupleOperator(tuple(mats))
+    vecs = ortho.conj().T / np.linalg.norm(ortho, axis=1)
+    vecs.flags.writeable = lam.flags.writeable = False
+    t.eigenbasis_cache = (t.mats, (vecs, lam))
+    return t
 
 
 def np_target_operator(

@@ -11,7 +11,17 @@ from hypothesis import strategies as st
 
 import schurlift.cli as cli
 import schurlift.transfer as transfer
-from schurlift import KernelSpec
+from schurlift import (
+    KernelSpec,
+    LiftResult,
+    TupleOperator,
+    build_subspace,
+    lift_p_gt_m,
+    model_tuple,
+    np_solve,
+    np_solve_polydisc,
+    np_target_operator,
+)
 from schurlift.cli import (
     EXIT_ERROR,
     EXIT_INCONCLUSIVE,
@@ -24,6 +34,7 @@ from schurlift.cli import (
     run,
 )
 from schurlift.errors import ParseError, ValidationError
+from schurlift.hypercontraction import joint_eigenbasis
 from schurlift.lifting_polydisc import Inconclusive
 from schurlift.transfer import TransferFunction
 
@@ -110,6 +121,21 @@ def test_parse_requires_p_for_composite():
     doc = dict(MOEBIUS, mode="lift-pm")
     with pytest.raises(ParseError):
         parse_instance(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "doc, path",
+    [
+        (dict(MOEBIUS, n=0), "$.n"),
+        (dict(BIDISC, n=0), "$.n"),
+        (dict(MOEBIUS, dE=0), "$.dE"),
+        (dict(BIDISC, dEstar=0), "$.dEstar"),
+    ],
+)
+def test_parse_rejects_empty_dimensions_at_their_field(doc, path):
+    with pytest.raises(ValidationError) as info:
+        parse_instance(json.dumps(doc))
+    assert info.value.path == path
 
 
 def test_round_trip_is_idempotent():
@@ -633,3 +659,38 @@ def test_polydisc_scan_skips_every_resolvent_svd(tmp_path, capsys, monkeypatch):
     report = json.loads(capsys.readouterr().out)
     assert code == EXIT_SOLVED and report["certificates"]["sup_norm"]["points"] == 40**2
     assert sum(seen) == 0
+
+
+def test_kernel_span_solves_take_no_eigenproblem(tmp_path, capsys, monkeypatch):
+    """Model tuples bring their joint eigenbasis, so no kernel-span solve,
+    and no certify or scan of either geometry, calls ``np.linalg.eig``."""
+    calls = []
+    eig = np.linalg.eig
+
+    def counted(a):
+        calls.append(a.shape)
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    rng = np.random.default_rng(31)
+    ball = KernelSpec.ball(2, 2)
+    nodes = random_ball_nodes(rng, 4, 2)
+    assert isinstance(np_solve(ball, nodes, scaled_targets(rng, ball, nodes)), LiftResult)
+    q1 = build_subspace(KernelSpec.ball(1, 2), nodes)
+    q2 = build_subspace(ball, nodes)
+    targets = scaled_targets(rng, ball, nodes, weight_one=False)
+    assert lift_p_gt_m(q1, q2, np_target_operator(q1, targets, q2)).verify_residual <= 1e-6
+    bidisc = KernelSpec.polydisc((1, 2))
+    nodes = random_polydisc_nodes(rng, 3, 2)
+    targets = [0.5 * w for w in scaled_targets(rng, bidisc, nodes, weight_one=False)]
+    assert isinstance(np_solve_polydisc(bidisc, nodes, targets), LiftResult)
+    for doc in (BALL_CERTIFY, BIDISC):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(dict(doc, options={"samples": 20, "grid": [2, 3, 0.9]})))
+        assert main(["certify", str(path)]) == EXIT_SOLVED
+        assert main(["scan", str(path), "--csv-out", str(tmp_path / "scan.csv")]) == EXIT_SOLVED
+    capsys.readouterr()
+    assert calls == []
+    # The general path still takes its eigenproblem through the wrapper.
+    joint_eigenbasis(TupleOperator(model_tuple(q2).mats))
+    assert calls

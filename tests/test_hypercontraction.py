@@ -17,7 +17,12 @@ from schurlift import (
     sigma_sum,
 )
 from schurlift.errors import DimensionMismatch, NotConverged, NotHypercontraction
-from schurlift.hypercontraction import is_pure, joint_eigenbasis
+from schurlift.hypercontraction import (
+    _checked_eigenbasis,
+    _combination,
+    is_pure,
+    joint_eigenbasis,
+)
 from schurlift.kernels import indices_up_to, series_coeff
 from schurlift.linalg import herm, min_eig, opnorm
 from schurlift.model_space import TupleOperator
@@ -389,11 +394,16 @@ def test_joint_eigenbasis_splits_a_degenerate_combination(d):
     # w_k = exp(i sqrt(2) k) (1 + k / 2): the first combination has a
     # double eigenvalue on distinct joint eigenvalues, and its arbitrary
     # eigenvectors fail the self-check.
+    # The tuples are rebuilt from the model matrices alone, so that they do
+    # not bring the basis of their construction and the split runs.
     weights = np.exp(1j * np.sqrt(2.0) * np.arange(1, 3)) * (1.0 + 0.5 * np.arange(1, 3))
     step = np.array([weights[1], -weights[0]]) * 0.3 / abs(weights[1])
     nodes = np.array([(0.1, -0.2j), (0.1 + step[0], -0.2j + step[1]), (-0.4, 0.3)])
     for spec in (KernelSpec.polydisc((1, 2), d), KernelSpec.ball(1, 2, d)):
-        t = model_tuple(build_subspace(spec, [tuple(z) for z in nodes]))
+        model = model_tuple(build_subspace(spec, [tuple(z) for z in nodes]))
+        t = TupleOperator(model.mats)
+        first = np.linalg.eig(_combination(t.mats, np.sqrt(2.0)))[1]
+        assert _checked_eigenbasis(t, first) is None
         vecs, lam = joint_eigenbasis(t)
         assert np.allclose(np.linalg.norm(vecs, axis=0), 1.0, rtol=0, atol=1e-12)
         for i, m in enumerate(t.mats):
@@ -402,6 +412,10 @@ def test_joint_eigenbasis_splits_a_degenerate_combination(d):
         # The joint spectrum is the node set, each node d times.
         hits = np.linalg.norm(lam[:, None, :] - nodes[None, :, :], axis=2) < 1e-10
         assert (hits.sum(axis=0) == d).all() and (hits.sum(axis=1) == 1).all()
+        # The model tuple's own eigenvalues are the same multiset.
+        own = joint_eigenbasis(model)[1]
+        hits = np.linalg.norm(lam[:, None, :] - own[None, :, :], axis=2) < 1e-10
+        assert (hits.sum(axis=0) == d).all() and (hits.sum(axis=1) == d).all()
 
 
 def test_jordan_block_takes_the_kronecker_fallback():

@@ -142,8 +142,8 @@ def test_series_order_without_a_joint_eigenbasis(shift, m):
 
 def test_capped_lift_skips_the_order_search(monkeypatch):
     # At radius 0.8 every order below the cap fails the spectral lower
-    # bound, so the order needs no cp_map, and the purity gate's joint
-    # eigenbasis of each tuple is computed once per np_solve.
+    # bound, so the order needs no cp_map, and the model tuples bring the
+    # joint eigenbasis of the purity gate, so none is computed.
     cp_calls = []
     eig_calls = []
     pure_calls = []
@@ -172,7 +172,7 @@ def test_capped_lift_skips_the_order_search(monkeypatch):
     assert res.certificate.series_order == SERIES_ORDER_CAP
     assert cp_calls == []
     assert len(pure_calls) == 2
-    assert len(eig_calls) == 2 and eig_calls[0] is not eig_calls[1]
+    assert eig_calls == []
 
 
 def test_lift_rejects_expansive_and_nonintertwining():

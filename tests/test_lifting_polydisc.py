@@ -9,6 +9,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import schurlift.hypercontraction as hypercontraction
+import schurlift.lifting_polydisc as lifting_polydisc
 from schurlift import (
     AglerDecomposition,
     Inconclusive,
@@ -535,9 +536,48 @@ def test_feasibility_reads_the_cached_joint_eigenbasis(monkeypatch):
     nodes = random_polydisc_nodes(rng, 3, 2)
     s = model_tuple(build_subspace(spec, nodes))
     x = 0.3 * np.eye(s.dim, dtype=complex)
-    first = agler_feasibility(s, x, (1, 2))
-    second = agler_feasibility(s, x, (1, 2))
+    # The model tuple brings its basis; the same matrices without it
+    # compute theirs once.
+    assert isinstance(agler_feasibility(s, x, (1, 2)), AglerDecomposition)
+    assert calls == []
+    general = TupleOperator(s.mats)
+    first = agler_feasibility(general, x, (1, 2))
+    second = agler_feasibility(general, x, (1, 2))
     assert isinstance(first, AglerDecomposition)
-    assert len(calls) == 1
+    assert calls == [general]
     for a, b in zip(first.summands, second.summands):
         assert np.array_equal(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    r=st.integers(1, 6),
+    d=st.integers(1, 3),
+    gamma=st.lists(st.integers(1, 3), min_size=2, max_size=3),
+)
+def test_inverse_entry_weights_are_kernel_grams(seed, r, d, gamma):
+    """``1 / M_i`` is the Gram of the weight ``gamma - e_i`` kernel at the
+    joint eigenvalues, so it is PSD: the reason Dykstra clips only the
+    ``H_i = M_i o Gamma_i``."""
+    nodes = random_polydisc_nodes(np.random.default_rng(seed), r, len(gamma))
+    s = model_tuple(build_subspace(KernelSpec.polydisc(gamma, d), nodes))
+    for inverse in 1.0 / _entry_weights(joint_eigenbasis(s)[1], gamma):
+        assert min_eig(inverse) >= -1e-12 * opnorm(inverse)
+
+
+def test_dykstra_clips_only_the_transformed_blocks(monkeypatch):
+    shapes = []
+    clip = lifting_polydisc.clip_psd
+
+    def recorded(a):
+        shapes.append(a.shape)
+        return clip(a)
+
+    monkeypatch.setattr(lifting_polydisc, "clip_psd", recorded)
+    gamma = (1, 2)
+    nodes = random_polydisc_nodes(np.random.default_rng(22), 4, 2)
+    spans = KernelSpans.build(KernelSpec.polydisc(gamma), nodes, GEN.constant_targets(nodes))
+    out = agler_feasibility(spans.s, spans.x, gamma, tol=1e-10)
+    assert isinstance(out, AglerDecomposition)
+    assert shapes and set(shapes) == {(2, spans.s.dim, spans.s.dim)}

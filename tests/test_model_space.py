@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schurlift import (
     KernelSpec,
@@ -196,3 +198,35 @@ def test_gram_condition_reported():
     rng = np.random.default_rng(17)
     space = build_subspace(KernelSpec.ball(1, 2), random_ball_nodes(rng, 3, 2))
     assert np.isfinite(space.gram_cond) and space.gram_cond >= 1.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    geometry=st.sampled_from(["ball", "polydisc"]),
+    r=st.integers(1, 6),
+    n=st.integers(1, 3),
+    d=st.integers(1, 3),
+    weights=st.lists(st.integers(1, 3), min_size=3, max_size=3),
+)
+def test_model_tuple_carries_its_joint_eigenbasis(seed, geometry, r, n, d, weights):
+    rng = np.random.default_rng(seed)
+    if geometry == "ball":
+        spec = KernelSpec.ball(weights[0], n, d)
+        nodes = random_ball_nodes(rng, r, n)
+    else:
+        spec = KernelSpec.polydisc(weights[:n], d)
+        nodes = random_polydisc_nodes(rng, r, n)
+    s = model_tuple(build_subspace(spec, nodes))
+    mats, (vecs, lam) = s.eigenbasis_cache
+    assert mats is s.mats
+    # The joint eigenvalues are the nodes, each d times in the order of
+    # kron(kernel, I_d), exactly.
+    assert np.array_equal(lam, np.repeat(np.asarray(nodes, dtype=complex), d, axis=0))
+    assert np.allclose(np.linalg.norm(vecs, axis=0), 1.0, rtol=0, atol=1e-12)
+    for a in (vecs, lam):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 0.0
+    for i, m in enumerate(s.mats):
+        assert opnorm(m @ vecs - vecs * lam[:, i]) <= 1e-12 * (1.0 + opnorm(m))

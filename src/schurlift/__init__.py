@@ -15,7 +15,6 @@ from .errors import (
     IllConditioned,
     NearSingularResolvent,
     NotContraction,
-    NotConverged,
     NotHypercontraction,
     NotIntertwining,
     NotPositive,
@@ -27,7 +26,6 @@ from .errors import (
 from .kernels import (
     KernelSpec,
     ball_coeff,
-    inverse_kernel_coeffs,
     kernel_eval,
     kernel_matrix,
     polydisc_coeff,
@@ -44,9 +42,7 @@ from .hypercontraction import (
     DefectData,
     cp_map,
     defect,
-    dilation_coefficients,
     hereditary,
-    sigma_sum,
 )
 from .colligation import (
     Colligation,
@@ -79,7 +75,6 @@ from .lifting_polydisc import (
     AglerDecomposition,
     Inconclusive,
     agler_feasibility,
-    f_operators,
     lift_polydisc,
     np_solve_polydisc,
     psi_gamma_diagnostics,
@@ -104,7 +99,6 @@ __all__ = [
     "LiftResult",
     "NearSingularResolvent",
     "NotContraction",
-    "NotConverged",
     "NotHypercontraction",
     "NotIntertwining",
     "NotPositive",
@@ -124,12 +118,9 @@ __all__ = [
     "cp_map",
     "defect",
     "dilate_p_to_m",
-    "dilation_coefficients",
-    "f_operators",
     "factorization_criterion",
     "grid_points",
     "hereditary",
-    "inverse_kernel_coeffs",
     "kernel_eval",
     "kernel_matrix",
     "lift_ball",
@@ -144,7 +135,6 @@ __all__ = [
     "psi_gamma_diagnostics",
     "schur_agler_certificate_ball",
     "series_partial_lift",
-    "sigma_sum",
     "sup_norm_scan",
     "verify_lift",
 ]

@@ -8,6 +8,7 @@ codes: 0 solved, 2 infeasible, 3 inconclusive, 1 error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -247,24 +248,6 @@ def _pair(z: complex) -> list[float]:
 
 def _matrix_json(mat: np.ndarray) -> list:
     return [[_pair(v) for v in row] for row in np.atleast_2d(mat)]
-
-
-def instance_to_dict(inst: ProblemInstance) -> dict:
-    doc = {
-        "geometry": inst.spec.geometry,
-        "m": inst.spec.m,
-        "gamma": list(inst.spec.gamma) if inst.spec.gamma else None,
-        "n": inst.spec.n,
-        "dE": inst.spec.d_coeff,
-        "dEstar": inst.d_target,
-        "nodes": [[_pair(c) for c in z] for z in inst.nodes],
-        "targets": [_matrix_json(w) for w in inst.targets],
-        "mode": inst.mode,
-        "options": asdict(inst.options),
-    }
-    if inst.p is not None:
-        doc["p"] = inst.p
-    return doc
 
 
 def _sample_points(inst: ProblemInstance, count: int) -> list[tuple[complex, ...]]:
@@ -543,26 +526,29 @@ def main(argv=None) -> int:
             p.add_argument("--csv-out", type=str, default="scan.csv")
 
     args = parser.parse_args(argv)
-    try:
-        with open(args.instance, "r", encoding="utf-8") as fh:
-            inst = parse_instance(fh.read())
-        _apply_flags(inst, args)
-    except (OSError, SchurliftError) as exc:
-        print(report_to_json(_finish_error({}, exc)))
-        return EXIT_ERROR
+    with contextlib.ExitStack() as outputs:
+        # Output files are opened before the solve, so a bad path is an
+        # error report rather than a traceback or a lost result.
+        try:
+            with open(args.instance, "r", encoding="utf-8") as fh:
+                try:
+                    text = fh.read()
+                except UnicodeDecodeError as exc:
+                    raise ParseError(f"instance file is not UTF-8: {exc}") from None
+            inst = parse_instance(text)
+            _apply_flags(inst, args)
+            out = outputs.enter_context(open(args.out, "w", encoding="utf-8")) if args.out else None
+            csv_stream = None
+            if args.command == "scan":
+                csv_stream = outputs.enter_context(open(args.csv_out, "w", encoding="utf-8"))
+        except (OSError, SchurliftError) as exc:
+            print(report_to_json(_finish_error({}, exc)))
+            return EXIT_ERROR
 
-    csv_stream = None
-    if args.command == "scan":
-        csv_stream = open(args.csv_out, "w", encoding="utf-8")
-    try:
         report, code = run(inst, csv_stream=csv_stream, certify=args.command == "certify")
-    finally:
-        if csv_stream is not None:
-            csv_stream.close()
-    text = report_to_json(report)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        text = report_to_json(report)
+        if out is not None:
+            out.write(text + "\n")
     print(text)
     return code
 

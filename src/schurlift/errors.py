@@ -36,14 +36,6 @@ class NotPure(SchurliftError):
     """Iterates of the tuple do not decay; the canonical dilation is not isometric."""
 
 
-class NotConverged(SchurliftError):
-    """An iterative operator sum did not converge within its cap."""
-
-    def __init__(self, message: str, increment: float = float("nan")):
-        super().__init__(message)
-        self.increment = increment
-
-
 class GramMismatch(SchurliftError):
     """Input and output Gram matrices of a pair completion disagree."""
 

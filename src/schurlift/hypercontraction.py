@@ -1,9 +1,8 @@
 """Hereditary calculus for commuting tuples.
 
 Covers the completely positive map of a tuple, the ball and polydisc
-hereditary operators, defect data with PSD square roots, the purity
-gate, truncated geometric operator sums, and the coefficients of
-the canonical dilation.
+hereditary operators, defect data with PSD square roots, the joint
+eigenbasis of a commuting tuple, and the purity gate.
 """
 
 from __future__ import annotations
@@ -12,14 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotConverged, NotHypercontraction, NotPositive
-from .kernels import (
-    BALL,
-    KernelSpec,
-    MultiIndex,
-    indices_up_to,
-    series_coeff,
-)
+from .errors import DimensionMismatch, NotHypercontraction, NotPositive
+from .kernels import BALL, KernelSpec
 from .linalg import as_matrix, checked_sqrt, herm, opnorm
 from .model_space import TupleOperator
 
@@ -215,85 +208,3 @@ def is_pure(t: TupleOperator, spec: KernelSpec) -> bool:
     else:
         radius = max(max(abs(np.linalg.eigvals(m))) for m in t.mats)
     return bool(radius < 1.0 - PURITY_MARGIN)
-
-
-def _geometric_sum(m: np.ndarray, a: np.ndarray, order: int) -> np.ndarray:
-    """``sum_{k<order} M^k A (M^k)*``."""
-    acc = a.copy()
-    term = a
-    for _ in range(1, order):
-        term = m @ term @ m.conj().T
-        acc += term
-    return acc
-
-
-def sigma_sum(
-    t: TupleOperator,
-    a: np.ndarray,
-    order: int | None = None,
-    skip: int | None = None,
-    *,
-    tol: float = 1e-12,
-    max_order: int = 500,
-) -> np.ndarray:
-    """Product of per-coordinate geometric operator sums.
-
-    With ``order`` given, returns the exact partial sum at that
-    truncation (``order=1`` is the operand itself).  With ``order=None``
-    the truncation grows until the increment drops below ``tol``;
-    ``NotConverged`` is raised at the ``max_order`` cap.  ``skip`` drops
-    one coordinate from the product, realizing the sum over the reduced
-    tuple.
-    """
-    a = as_matrix(a)
-    if a.shape != (t.dim, t.dim):
-        raise DimensionMismatch(f"operand shape {a.shape} does not match tuple dimension {t.dim}")
-    coords = [i for i in range(t.n) if i != skip]
-
-    def partial(n: int) -> np.ndarray:
-        out = a
-        for i in coords:
-            out = _geometric_sum(t.mats[i], out, n)
-        return out
-
-    if order is not None:
-        if order < 1:
-            raise ValueError(f"truncation order must be >= 1, got {order}")
-        return herm(partial(order))
-
-    prev = partial(1)
-    for n in range(2, max_order + 1):
-        cur = partial(n)
-        inc = opnorm(cur - prev)
-        if inc < tol:
-            return herm(cur)
-        prev = cur
-    raise NotConverged(
-        f"geometric operator sum did not converge within {max_order} terms", increment=inc
-    )
-
-
-def dilation_coefficients(
-    t: TupleOperator, spec: KernelSpec, h: np.ndarray, degree: int
-) -> dict[MultiIndex, np.ndarray]:
-    """Series coefficients of the canonical dilation of ``h`` up to ``|k| <= degree``.
-
-    The coefficient at ``k`` is ``rho(k) D T^{*k} h`` where ``D`` is the
-    defect; the weighted squares ``||coef||^2 / rho(k)`` accumulate to
-    ``||h||^2`` for pure tuples.
-    """
-    d = defect(t, spec)
-    h = np.asarray(h, dtype=complex).reshape(-1)
-    if h.size != t.dim:
-        raise DimensionMismatch(f"vector length {h.size} does not match tuple dimension {t.dim}")
-    adjoints = t.adjoints()
-    coeffs: dict[MultiIndex, np.ndarray] = {}
-    vec_cache: dict[MultiIndex, np.ndarray] = {(0,) * t.n: h}
-    for k in indices_up_to(t.n, degree):
-        if k not in vec_cache:
-            i = next(idx for idx, e in enumerate(k) if e > 0)
-            prev = list(k)
-            prev[i] -= 1
-            vec_cache[k] = adjoints[i] @ vec_cache[tuple(prev)]
-        coeffs[k] = series_coeff(spec, k) * (d.defect @ vec_cache[k])
-    return coeffs

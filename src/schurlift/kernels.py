@@ -3,12 +3,10 @@
 Two families are supported: ``(1 - <z,w>)^{-m}`` on the ball (integer
 weight ``m >= 1``) and ``prod_i (1 - z_i conj(w_i))^{-gamma_i}`` on the
 polydisc (integer weight vector ``gamma``).  Alongside the closed forms
-this module exposes the power-series coefficient sequences and the
-finitely supported coefficients of the polydisc inverse-kernel
-polynomial, whose convolution with the kernel series is the delta at 0.
-The hereditary operators ``hypercontraction.hereditary`` applies are
-these polynomials in the tuple, evaluated as repeated one-step maps, so
-nothing downstream reads the coefficient table.
+this module exposes the power-series coefficient sequences.  The
+inverse kernels ``(1 - <z,w>)^m`` and ``prod_i (1 - z_i conj(w_i))^{gamma_i}``
+enter only as the hereditary operators ``hypercontraction.hereditary``
+applies, evaluated as repeated one-step maps in the tuple.
 
 Coefficients are always accumulated as floating-point products of small
 ratios, never as raw factorials, so orders up to ~60 stay exact to
@@ -17,8 +15,6 @@ double precision without overflow.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,9 +88,6 @@ class KernelSpec:
         if self.geometry == BALL:
             return 1.0 - np.sum(squares, axis=-1)
         return 1.0 - np.max(squares, axis=-1)
-
-    def contains(self, z) -> bool:
-        return self.boundary_gap(z) > DOMAIN_MARGIN
 
     def require_interior(self, z) -> None:
         gap = self.boundary_gap(z)
@@ -207,28 +200,6 @@ def kernel_matrix(spec: KernelSpec, p, q) -> np.ndarray:
     return np.prod((1.0 - products) ** (-np.asarray(spec.gamma)), axis=-1)
 
 
-def inverse_kernel_coeffs(gamma) -> dict[MultiIndex, float]:
-    """Coefficients of the inverse-kernel polynomial on the polydisc.
-
-    Expanding ``prod_i (1 - x_i)^{gamma_i}`` gives the finitely supported
-    map ``k -> (-1)^{|k|} prod_i C(gamma_i, k_i)`` on the box ``k <= gamma``.
-    Convolving it against the kernel's own series yields the delta at 0,
-    which is the contract tests rely on.
-    """
-    gamma = tuple(int(g) for g in gamma)
-    if any(g < 1 for g in gamma):
-        raise ValueError(f"polydisc weights must be >= 1, got {gamma}")
-    coeffs: dict[MultiIndex, float] = {}
-    for k in box_indices(gamma):
-        value = 1.0
-        for g, entry in zip(gamma, k):
-            value *= math.comb(g, entry)
-        if sum(k) % 2:
-            value = -value
-        coeffs[k] = value
-    return coeffs
-
-
 def indices_of_degree(n: int, total: int) -> list[MultiIndex]:
     """All multi-indices of length ``n`` with ``|k| = total``, lexicographic."""
     if n == 1:
@@ -246,20 +217,3 @@ def indices_up_to(n: int, degree: int) -> list[MultiIndex]:
     for total in range(degree + 1):
         out.extend(indices_of_degree(n, total))
     return out
-
-
-def box_indices(gamma) -> list[MultiIndex]:
-    """All multi-indices ``k <= gamma`` componentwise."""
-    ranges = [range(int(g) + 1) for g in gamma]
-    return [tuple(k) for k in itertools.product(*ranges)]
-
-
-def monomial(z, k) -> complex:
-    """``z^k = prod z_i^{k_i}``."""
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    k = _check_index(k, z.size)
-    value = 1.0 + 0.0j
-    for zi, e in zip(z, k):
-        if e:
-            value *= zi**e
-    return value

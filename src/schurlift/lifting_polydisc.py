@@ -25,7 +25,7 @@ from .colligation import Colligation, build_polydisc_colligation
 from .errors import DimensionMismatch
 from .hypercontraction import hereditary, joint_eigenbasis
 from .kernels import KernelSpec, indices_up_to, series_coeff
-from .linalg import as_matrix, checked_sqrt, clip_psd, herm, min_eig, opnorm
+from .linalg import as_matrix, clip_psd, herm, min_eig, opnorm
 from .lifting_ball import (
     Infeasible,
     KernelSpans,
@@ -120,13 +120,12 @@ def agler_feasibility(
     *,
     tol: float = 1e-8,
     max_iter: int = 10000,
-    initial=None,
 ) -> AglerDecomposition | Inconclusive:
     """Search for PSD summands of ``I - X X*`` with transformed positivity.
 
     Success requires the reconstruction residual and every eigenvalue
-    violation to fall within ``tol``.  ``initial`` warm-starts the
-    iteration from known summands.  For a single variable the summand is
+    violation to fall within ``tol``.  The iteration starts from the even
+    split ``(I - X X*) / n``.  For a single variable the summand is
     forced and the answer is immediate.  ``max_iter`` below 1 raises
     ``ValueError``.
 
@@ -224,9 +223,7 @@ def agler_feasibility(
         y = project(v)
         return y + w - v, y
 
-    if initial is None:
-        initial = [r_target / s.n] * s.n
-    gs = to_eig(np.stack([herm(as_matrix(g)) - pad for g in initial]))
+    gs = to_eig(np.stack([r_target / s.n - pad] * s.n))
     w = np.concatenate([gs, weights * gs])
     fw = dykstra_map(w)[0]
     # Anderson acceleration (Walker-Ni): the last ``depth`` changes of the
@@ -263,20 +260,6 @@ def agler_feasibility(
                 return summary
 
 
-def _transformed_summands(s: TupleOperator, gamma, dec: AglerDecomposition) -> list[np.ndarray]:
-    """The squares ``F_i^2``: summand ``i`` under the transformed positivity map."""
-    return [transformed_positivity(s, gamma, i, g) for i, g in enumerate(dec.summands)]
-
-
-def f_operators(s: TupleOperator, gamma, dec: AglerDecomposition) -> list[np.ndarray]:
-    """PSD square roots ``F_i`` of the transformed summands, the state
-    operators of the colligation; ``NotPositive`` if a summand is not PSD."""
-    return [
-        checked_sqrt(square, f"transformed summand {i}")[0]
-        for i, square in enumerate(_transformed_summands(s, gamma, dec))
-    ]
-
-
 def lift_polydisc(
     t: TupleOperator,
     s: TupleOperator,
@@ -300,7 +283,7 @@ def lift_polydisc(
     gamma = tuple(int(g) for g in gamma)
     in_map, out_map = _lift_preamble(t, s, x, KernelSpec.polydisc(gamma), in_map, out_map)
 
-    squares = _transformed_summands(s, gamma, dec)
+    squares = [transformed_positivity(s, gamma, i, g) for i, g in enumerate(dec.summands)]
     coll = build_polydisc_colligation(s, x, gamma, squares, in_map=in_map, out_map=out_map)
     phi = TransferFunction(coll)
     cert = LiftCertificate(

@@ -27,7 +27,6 @@ from schurlift.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_INFEASIBLE,
     EXIT_SOLVED,
-    instance_to_dict,
     main,
     parse_instance,
     report_to_json,
@@ -136,13 +135,6 @@ def test_parse_rejects_empty_dimensions_at_their_field(doc, path):
     with pytest.raises(ValidationError) as info:
         parse_instance(json.dumps(doc))
     assert info.value.path == path
-
-
-def test_round_trip_is_idempotent():
-    inst = parse_instance(json.dumps(MOEBIUS))
-    doc1 = instance_to_dict(inst)
-    doc2 = instance_to_dict(parse_instance(json.dumps(doc1)))
-    assert json.dumps(doc1, sort_keys=True) == json.dumps(doc2, sort_keys=True)
 
 
 def test_run_moebius_solved():
@@ -347,6 +339,31 @@ def test_main_missing_file(capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert json.loads(out)["status"] == "error"
+
+
+MOEBIUS_TEXT = json.dumps(MOEBIUS)
+
+
+@pytest.mark.parametrize(
+    "command, data, flag, target",
+    [
+        ("scan", MOEBIUS_TEXT.encode("utf-8"), "--csv-out", "missing/x.csv"),
+        ("solve", MOEBIUS_TEXT.encode("utf-8"), "--out", "missing/r.json"),
+        # UTF-16 with its byte-order mark: not UTF-8 from the first byte on
+        ("solve", b"\xff\xfe" + MOEBIUS_TEXT.encode("utf-16-le"), "--out", "r.json"),
+    ],
+    ids=["unopenable-csv-out", "unopenable-out", "not-utf-8"],
+)
+def test_main_bad_paths_and_encodings_give_a_json_error_report(
+    tmp_path, capsys, command, data, flag, target
+):
+    path = tmp_path / "inst.json"
+    path.write_bytes(data)
+    out_path = tmp_path / target
+    code = main([command, str(path), flag, str(out_path)])
+    assert code == EXIT_ERROR
+    assert json.loads(capsys.readouterr().out)["status"] == "error"
+    assert not out_path.exists()
 
 
 def test_main_byte_identical_runs(tmp_path, capsys):

@@ -11,12 +11,10 @@ from schurlift import (
     build_subspace,
     cp_map,
     defect,
-    dilation_coefficients,
     hereditary,
     model_tuple,
-    sigma_sum,
 )
-from schurlift.errors import DimensionMismatch, NotConverged, NotHypercontraction
+from schurlift.errors import DimensionMismatch, NotHypercontraction
 from schurlift.hypercontraction import (
     _checked_eigenbasis,
     _combination,
@@ -172,46 +170,17 @@ def test_purity_model_tuples():
     assert is_pure(s, KernelSpec.polydisc((1, 1)))
 
 
-def test_sigma_sum_order_one_is_operand():
-    rng = np.random.default_rng(5)
-    t = random_normal_tuple(rng, 3, 2, radius=0.6)
-    a = np.eye(3, dtype=complex)
-    assert opnorm(sigma_sum(t, a, order=1) - a) == 0
-
-
-def test_sigma_sum_scalar_geometric_limit():
-    t = scalar_tuple(0.6)
-    value = sigma_sum(t, np.eye(1, dtype=complex))
-    assert value[0, 0] == pytest.approx(1.0 / (1 - 0.36), rel=1e-9)
-
-
-def test_sigma_sum_monotone():
-    rng = np.random.default_rng(6)
-    t = random_normal_tuple(rng, 3, 2, radius=0.7)
-    a = np.eye(3, dtype=complex)
-    prev = sigma_sum(t, a, order=1)
-    for order in range(2, 8):
-        cur = sigma_sum(t, a, order=order)
-        assert min_eig(cur - prev) >= -1e-12
-        prev = cur
-
-
-def test_sigma_sum_not_converged():
-    with pytest.raises(NotConverged):
-        sigma_sum(scalar_tuple(0.999999), np.eye(1, dtype=complex), max_order=20)
-
-
 def test_sigma_sum_telescoping_identity():
-    # sum over the box times the one-step differences equals the N-step differences
+    # the box sum of T^k [prod_i (1 - C_{T_i})](A) T^{*k}, k_i < N, telescopes
+    # to prod_i (1 - C_{T_i^N})(A)
     rng = np.random.default_rng(7)
     t = random_normal_tuple(rng, 3, 2, radius=0.7)
     a_raw = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     a = a_raw @ a_raw.conj().T
+    step = hereditary(t, (1,) * t.n, a)
     for order in (2, 4, 7):
-        lhs_arg = a.copy()
-        for i in range(t.n):
-            lhs_arg = lhs_arg - t[i] @ lhs_arg @ t[i].conj().T
-        lhs = sigma_sum(t, lhs_arg, order=order)
+        monos = [_monomial(t, k) for k in itertools.product(range(order), repeat=t.n)]
+        lhs = sum(mono @ step @ mono.conj().T for mono in monos)
         rhs = a.copy()
         for i in range(t.n):
             power = np.linalg.matrix_power(t[i], order)
@@ -219,54 +188,36 @@ def test_sigma_sum_telescoping_identity():
         assert opnorm(lhs - rhs) <= 1e-10
 
 
-def test_sigma_sum_skip_coordinate():
-    t = TupleOperator((np.array([[0.5]], dtype=complex), np.array([[0.7]], dtype=complex)))
-    value = sigma_sum(t, np.eye(1, dtype=complex), skip=0)
-    assert value[0, 0] == pytest.approx(1.0 / (1 - 0.49), rel=1e-9)
-
-
-def test_dilation_coefficients_zero_vector():
-    t = scalar_tuple(0.4)
-    coeffs = dilation_coefficients(t, KernelSpec.ball(1, 1), np.zeros(1), 5)
-    assert all(np.linalg.norm(v) == 0 for v in coeffs.values())
-
-
-def test_dilation_coefficients_scalar_geometric():
-    t = scalar_tuple(0.6)
-    spec = KernelSpec.ball(1, 1)
-    coeffs = dilation_coefficients(t, spec, np.ones(1), 10)
-    root = np.sqrt(1 - 0.36)
-    for k, v in coeffs.items():
-        assert v[0] == pytest.approx(root * 0.6 ** k[0])
-
-
 def test_dilation_isometry_partial_sums():
+    # sum_k rho(k) T^k D^2 T^{*k} = I for a pure tuple: the canonical
+    # dilation h -> (rho(k) D T^{*k} h)_k is an isometry
     rng = np.random.default_rng(8)
     for spec, geometry in (
         (KernelSpec.ball(2, 2), "ball"),
         (KernelSpec.polydisc((1, 2)), "polydisc"),
     ):
         t = random_normal_tuple(rng, 3, 2, radius=0.5, geometry=geometry)
-        h = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        coeffs = dilation_coefficients(t, spec, h, 40)
-        total = sum(
-            np.linalg.norm(v) ** 2 / series_coeff(spec, k) for k, v in coeffs.items()
-        )
-        assert total == pytest.approx(np.linalg.norm(h) ** 2, abs=1e-8)
+        square = defect(t, spec).defect_square
+        total = np.zeros((3, 3), dtype=complex)
+        for k in indices_up_to(2, 40):
+            mono = _monomial(t, k)
+            total += series_coeff(spec, k) * (mono @ square @ mono.conj().T)
+        assert opnorm(total - eye(t)) <= 1e-8
 
 
 def test_dilation_adjoint_pairing():
-    # pairing of the dilation against monomials reproduces T^p D eta
+    # the dilation coefficient rho(p) D T^{*p} h, over rho(p), paired
+    # against eta reproduces <h, T^p D eta>
     rng = np.random.default_rng(9)
     spec = KernelSpec.polydisc((2, 1))
     t = random_normal_tuple(rng, 3, 2, radius=0.5, geometry="polydisc")
     d = defect(t, spec)
     h = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     eta = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    coeffs = dilation_coefficients(t, spec, h, 12)
     for p in indices_up_to(2, 4):
-        lhs = np.vdot(coeffs[p], eta) / series_coeff(spec, p)
-        rhs = np.vdot(h, _monomial(t, p) @ d.defect @ eta)
+        mono = _monomial(t, p)
+        lhs = np.vdot(d.defect @ mono.conj().T @ h, eta)
+        rhs = np.vdot(h, mono @ d.defect @ eta)
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
 

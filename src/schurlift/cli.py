@@ -251,22 +251,16 @@ def _matrix_json(mat: np.ndarray) -> list:
 
 
 def _sample_points(inst: ProblemInstance, count: int) -> list[tuple[complex, ...]]:
+    """Uniform points in the ball of radius ``sample_radius``; only ball modes sample."""
     rng = np.random.default_rng(inst.options.seed)
     n = inst.spec.n
     radius = inst.options.sample_radius
     points = []
     for _ in range(count):
-        if inst.spec.geometry == "ball":
-            direction = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            direction /= np.linalg.norm(direction)
-            r = radius * rng.uniform() ** (1.0 / (2 * n))
-            points.append(tuple(r * direction))
-        else:
-            coords = []
-            for _ in range(n):
-                r = radius * np.sqrt(rng.uniform())
-                coords.append(r * np.exp(2j * np.pi * rng.uniform()))
-            points.append(tuple(coords))
+        direction = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        direction /= np.linalg.norm(direction)
+        r = radius * rng.uniform() ** (1.0 / (2 * n))
+        points.append(tuple(r * direction))
     return points
 
 
@@ -527,8 +521,9 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     with contextlib.ExitStack() as outputs:
-        # Output files are opened before the solve, so a bad path is an
-        # error report rather than a traceback or a lost result.
+        # Output files are opened before the solve, so a bad path is an error
+        # report (also in ``--out`` once that is open), not a traceback.
+        out = None
         try:
             with open(args.instance, "r", encoding="utf-8") as fh:
                 try:
@@ -537,15 +532,15 @@ def main(argv=None) -> int:
                     raise ParseError(f"instance file is not UTF-8: {exc}") from None
             inst = parse_instance(text)
             _apply_flags(inst, args)
-            out = outputs.enter_context(open(args.out, "w", encoding="utf-8")) if args.out else None
+            if args.out:
+                out = outputs.enter_context(open(args.out, "w", encoding="utf-8"))
             csv_stream = None
             if args.command == "scan":
                 csv_stream = outputs.enter_context(open(args.csv_out, "w", encoding="utf-8"))
         except (OSError, SchurliftError) as exc:
-            print(report_to_json(_finish_error({}, exc)))
-            return EXIT_ERROR
-
-        report, code = run(inst, csv_stream=csv_stream, certify=args.command == "certify")
+            report, code = _finish_error({}, exc), EXIT_ERROR
+        else:
+            report, code = run(inst, csv_stream=csv_stream, certify=args.command == "certify")
         text = report_to_json(report)
         if out is not None:
             out.write(text + "\n")

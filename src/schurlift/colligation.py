@@ -124,8 +124,9 @@ def _split_columns(mat: np.ndarray, dims: tuple[int, ...]) -> list[np.ndarray]:
 def _orthonormal_complement(basis: np.ndarray, dim: int) -> np.ndarray:
     """Deterministic orthonormal complement of the column span of ``basis``.
 
-    Gram-Schmidt over the standard basis in index order; falls back to the
-    eigenvectors of the complementary projector if thresholding miscounts.
+    Gram-Schmidt over the standard basis in index order, keeping residuals
+    above 1e-6.  It cannot end short: a unit ``u`` orthogonal to a smaller
+    final span would have every ``|u_idx| <= 1e-6``, so ``1 <= dim * 1e-12``.
     """
     needed = dim - basis.shape[1]
     if needed <= 0:
@@ -142,10 +143,6 @@ def _orthonormal_complement(basis: np.ndarray, dim: int) -> np.ndarray:
             kept.append(v / norm)
             if len(kept) == needed:
                 break
-    if len(kept) != needed:
-        proj = np.eye(dim, dtype=complex) - basis @ basis.conj().T
-        w, vecs = np.linalg.eigh(herm(proj))
-        kept = [vecs[:, -(j + 1)] for j in range(needed)]
     return np.column_stack(kept)
 
 
@@ -261,8 +258,8 @@ def build_ball_colligation(
     output side; their Gram agreement is exactly the lifting identity,
     which the completion checks.  ``gap`` is the positivity gap
     ``(1 - sigma_S)^{m-1}(I - X X*)``; one ``checked_sqrt`` tests it
-    (``NotPositive`` otherwise) and gives its bottom eigenvalue and its
-    range coordinates.  ``in_map``/``out_map`` are the
+    (``NotPositive`` otherwise) and gives its bottom eigenvalue, its range
+    coordinates and its norm, the square of ``delta_norm``.  ``in_map``/``out_map`` are the
     defect coordinate maps of ``s`` and of the domain tuple: any maps whose
     Grams are the two defects (``DefectData.coord_map``, or on model
     subspaces the evaluation at the origin, so the transfer function acts
@@ -282,7 +279,7 @@ def build_ball_colligation(
     gap_sq = herm(as_matrix(gap))
     if gap_sq.shape != (q2, q2):
         raise DimensionMismatch(f"gap shape {gap_sq.shape} does not match tuple dimension {q2}")
-    gap_root, gap_rank, gap_basis, gap_min = checked_sqrt(gap_sq, "positivity gap")
+    gap_root, gap_rank, gap_basis, gap_min, gap_norm = checked_sqrt(gap_sq, "positivity gap")
     gap_map = gap_basis.conj().T @ gap_root
 
     in_map = as_matrix(in_map)
@@ -313,7 +310,7 @@ def build_ball_colligation(
         (state_out,) * n,
         unitary_ok,
         delta_min_eig=gap_min,
-        delta_norm=float(np.sqrt(max(opnorm(gap_sq), 0.0))),
+        delta_norm=float(np.sqrt(gap_norm)),
     )
 
 
@@ -331,9 +328,9 @@ def build_polydisc_colligation(
     ``squares`` holds the PSD operators ``F_i^2`` that balance the defect
     identity ``D_S^2 + sum S_i F_i^2 S_i* = X D_T^2 X* + sum F_i^2``;
     that balance is the Gram agreement the completion checks.  Each must
-    be PSD within ``psd_tolerance`` (``NotPositive`` otherwise), and
-    state block ``i`` carries the range coordinates of ``F_i``, from one
-    ``checked_sqrt`` of ``F_i^2``.  ``in_map``/``out_map`` are coordinate maps
+    pass the PSD test of ``checked_sqrt`` (``NotPositive`` otherwise), and
+    state block ``i`` carries the range coordinates of ``F_i``, from that
+    one ``checked_sqrt`` of ``F_i^2``.  ``in_map``/``out_map`` are coordinate maps
     whose Grams are ``D_S^2`` and ``D_T^2``.  The completion is unitary
     when the two defect dimensions agree.
     """
@@ -351,7 +348,7 @@ def build_polydisc_colligation(
     state_ins = []
     f_maps = []
     for i, (square, adj) in enumerate(zip(squares, s.adjoints())):
-        root, _, basis, _ = checked_sqrt(square, f"transformed summand {i}")
+        root, _, basis, _, _ = checked_sqrt(square, f"transformed summand {i}")
         f_map = basis.conj().T @ root
         state_ins.append(f_map @ adj)
         f_maps.append(f_map)

@@ -97,7 +97,7 @@ def defect(t: TupleOperator, spec: KernelSpec) -> DefectData:
     weight = spec.m if spec.geometry == BALL else spec.gamma
     square = hereditary(t, weight, np.eye(t.dim, dtype=complex))
     try:
-        root, rank, basis, lam_min = checked_sqrt(square, "defect")
+        root, rank, basis, lam_min, _ = checked_sqrt(square, "defect")
     except NotPositive as exc:
         raise NotHypercontraction(exc.min_eig) from None
     return DefectData(
@@ -188,23 +188,23 @@ def is_pure(t: TupleOperator, spec: KernelSpec) -> bool:
     transients near the boundary: the ball uses the spectral radius of the
     completely positive map itself, the polydisc the per-coordinate radii.
 
-    On the ball, commuting matrices triangularize together, so
-    ``sum conj(T_i) (x) T_i`` is triangular with diagonal entries
-    ``<lambda_a, lambda_b>`` and its spectral radius is the largest
-    ``||lambda_a||^2``.  That costs one ``q x q`` eigenproblem, none for a
-    model tuple; only tuples without a ``joint_eigenbasis`` (not
-    diagonalizable, or a cluster the second combination does not split)
-    fall back to the eigenvalues of the ``q^2 x q^2`` matrix itself.
+    Both read the joint eigenvalues ``lambda`` of ``joint_eigenbasis``.  On
+    the ball, commuting matrices triangularize together, so ``sum conj(T_i)
+    (x) T_i`` has diagonal ``<lambda_a, lambda_b>`` and spectral radius
+    ``max ||lambda_a||^2``; on the polydisc ``T_i`` has ``max_a |lambda_ai|``.
+    Tuples without a joint eigenbasis (not diagonalizable, or a cluster the
+    second combination does not split) take the eigenvalues of that
+    ``q^2 x q^2`` matrix, or of each ``T_i``.
     """
-    if spec.geometry == BALL:
-        basis = joint_eigenbasis(t)
-        if basis is not None:
-            radius = ball_spectral_radius(basis[1])
-        else:
-            mat = np.zeros((t.dim * t.dim, t.dim * t.dim), dtype=complex)
-            for m in t.mats:
-                mat += np.kron(m.conj(), m)
-            radius = max(abs(np.linalg.eigvals(mat)))
+    basis = joint_eigenbasis(t)
+    if basis is not None:
+        lam = basis[1]
+        radius = ball_spectral_radius(lam) if spec.geometry == BALL else np.max(np.abs(lam))
+    elif spec.geometry == BALL:
+        mat = np.zeros((t.dim * t.dim, t.dim * t.dim), dtype=complex)
+        for m in t.mats:
+            mat += np.kron(m.conj(), m)
+        radius = max(abs(np.linalg.eigvals(mat)))
     else:
         radius = max(max(abs(np.linalg.eigvals(m))) for m in t.mats)
     return bool(radius < 1.0 - PURITY_MARGIN)

@@ -29,7 +29,7 @@ from .hypercontraction import (
     joint_eigenbasis,
 )
 from .kernels import KernelSpec, kernel_matrix
-from .linalg import as_matrix, herm, min_eig, opnorm, pick_blocks, psd_tolerance
+from .linalg import as_matrix, herm, min_eig, opnorm, pick_blocks, psd_fails
 from .model_space import (
     KernelSubspace,
     TupleOperator,
@@ -57,8 +57,12 @@ SERIES_ORDER_CAP = 60
 
 @dataclass
 class PositivityReport:
-    min_eig: float
     matrix: np.ndarray
+
+    @property
+    def min_eig(self) -> float:
+        """Bottom eigenvalue of the gap, computed when read."""
+        return min_eig(self.matrix)
 
 
 def check_positivity(s: TupleOperator, x: np.ndarray, m: int) -> PositivityReport:
@@ -72,7 +76,7 @@ def check_positivity(s: TupleOperator, x: np.ndarray, m: int) -> PositivityRepor
             f"intertwiner has {x.shape[0]} rows, tuple dimension is {s.dim}"
         )
     gap = hereditary(s, m - 1, np.eye(s.dim, dtype=complex) - x @ x.conj().T)
-    return PositivityReport(min_eig=min_eig(gap), matrix=gap)
+    return PositivityReport(gap)
 
 
 @dataclass
@@ -109,8 +113,7 @@ def _check_contraction(x: np.ndarray) -> float:
     return norm
 
 
-def _check_intertwining(t: TupleOperator, s: TupleOperator, x: np.ndarray) -> float:
-    norm_x = opnorm(x)
+def _check_intertwining(t: TupleOperator, s: TupleOperator, x: np.ndarray, norm_x: float) -> float:
     worst = 0.0
     for ti, si in zip(t.mats, s.mats):
         resid = opnorm(x @ ti - si @ x)
@@ -137,8 +140,7 @@ def _lift_preamble(
     """
     if t.n != s.n:
         raise DimensionMismatch("tuples must have the same length")
-    _check_contraction(x)
-    _check_intertwining(t, s, x)
+    _check_intertwining(t, s, x, _check_contraction(x))
     if not is_pure(t, spec) or not is_pure(s, spec):
         raise NotPure("both tuples must be pure for the canonical dilation")
     if in_map is None:
@@ -263,9 +265,9 @@ class KernelSpans:
         the Pick matrix for the domain kernel (weight ``m`` or ``gamma``) and
         its bottom eigenvalue, and whether that matrix fails the test."""
         pick = target_pick_matrix(self.q1.spec, self.q1.nodes, self.targets)
-        pick_min = min_eig(pick)
-        record = Infeasible(which="contractivity", pick_min_eig=pick_min, pick_matrix=pick)
-        return record, pick_min < -psd_tolerance(pick, psd_base_tol)
+        spectrum = np.linalg.eigvalsh(pick)
+        record = Infeasible("contractivity", float(spectrum[0]), pick)
+        return record, psd_fails(spectrum, psd_base_tol)
 
     def coeff_maps(self) -> dict:
         """Defect coordinate maps of the lift: evaluation at the origin, whose
@@ -317,14 +319,9 @@ def np_solve(
     # orthonormal coordinates: (1 - sigma_S)^{m-1}(I - X X*) = L2* Pick_1 L2.
     factor = spans.q2.ortho_factor
     gap = herm(factor.conj().T @ pick_1 @ factor)
-    gap_min = min_eig(gap)
-    positivity = Infeasible(
-        which="positivity-gap",
-        pick_min_eig=min_eig(pick_1),
-        pick_matrix=pick_1,
-        delta_min_eig=gap_min,
-    )
-    if gap_min < -psd_tolerance(gap, psd_base_tol):
+    gap_spectrum = np.linalg.eigvalsh(gap)
+    positivity = Infeasible("positivity-gap", min_eig(pick_1), pick_1, float(gap_spectrum[0]))
+    if psd_fails(gap_spectrum, psd_base_tol):
         return positivity
 
     try:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .colligation import Colligation, build_polydisc_colligation
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NotContraction
 from .hypercontraction import hereditary, joint_eigenbasis
 from .kernels import KernelSpec, indices_up_to, series_coeff
 from .linalg import as_matrix, clip_psd, herm, min_eig, opnorm
@@ -31,6 +31,7 @@ from .lifting_ball import (
     KernelSpans,
     LiftCertificate,
     LiftResult,
+    _check_contraction,
     _lift_preamble,
 )
 from .model_space import TupleOperator
@@ -317,7 +318,9 @@ def np_solve_polydisc(
     feasibility_tol: float = 1e-10,
     max_iter: int = 10000,
 ) -> LiftResult | Infeasible | Inconclusive:
-    """Interpolation front end over polydisc kernel spans."""
+    """Interpolation front end over polydisc kernel spans.  An ``X`` that the
+    Pick gate passes at a loose ``psd_base_tol`` but the lift's contraction
+    check rejects gets the gate's record, before any search."""
     if spec.geometry != "polydisc":
         raise ValueError("np_solve_polydisc expects a polydisc kernel spec")
     spans = KernelSpans.build(spec, nodes, targets, d_target)
@@ -326,6 +329,10 @@ def np_solve_polydisc(
         return contractivity
 
     t, s, x = spans.t, spans.s, spans.x
+    try:
+        _check_contraction(x)
+    except NotContraction:
+        return contractivity
     dec = agler_feasibility(s, x, spec.gamma, tol=feasibility_tol, max_iter=max_iter)
     if isinstance(dec, Inconclusive):
         return dec

@@ -13,7 +13,7 @@ from .errors import NotPositive
 #: Relative eigenvalue cut below which ``checked_sqrt`` counts no rank.
 SQRT_RANK_TOL = 1e-12
 
-#: Default ``base`` of ``psd_tolerance``.
+#: Default ``base`` of ``psd_fails``.
 PSD_BASE_TOL = 1e-9
 
 
@@ -64,31 +64,33 @@ def min_eig(a: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(herm(a))[0])
 
 
-def psd_tolerance(a: np.ndarray, base: float = PSD_BASE_TOL) -> float:
-    """Scale-relative PSD acceptance threshold: base * (1 + ||A||)."""
-    return base * (1.0 + opnorm(a))
+def psd_fails(w: np.ndarray, base: float = PSD_BASE_TOL) -> bool:
+    """The package's one PSD test, on the spectrum ``w`` of a Hermitian
+    matrix: ``min w < -base * (1 + max |w|)``.  An empty spectrum passes."""
+    return bool(w.size and w.min() < -base * (1.0 + np.abs(w).max()))
 
 
 def checked_sqrt(square: np.ndarray, context: str):
-    """PSD square root of a square that must be PSD within ``psd_tolerance``.
+    """PSD square root of a square that must pass ``psd_fails``.
 
     One eigendecomposition gives the bottom eigenvalue that is checked,
     the norm ``max |lambda|`` that scales the tolerance, and the root.
     Raises ``NotPositive`` naming ``context`` otherwise.  Eigenvalues
     below ``SQRT_RANK_TOL * max(lambda_max, 1)`` count no rank (they are
     round-off from differences of products), and negative ones are
-    clipped.  Returns ``(root, rank, range_basis, min_eig)``, where
-    ``range_basis`` has the ``rank`` leading eigenvectors as columns.
+    clipped.  Returns ``(root, rank, range_basis, min_eig, norm)``, where
+    ``range_basis`` has the ``rank`` leading eigenvectors as columns and
+    ``norm`` is ``max |lambda|``, the operator norm of the square.
     """
     w, v = np.linalg.eigh(herm(square))
     w, v = w[::-1], v[:, ::-1]
     lam_min = float(w[-1]) if w.size else 0.0
     lam_max = float(w[0]) if w.size else 0.0
-    if lam_min < -PSD_BASE_TOL * (1.0 + max(lam_max, -lam_min)):
+    if psd_fails(w):
         raise NotPositive(lam_min, context=context)
     rank = int(np.count_nonzero(w > SQRT_RANK_TOL * max(lam_max, 1.0)))
     root = (v * np.sqrt(np.where(w > 0.0, w, 0.0))) @ v.conj().T
-    return herm(root), rank, v[:, :rank], lam_min
+    return herm(root), rank, v[:, :rank], lam_min, max(lam_max, -lam_min)
 
 
 def clip_psd(a: np.ndarray) -> np.ndarray:

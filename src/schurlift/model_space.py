@@ -62,9 +62,6 @@ class TupleOperator:
     def dim(self) -> int:
         return self.mats[0].shape[0]
 
-    def __iter__(self):
-        return iter(self.mats)
-
     def __getitem__(self, i: int) -> np.ndarray:
         return self.mats[i]
 

@@ -117,3 +117,26 @@ def random_interior_points(rng, count, n, radius=0.9, geometry="ball"):
                 )
             )
     return points
+
+
+def record_linalg(monkeypatch, names):
+    """Record ``(name, argument)`` of every call of the named ``np.linalg``
+    functions; ``calls_on`` counts those that took one given matrix."""
+    calls = []
+    for name in names:
+        original = getattr(np.linalg, name)
+
+        def recorded(a, *args, _name=name, _original=original, **kwargs):
+            calls.append((_name, np.array(a)))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return calls
+
+
+def calls_on(calls, name, mat) -> int:
+    """How many recorded ``name`` calls took ``mat`` (alone or as a one-matrix stack)."""
+    return sum(
+        n == name and a.size == mat.size and np.array_equal(a.reshape(mat.shape), mat)
+        for n, a in calls
+    )

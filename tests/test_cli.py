@@ -187,6 +187,41 @@ def test_loose_psd_tol_still_reports_infeasible(tmp_path, capsys, m, failed_test
     assert report["certificates"]["pick_min_eig"] < 0
 
 
+def test_loose_psd_tol_still_reports_polydisc_infeasible(tmp_path, capsys):
+    # (1 + 2e-7) z1 passes the Pick gate at --psd-tol 1e-5; the lift's own
+    # contraction check rejects it before any Dykstra iteration.
+    doc = dict(
+        BIDISC,
+        nodes=[[[0, 0], [0, 0]], [[0.5, 0], [0, 0]], [[-0.3, 0.2], [0.1, 0]]],
+        targets=[[[[0, 0]]], [[[0.5000001, 0]]], [[[-0.30000003, 0.20000002]]]],
+        options={},
+    )
+    code, report = _main_report(tmp_path, capsys, doc, "--psd-tol", "1e-5")
+    assert code == EXIT_INFEASIBLE
+    assert report["status"] == "infeasible"
+    assert report["certificates"]["failed_test"] == "contractivity"
+    assert report["certificates"]["pick_min_eig"] < 0
+
+
+def test_verification_failure_is_an_error_report(tmp_path, capsys):
+    doc = dict(MOEBIUS, nodes=THREE_NODES, targets=_linear_targets(0.5))
+    code, report = _main_report(tmp_path, capsys, doc, "--verify-tol", "1e-30")
+    assert code == EXIT_ERROR
+    assert report["status"] == "error"
+    assert report["error"]["type"] == "VerificationFailure"
+
+
+def test_lift_pm_reports_the_positivity_gap(tmp_path, capsys):
+    # 0.8 z is contractive at weight p = 3 but not at weight m = 2.
+    doc = dict(MOEBIUS, mode="lift-pm", m=2, p=3, nodes=[[[0.0, 0.0]], [[0.5, 0.0]]],
+               targets=[[[[0.0, 0.0]]], [[[0.8, 0.0]]]])
+    code, report = _main_report(tmp_path, capsys, doc)
+    assert code == EXIT_INFEASIBLE
+    assert report["status"] == "infeasible"
+    assert report["certificates"]["failed_test"] == "positivity-gap"
+    assert report["certificates"]["delta_min_eig"] == pytest.approx(-0.0551, abs=1e-4)
+
+
 @pytest.mark.parametrize("mode", ["np-ball", "lift-ball", "lift-pm", "factorize"])
 @pytest.mark.parametrize("c, expected", [(1.5, EXIT_INFEASIBLE), (0.5, EXIT_SOLVED)])
 def test_every_ball_mode_reports_the_verdict(tmp_path, capsys, mode, c, expected):
@@ -364,6 +399,23 @@ def test_main_bad_paths_and_encodings_give_a_json_error_report(
     assert code == EXIT_ERROR
     assert json.loads(capsys.readouterr().out)["status"] == "error"
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "command, expected",
+    [("solve", EXIT_SOLVED), ("scan", EXIT_ERROR)],
+    ids=["solved", "unopenable-csv-out"],
+)
+def test_out_holds_the_printed_report(tmp_path, capsys, command, expected):
+    # The scan's --csv-out cannot be opened, after --out was.
+    path = tmp_path / "inst.json"
+    path.write_text(MOEBIUS_TEXT)
+    out_path = tmp_path / "r.json"
+    flags = ["--csv-out", str(tmp_path / "missing" / "x.csv")] if command == "scan" else []
+    code = main([command, str(path), "--out", str(out_path), *flags])
+    printed = capsys.readouterr().out
+    assert code == expected
+    assert out_path.read_text(encoding="utf-8") == printed
 
 
 def test_main_byte_identical_runs(tmp_path, capsys):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from schurlift import (
     KernelSpec,
+    LiftResult,
     build_ball_colligation,
     build_polydisc_colligation,
     build_subspace,
@@ -12,6 +13,7 @@ from schurlift import (
     complete_pairs,
     defect,
     model_tuple,
+    np_solve,
     np_target_operator,
 )
 from schurlift.colligation import PARTIAL_ISOMETRY, UNITARY
@@ -19,7 +21,15 @@ from schurlift.errors import GramMismatch, NotPositive
 from schurlift.hypercontraction import cp_map, hereditary
 from schurlift.linalg import opnorm
 
-from conftest import random_ball_nodes, random_polydisc_nodes, scaled_targets
+from conftest import (
+    calls_on,
+    random_ball_nodes,
+    random_polydisc_nodes,
+    record_linalg,
+    scaled_targets,
+)
+
+DECOMPOSITIONS = ("eigh", "eigvalsh", "svd")
 
 
 def test_complete_pairs_empty_unitary_is_identity():
@@ -182,6 +192,25 @@ def test_ball_colligation_not_positive():
         assert err.value.min_eig < 0
 
 
+def test_ball_colligation_pads_the_gap_rows_to_a_unitary():
+    # n = 2 with defect dims 1 -> 5 asks for state dim 4 over a rank-2 gap,
+    # so the two gap rows are padded with zero rows before the completion.
+    rng = np.random.default_rng(0)
+    targets = [0.2 * rng.standard_normal((1, 5)) for _ in range(2)]
+    nodes = [(0.1, 0.2j), (-0.3, 0.1)]
+    res = np_solve(KernelSpec.ball(1, 2, 5), nodes, targets)
+    assert isinstance(res, LiftResult)
+    coll = res.colligation
+    assert coll.kind == UNITARY
+    assert coll.in_state_dims == (4, 4)
+    state = coll.state_coord_maps[0]
+    assert np.linalg.matrix_rank(state) == 2 and not state[2:].any()
+    assert coll.unitary_defect <= 1e-12
+    assert res.certificate.verify_residual <= 1e-12
+    for z, w in zip(nodes, targets):
+        assert opnorm(res.phi(z) - w) <= 1e-12
+
+
 def test_ball_colligation_bit_identical_rebuild():
     rng = np.random.default_rng(5)
     q1, q2, t, s, x, _ = _ball_instance(rng, 2, 2, 3)
@@ -191,35 +220,19 @@ def test_ball_colligation_bit_identical_rebuild():
     assert np.array_equal(c1.matrix, c2.matrix)
 
 
-def _count_decompositions(monkeypatch, square):
-    """Count the ``eigh``, ``eigvalsh`` and ``svd`` calls that take ``square``
-    (alone or as a one-matrix stack)."""
-    calls = []
-    for name in ("eigh", "eigvalsh", "svd"):
-        original = getattr(np.linalg, name)
-
-        def counted(a, *args, _name=name, _original=original, **kwargs):
-            a = np.asarray(a)
-            if a.size == square.size and np.array_equal(a.reshape(square.shape), square):
-                calls.append(_name)
-            return _original(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    return calls
-
-
-def test_ball_colligation_decomposes_the_gap_twice(monkeypatch):
-    # One eigh gives the PSD test, the bottom eigenvalue and the root; one
-    # SVD gives the norm behind the series order.
+def test_ball_colligation_decomposes_the_gap_once(monkeypatch):
+    # One eigh gives the PSD test, the bottom eigenvalue, the root and the
+    # norm behind the series order.
     rng = np.random.default_rng(7)
     q1, q2, t, s, x, _ = _ball_instance(rng, 2, 2, 4)
     gap = check_positivity(s, x, 2).matrix
-    calls = _count_decompositions(monkeypatch, gap)
+    calls = record_linalg(monkeypatch, DECOMPOSITIONS)
     coll = build_ball_colligation(
         s, x, gap, in_map=q2.coeff_map_at_zero(), out_map=q1.coeff_map_at_zero()
     )
-    assert sorted(calls) == ["eigh", "svd"]
+    assert [calls_on(calls, name, gap) for name in DECOMPOSITIONS] == [1, 0, 0]
     assert coll.delta_min_eig == np.linalg.eigh(gap)[0][0]
+    assert coll.delta_norm == pytest.approx(np.sqrt(opnorm(gap)), rel=1e-12)
 
 
 def test_defect_decomposes_the_square_once(monkeypatch):
@@ -227,9 +240,9 @@ def test_defect_decomposes_the_square_once(monkeypatch):
     spec = KernelSpec.ball(2, 2)
     s = model_tuple(build_subspace(spec, random_ball_nodes(rng, 4, 2)))
     square = hereditary(s, 2, np.eye(s.dim, dtype=complex))
-    calls = _count_decompositions(monkeypatch, square)
+    calls = record_linalg(monkeypatch, DECOMPOSITIONS)
     data = defect(s, spec)
-    assert calls == ["eigh"]
+    assert [calls_on(calls, name, square) for name in DECOMPOSITIONS] == [1, 0, 0]
     assert np.array_equal(data.defect_square, square)
     assert opnorm(data.defect @ data.defect - square) <= 1e-12
 

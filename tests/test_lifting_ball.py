@@ -24,13 +24,15 @@ from schurlift.errors import NotContraction, NotIntertwining, NotPositive
 from schurlift.hypercontraction import cp_map, defect, hereditary
 from schurlift.kernels import kernel_eval, kernel_matrix
 from schurlift.lifting_ball import SERIES_ORDER_CAP, KernelSpans, target_pick_matrix
-from schurlift.linalg import herm, min_eig, opnorm, psd_tolerance
+from schurlift.linalg import herm, min_eig, opnorm, psd_fails
 from schurlift.model_space import TupleOperator
 
 from conftest import (
+    calls_on,
     random_ball_nodes,
     random_contraction,
     random_interior_points,
+    record_linalg,
     scaled_targets,
 )
 
@@ -276,7 +278,7 @@ def test_pick_congruence_is_the_positivity_gap(seed, r, n, m, d):
 )
 def test_solved_implies_a_psd_weight_one_pick_matrix(seed, r, n, m, d, scale):
     """Targets scaled around the edge of solvability: whenever ``np_solve``
-    returns a lift, the weight-one Pick matrix is PSD within ``psd_tolerance``."""
+    returns a lift, the weight-one Pick matrix passes the PSD test ``psd_fails``."""
     rng = np.random.default_rng(seed)
     spec = KernelSpec.ball(m, n)
     nodes = random_ball_nodes(rng, r, n)
@@ -285,7 +287,7 @@ def test_solved_implies_a_psd_weight_one_pick_matrix(seed, r, n, m, d, scale):
     event(type(outcome).__name__)
     if isinstance(outcome, LiftResult):
         pick_1 = target_pick_matrix(KernelSpec.ball(1, n), nodes, targets)
-        assert min_eig(pick_1) >= -psd_tolerance(pick_1)
+        assert not psd_fails(np.linalg.eigvalsh(pick_1))
 
 
 def test_np_solve_constant_targets():
@@ -559,6 +561,39 @@ def test_lift_p_gt_m_runs_each_check_once(monkeypatch):
     targets = scaled_targets(rng, KernelSpec.ball(3, 2), nodes, weight_one=False)
     lift_p_gt_m(q1, q2, np_target_operator(q1, targets, q2))
     assert calls == {"_check_contraction": 1, "_check_intertwining": 1}
+
+
+def test_np_solve_gates_decide_from_one_eigvalsh(monkeypatch):
+    # Each gate reads its bottom eigenvalue and its scale from one eigvalsh;
+    # neither takes an SVD, and the builder's eigh is the gap's only other
+    # decomposition.
+    rng = np.random.default_rng(17)
+    spec = KernelSpec.ball(2, 2)
+    nodes = random_ball_nodes(rng, 4, 2)
+    targets = scaled_targets(rng, spec, nodes)
+    pick = target_pick_matrix(spec, nodes, targets)
+    factor = KernelSpans.build(spec, nodes, targets).q2.ortho_factor
+    pick_1 = target_pick_matrix(KernelSpec.ball(1, 2), nodes, targets)
+    gap = herm(factor.conj().T @ pick_1 @ factor)
+    calls = record_linalg(monkeypatch, ("eigh", "eigvalsh", "svd"))
+    assert isinstance(np_solve(spec, nodes, targets), LiftResult)
+    assert [calls_on(calls, name, pick) for name in ("eigh", "eigvalsh", "svd")] == [0, 1, 0]
+    assert [calls_on(calls, name, gap) for name in ("eigh", "eigvalsh", "svd")] == [1, 1, 0]
+
+
+def test_lift_p_gt_m_takes_no_eigvalsh_and_one_norm_of_x(monkeypatch):
+    # The gap's bottom eigenvalue is read only on demand, and the contraction
+    # check hands ||X|| to the intertwining check.
+    rng = np.random.default_rng(18)
+    nodes = random_ball_nodes(rng, 4, 2)
+    q1 = build_subspace(KernelSpec.ball(1, 2), nodes)
+    q2 = build_subspace(KernelSpec.ball(2, 2), nodes)
+    targets = scaled_targets(rng, KernelSpec.ball(2, 2), nodes, weight_one=False)
+    x = np_target_operator(q1, targets, q2)
+    calls = record_linalg(monkeypatch, ("eigvalsh", "svd"))
+    assert lift_p_gt_m(q1, q2, x).verify_residual <= 1e-8
+    assert [name for name, _ in calls if name == "eigvalsh"] == []
+    assert calls_on(calls, "svd", x) == 1
 
 
 def test_lift_p_gt_m_not_positive_names_the_higher_weight_span():

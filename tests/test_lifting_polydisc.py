@@ -36,7 +36,7 @@ from schurlift.lifting_polydisc import (
 )
 from schurlift.linalg import herm, min_eig, opnorm
 
-from conftest import random_polydisc_nodes, scaled_targets
+from conftest import random_polydisc_nodes, record_linalg, scaled_targets
 
 INSTANCES = Path(__file__).resolve().parents[1] / "perfbench" / "instances.py"
 
@@ -324,6 +324,18 @@ def test_np_solve_polydisc_end_to_end():
         assert res.certificate.verify_residual <= 1e-6
         for z, w in zip(nodes, targets):
             assert opnorm(res.phi(z) - w) <= 1e-6
+
+
+def test_np_solve_polydisc_reads_purity_from_the_joint_eigenvalues(monkeypatch):
+    # Model tuples carry their joint eigenvalues, so the purity gate takes
+    # no eigenvalues of any T_i.
+    rng = np.random.default_rng(19)
+    spec = KernelSpec.polydisc((1, 2))
+    nodes = random_polydisc_nodes(rng, 4, 2)
+    targets = [0.5 * w for w in scaled_targets(rng, spec, nodes, weight_one=False)]
+    calls = record_linalg(monkeypatch, ("eigvals",))
+    assert isinstance(np_solve_polydisc(spec, nodes, targets), LiftResult)
+    assert calls == []
 
 
 @pytest.mark.parametrize("case", ["fault-r16", "const-r32"])

@@ -55,6 +55,7 @@ from .transfer import (
     TransferFunction,
     factorization_criterion,
     grid_points,
+    grid_scan,
     schur_agler_certificate_ball,
     series_partial_lift,
     sup_norm_scan,
@@ -120,6 +121,7 @@ __all__ = [
     "dilate_p_to_m",
     "factorization_criterion",
     "grid_points",
+    "grid_scan",
     "hereditary",
     "kernel_eval",
     "kernel_matrix",

@@ -31,9 +31,8 @@ from .model_space import build_subspace, np_target_operator
 from .transfer import (
     GridSpec,
     factorization_criterion,
-    grid_points,
+    grid_scan,
     schur_agler_certificate_ball,
-    sup_norm_scan,
     values_at,
     write_scan_csv,
 )
@@ -453,8 +452,7 @@ def run(inst: ProblemInstance, *, csv_stream=None, certify: bool = False) -> tup
             }
         # The polydisc certificate and the CSV share one scan of the grid.
         if code == EXIT_SOLVED and ((certifying and not on_ball) or csv_stream is not None):
-            grid = grid_points(GridSpec(*inst.options.grid), inst.spec.geometry, inst.spec.n)
-            scan = sup_norm_scan(phi, grid)
+            scan = grid_scan(phi, GridSpec(*inst.options.grid), inst.spec.geometry, inst.spec.n)
             report["certificates"]["sup_norm"] = {
                 "max": scan.max_norm,
                 "points": len(scan.norms),

@@ -3,6 +3,7 @@ import functools
 import io
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -668,13 +669,13 @@ def test_scan_of_certify_document_scans_once(tmp_path, capsys, monkeypatch):
     certified = capsys.readouterr().out
 
     scans = []
-    original = cli.sup_norm_scan
+    original = cli.grid_scan
 
     def counted(*args, **kwargs):
         scans.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "sup_norm_scan", counted)
+    monkeypatch.setattr(cli, "grid_scan", counted)
     csv_path = tmp_path / "scan.csv"
     code = main(["scan", str(path), "--grid", "3:3:0.9", "--csv-out", str(csv_path)])
     assert code == EXIT_SOLVED
@@ -690,9 +691,11 @@ def _pointwise(phi):
 
 
 def test_batched_outputs_match_pointwise_reference(tmp_path, capsys, monkeypatch):
-    """Reports (node table and certificates included) and the scan CSV are
-    byte-identical to the ones built from single-point evaluations, one
-    ``opnorm`` per scan row and certificates over those values."""
+    """Reports (node table and certificates included) and the scan CSV match
+    the ones built from single-point evaluations, one ``opnorm`` per scan row
+    and certificates over those values.  The ball report is byte-identical.
+    The polydisc scan eliminates a state block on the grid, so its norms and
+    ``sup_norm.max`` agree within 1e-13 and every other byte is equal."""
     ball = tmp_path / "ball.json"
     ball.write_text(json.dumps(BALL_CERTIFY))
     poly = tmp_path / "poly.json"
@@ -700,23 +703,33 @@ def test_batched_outputs_match_pointwise_reference(tmp_path, capsys, monkeypatch
 
     def outputs(tag):
         csv = tmp_path / f"{tag}.csv"
-        codes = [
-            main(["certify", str(ball)]),
-            main(["scan", str(poly), "--grid", "4:5:0.9", "--csv-out", str(csv)]),
-        ]
-        assert codes == [EXIT_SOLVED, EXIT_SOLVED]
-        return capsys.readouterr().out, csv.read_text()
+        assert main(["certify", str(ball)]) == EXIT_SOLVED
+        certified = capsys.readouterr().out
+        assert main(["scan", str(poly), "--grid", "4:5:0.9", "--csv-out", str(csv)]) == EXIT_SOLVED
+        return certified, json.loads(capsys.readouterr().out), csv.read_text()
 
     batched = outputs("batched")
     for module in (transfer, cli):
         monkeypatch.setattr(module, "values_at", lambda phi, pts: _loop_values(_pointwise(phi), pts))
     monkeypatch.setattr(
-        cli, "sup_norm_scan", lambda phi, pts: _loop_sup_norm_scan(_pointwise(phi), pts)
+        cli, "grid_scan",
+        lambda phi, grid, geometry, n: _loop_sup_norm_scan(
+            _pointwise(phi), transfer.grid_points(grid, geometry, n)),
     )
     pointwise = outputs("pointwise")
-    assert pointwise == batched
-    assert '"schur_agler"' in batched[0] and '"sup_norm"' in batched[0]
-    assert len(batched[1].strip().split("\n")) == 1 + 20**2
+    assert pointwise[0] == batched[0] and '"schur_agler"' in batched[0]
+
+    got, want = batched[1]["certificates"]["sup_norm"], pointwise[1]["certificates"]["sup_norm"]
+    assert abs(got["max"] - want["max"]) <= 1e-13
+    want["max"] = got["max"]
+    assert report_to_json(pointwise[1]) == report_to_json(batched[1])
+
+    rows, reference = batched[2].split("\n"), pointwise[2].split("\n")
+    assert len(rows) == len(reference) == 1 + 20**2 + 1 and rows[0] == reference[0]
+    for row, ref in zip(rows[1:-1], reference[1:-1]):
+        coords, norm = row.rsplit(",", 1)
+        ref_coords, ref_norm = ref.rsplit(",", 1)
+        assert coords == ref_coords and abs(float(norm) - float(ref_norm)) <= 1e-13
 
 
 def test_polydisc_scan_skips_every_resolvent_svd(tmp_path, capsys, monkeypatch):
@@ -728,6 +741,33 @@ def test_polydisc_scan_skips_every_resolvent_svd(tmp_path, capsys, monkeypatch):
     report = json.loads(capsys.readouterr().out)
     assert code == EXIT_SOLVED and report["certificates"]["sup_norm"]["points"] == 40**2
     assert sum(seen) == 0
+
+
+def test_polydisc_grid_scan_solves_below_the_full_state_size(tmp_path, capsys, monkeypatch):
+    """The bidisc scan eliminates state block 1 once per axis value, so no
+    ``np.linalg.solve`` of the scan sees a matrix of the full state size."""
+    path = tmp_path / "bidisc.json"
+    path.write_text(json.dumps(BIDISC))
+    sizes, states = [], []
+    scan = cli.grid_scan
+
+    def solve(a, b):
+        sizes.append(np.shape(a)[-1])
+        return np.linalg.solve(a, b)
+
+    def counted(phi, *args):
+        states.append(sum(phi.colligation.in_state_dims))
+        linalg = types.SimpleNamespace(**{**vars(np.linalg), "solve": solve})
+        with monkeypatch.context() as patch:
+            patch.setattr(transfer, "np", types.SimpleNamespace(**{**vars(np), "linalg": linalg}))
+            return scan(phi, *args)
+
+    monkeypatch.setattr(cli, "grid_scan", counted)
+    code = main(["scan", str(path), "--grid", "5:8:0.9", "--csv-out", str(tmp_path / "scan.csv")])
+    report = json.loads(capsys.readouterr().out)
+    assert code == EXIT_SOLVED and report["certificates"]["sup_norm"]["points"] == 40**2
+    assert len(states) == 1 and states[0] >= 2
+    assert sizes and max(sizes) < states[0]
 
 
 def test_kernel_span_solves_take_no_eigenproblem(tmp_path, capsys, monkeypatch):

@@ -4,7 +4,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schurlift import (
@@ -15,6 +15,7 @@ from schurlift import (
     check_positivity,
     defect,
     grid_points,
+    grid_scan,
     lift_p_gt_m,
     model_tuple,
     np_solve,
@@ -28,7 +29,7 @@ from schurlift.colligation import BALL_ROW, POLYDISC_DIAGONAL, UNITARY, Colligat
 from schurlift.errors import DomainViolation, NearSingularResolvent
 from schurlift.kernels import DOMAIN_MARGIN, kernel_eval, kernel_matrix
 from schurlift.lifting_ball import factorization_criterion
-from schurlift.linalg import as_matrix, herm, opnorm
+from schurlift.linalg import as_matrix, herm, opnorm, opnorms
 import schurlift.transfer as transfer
 from schurlift.transfer import COND_LIMIT, EVAL_CHUNK, ScanResult, TransferFunction, values_at
 
@@ -612,6 +613,62 @@ def test_gate_falls_back_to_the_svd_without_a_finite_norm(monkeypatch):
     assert sum(seen) == 2
 
 
+def _scan_or_error(scan, *args):
+    """The scan's ``(points, norms, max_norm)``, or the type and message of
+    the exception it raises."""
+    try:
+        result = scan(*args)
+    except Exception as exc:  # noqa: BLE001 - the reference records any error
+        return type(exc), str(exc)
+    return result.points, result.norms, result.max_norm
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.lists(st.integers(0, 5), min_size=2, max_size=3),
+    d_out=st.sampled_from([1, 2]),
+    d_in=st.sampled_from([1, 2]),
+    # Up to 17 axis values: 289 points per axis row at n = 3, more than EVAL_CHUNK.
+    grid=st.sampled_from([GridSpec(1, 1), GridSpec(2, 3, 0.95), GridSpec(3, 5, 0.5),
+                          GridSpec(17, 1, 0.9)]),
+    fault=st.sampled_from([None, "outer t >= 1", "nan D"]),
+)
+@example(seed=1, dims=[0, 3], d_out=2, d_in=1, grid=GridSpec(2, 3, 0.95), fault=None)
+@example(seed=2, dims=[4, 0, 0], d_out=1, d_in=2, grid=GridSpec(17, 1, 0.9), fault=None)
+@example(seed=3, dims=[2, 1, 3], d_out=2, d_in=2, grid=GridSpec(17, 1, 0.9), fault=None)
+def test_grid_values_match_eval_many_on_the_grid(seed, dims, d_out, d_in, grid, fault):
+    """Where the gate clears the grid, the block-eliminated values agree with
+    ``eval_many`` at round-off; elsewhere ``grid_scan`` is ``sup_norm_scan``
+    of the grid points, values and errors alike."""
+    rng = np.random.default_rng(seed)
+    n, k = len(dims), sum(dims)
+    mat = rng.standard_normal((d_in + k, d_out + k)) + 1j * rng.standard_normal((d_in + k, d_out + k))
+    mat /= np.linalg.norm(mat, 2)
+    if k and fault == "outer t >= 1":
+        mat[d_in:, d_out:] *= rng.uniform(1.0, 3.0) / (grid.radius * np.linalg.norm(mat[d_in:, d_out:], 2))
+    elif k and fault == "nan D":
+        mat[d_in + rng.integers(k), d_out + rng.integers(k)] = np.nan
+    tf = TransferFunction(_colligation(mat, POLYDISC_DIAGONAL, d_out, d_in, dims, dims))
+    points = grid_points(grid, POLYDISC_DIAGONAL, n)
+    values = tf._grid_values(transfer._grid_axis(grid, POLYDISC_DIAGONAL, n), points)
+    assert (values is not None) == (k > 0 and fault is None)
+    got = _scan_or_error(grid_scan, tf, grid, POLYDISC_DIAGONAL, n)
+    if values is None:
+        want = _scan_or_error(sup_norm_scan, tf, points)
+        if isinstance(want[0], type):
+            assert got == want
+        else:
+            assert np.array_equal(got[0], want[0]) and got[2] == want[2]
+            assert np.array_equal(got[1], want[1], equal_nan=True)
+        return
+    reference = tf.eval_many(points)
+    scale = 1.0 + np.abs(reference).max(axis=(1, 2))
+    assert (np.abs(values - reference).max(axis=(1, 2)) <= 1e-12 * scale).all()
+    assert np.array_equal(got[0], points) and np.array_equal(got[1], opnorms(values))
+    assert got[2] == max(got[1])
+
+
 def _loop_write_scan_csv(result, n, stream):
     """Reference: the CSV written one formatted coordinate at a time."""
     header = ",".join(f"re(z{i+1}),im(z{i+1})" for i in range(n))
@@ -642,8 +699,21 @@ def test_write_scan_csv_matches_per_row_reference(n):
         _loop_write_scan_csv(result, n, want)
         assert got.getvalue() == want.getvalue()
 
+    # Few distinct values, repeated across rows and columns: signed zeros,
+    # NaNs of either sign and equal values share a column.
+    pool = np.array([0.0, -0.0, np.nan, -np.nan, 1 / 3, -1 / 3, 0.5, 1e-300])
+    coords = rng.choice(pool, (EVAL_CHUNK + 7, 2 * n))
+    coords[:2, :] = [[0.0] * (2 * n), [-0.0] * (2 * n)]
+    result = ScanResult(points=coords.view(complex), norms=np.resize(norms, len(coords)),
+                        max_norm=0.0)
+    got, want = io.StringIO(), io.StringIO()
+    write_scan_csv(result, n, got)
+    _loop_write_scan_csv(result, n, want)
+    assert got.getvalue() == want.getvalue()
+    assert got.getvalue().split("\n")[2].startswith("-0,-0,")
+
     tf = _random_transfer(rng, POLYDISC_DIAGONAL, n, 1, 2, 3)
-    scan = sup_norm_scan(tf, grid_points(GridSpec(3, 4, 0.9), POLYDISC_DIAGONAL, n))
+    scan = grid_scan(tf, GridSpec(3, 4, 0.9), POLYDISC_DIAGONAL, n)
     got, want = io.StringIO(), io.StringIO()
     write_scan_csv(scan, n, got)
     _loop_write_scan_csv(scan, n, want)

@@ -307,7 +307,6 @@ def _finish_solved(report: dict, inst: ProblemInstance, result: LiftResult, phi_
     )
     if cert.series_residual is not None:
         report["certificates"]["series_residual"] = cert.series_residual
-        report["certificates"]["series_order"] = cert.series_order
     for key in ("pick_weight_m_min_eig", "pick_weight_1_min_eig", "pick_min_eig"):
         if key in cert.extras:
             report["certificates"][key] = cert.extras[key]

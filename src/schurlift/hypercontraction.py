@@ -157,12 +157,6 @@ def joint_eigenbasis(t: TupleOperator) -> tuple[np.ndarray, np.ndarray] | None:
     return basis
 
 
-def ball_spectral_radius(lam: np.ndarray) -> float:
-    """Spectral radius ``max_a ||lambda_a||^2`` of ``sigma_T`` from the joint
-    eigenvalues ``lambda`` of ``joint_eigenbasis``."""
-    return float(np.max(np.sum(np.abs(lam) ** 2, axis=1)))
-
-
 def _compute_joint_eigenbasis(t: TupleOperator) -> tuple[np.ndarray, np.ndarray] | None:
     """The uncached ``joint_eigenbasis``."""
     combo = _combination(t.mats, np.sqrt(2.0))
@@ -198,8 +192,8 @@ def is_pure(t: TupleOperator, spec: KernelSpec) -> bool:
     """
     basis = joint_eigenbasis(t)
     if basis is not None:
-        lam = basis[1]
-        radius = ball_spectral_radius(lam) if spec.geometry == BALL else np.max(np.abs(lam))
+        lam = np.abs(basis[1])
+        radius = np.max(np.sum(lam**2, axis=1) if spec.geometry == BALL else lam)
     elif spec.geometry == BALL:
         mat = np.zeros((t.dim * t.dim, t.dim * t.dim), dtype=complex)
         for m in t.mats:

@@ -20,14 +20,7 @@ from .errors import (
     NotPositive,
     NotPure,
 )
-from .hypercontraction import (
-    ball_spectral_radius,
-    cp_map,
-    defect,
-    hereditary,
-    is_pure,
-    joint_eigenbasis,
-)
+from .hypercontraction import defect, hereditary, is_pure
 from .kernels import KernelSpec, kernel_matrix
 from .linalg import as_matrix, herm, min_eig, opnorm, pick_blocks, psd_fails
 from .model_space import (
@@ -38,21 +31,10 @@ from .model_space import (
     multiplier_adjoint_action,
     np_target_operator,
 )
-from .transfer import (
-    TransferFunction,
-    _series_partial_sum,
-    factorization_criterion,
-)
+from .transfer import TransferFunction, _series_limit, factorization_criterion
 
 INTERTWINE_TOL = 1e-10
 CONTRACTION_SLACK = 1e-10
-
-#: Cap on the series order used for the built-in lift verification.  The
-#: order is the first ``k`` with ``||Delta|| sqrt(||sigma_S^{k+1}(I)||) <= 1e-12``.
-#: Since ``||sigma_S^k(I)|| >= rho^k`` for the spectral radius ``rho`` of
-#: ``sigma_S``, every ``k`` with ``||Delta|| rho^{(k+1)/2} > 2e-12`` is known
-#: to fail that test, and the search starts after them.
-SERIES_ORDER_CAP = 60
 
 
 @dataclass
@@ -85,7 +67,6 @@ class LiftCertificate:
     generating_residual: float
     verify_residual: float
     series_residual: float | None = None
-    series_order: int | None = None
     extras: dict = field(default_factory=dict)
 
 
@@ -163,24 +144,16 @@ def lift_ball(
     """Lift the intertwiner ``x`` to a transfer function.
 
     On positivity success the colligation is built and the lift is
-    verified through the operator-identity series: the partial sums must
-    reproduce the coupled defect target.  ``in_map``/``out_map`` are the
-    defect coordinate maps of ``s`` and ``t`` and ``gap`` the positivity
-    gap ``(1 - sigma_S)^{m-1}(I - X X*)``; whatever the caller does not
+    verified through the operator-identity series: its limit, from one
+    Stein solve (``transfer._series_limit``), must reproduce the coupled
+    defect target, and ``series_residual`` is their distance.
+    ``in_map``/``out_map`` are the defect coordinate maps of ``s`` and
+    ``t`` and ``gap`` the positivity gap
+    ``(1 - sigma_S)^{m-1}(I - X X*)``; whatever the caller does not
     pass is computed here (``defect``, which raises
     ``NotHypercontraction``, and ``check_positivity``).  Kernel spans pass
     evaluation at the origin, so the emitted function acts between their
     coefficient spaces.
-
-    The series order is the first ``k < SERIES_ORDER_CAP`` whose tail bound
-    ``||Delta|| sqrt(||sigma_S^{k+1}(I)||)`` is at most 1e-12, else the cap.
-    For the positive map ``sigma_S``, ``||sigma_S^k(I)|| = ||sigma_S^k|| >=
-    rho^k`` with ``rho = max_a ||lambda_a||^2`` its spectral radius, read from
-    the ``joint_eigenbasis`` the purity gate computed.  So every order with
-    ``||Delta|| rho^{(k+1)/2} > 2e-12`` fails the test without being tried
-    (the factor 2 absorbs round-off in ``rho``), and when all orders below
-    the cap do, no tail is built.  A tuple without a joint eigenbasis takes
-    ``rho = 0`` and tries every order from 1.
     """
     x = as_matrix(x)
     in_map, out_map = _lift_preamble(t, s, x, KernelSpec.ball(m, t.n), in_map, out_map)
@@ -189,31 +162,13 @@ def lift_ball(
 
     coll = build_ball_colligation(s, x, gap, in_map=in_map, out_map=out_map)
     phi = TransferFunction(coll)
-
-    # Pick the truncation from the a-priori tail bound, then sum once.
-    # Orders whose spectral lower bound already exceeds it are skipped.
-    delta_norm = coll.delta_norm if coll.delta_norm is not None else 1.0
-    basis = joint_eigenbasis(s)
-    rho = ball_spectral_radius(basis[1]) if basis is not None else 0.0
-    order = 1
-    while order < SERIES_ORDER_CAP and delta_norm * rho ** ((order + 1) / 2) > 2e-12:
-        order += 1
-    if order < SERIES_ORDER_CAP:
-        tail = np.eye(s.dim, dtype=complex)
-        for _ in range(order + 1):
-            tail = cp_map(s, tail)
-        while delta_norm * np.sqrt(opnorm(tail)) > 1e-12 and order < SERIES_ORDER_CAP:
-            order += 1
-            tail = cp_map(s, tail)
-    partial = _series_partial_sum(coll, s, order)
-    series_residual = opnorm(partial - coll.out_target)
+    series_residual = opnorm(_series_limit(coll, s) - coll.out_target)
 
     cert = LiftCertificate(
         delta_min_eig=float(coll.delta_min_eig),
         generating_residual=coll.generating_residual,
         verify_residual=series_residual,
         series_residual=series_residual,
-        series_order=order,
     )
     return LiftResult(phi=phi, certificate=cert, colligation=coll)
 

@@ -4,8 +4,9 @@ The transfer function of the adjoint of a colligation is evaluated by
 stacked resolvent solves over chunks of points (never an explicit
 inverse), and on polydisc product grids one state block smaller; the
 lifting series is summed by an operator recursion that is linear in the
-truncation order, and Schur-class membership of emitted functions is
-certified by sampling the Pick-type kernel.
+truncation order, and its limit is taken by one Stein solve; Schur-class
+membership of emitted functions is certified by sampling the Pick-type
+kernel.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import DomainViolation, NearSingularResolvent
 from .colligation import BALL_ROW, Colligation
-from .hypercontraction import cp_map
+from .hypercontraction import cp_map, joint_eigenbasis
 from .kernels import KernelSpec, kernel_matrix
 from .linalg import as_matrix, herm, opnorm, opnorms, pick_blocks
 from .model_space import TupleOperator
@@ -228,24 +229,9 @@ def series_partial_lift(
 
     Returns the partial sum (approximating the coupled defect target the
     colligation was built from) and the a-priori tail bound
-    ``||Delta|| * ||sigma_S^{order+1}(I)||^{1/2}``.
-    """
-    partial = _series_partial_sum(coll, s, order)
-    tail = np.eye(s.dim, dtype=complex)
-    for _ in range(order + 1):
-        tail = cp_map(s, tail)
-    bound = float(np.sqrt(opnorm(tail)))
-    if coll.delta_norm is not None:
-        bound *= coll.delta_norm
-    return partial, bound
-
-
-def _series_partial_sum(coll: Colligation, s: TupleOperator, order: int) -> np.ndarray:
-    """The partial sum of ``series_partial_lift`` without its tail bound.
-
-    The word sum over all length-``i`` products collapses to ``i``
-    applications of the map ``Y -> sum_l D_l Y S_l*``, so cost is linear
-    in ``order``.
+    ``||Delta|| * ||sigma_S^{order+1}(I)||^{1/2}``.  The word sum over all
+    length-``i`` products collapses to ``i`` applications of the map
+    ``Y -> sum_l D_l Y S_l*``, so cost is linear in ``order``.
     """
     if coll.geometry != BALL_ROW:
         raise ValueError("the lifting series is defined for ball colligations")
@@ -269,7 +255,58 @@ def _series_partial_sum(coll: Colligation, s: TupleOperator, order: int) -> np.n
         for l in range(s.n):
             nxt += d_blocks[l] @ word @ adjoints[l]
         word = nxt
-    return partial
+
+    tail = np.eye(s.dim, dtype=complex)
+    for _ in range(order + 1):
+        tail = cp_map(s, tail)
+    bound = float(np.sqrt(opnorm(tail)))
+    if coll.delta_norm is not None:
+        bound *= coll.delta_norm
+    return partial, bound
+
+
+def _series_limit(coll: Colligation, s: TupleOperator) -> np.ndarray:
+    """The limit ``A E + sum_j B_j Y S_j*`` of ``series_partial_lift``.
+
+    ``E`` is ``coll.in_map`` and ``Y = sum_i L^i(C E)``, ``L(Y) = sum_l D_l
+    Y S_l*``, solves the Stein equation ``Y = C E + L(Y)``; ``L`` has
+    spectral radius below one because ``s`` is pure and ``D`` contractive.
+
+    With a joint eigenbasis ``S_l = V diag(lambda_l) V^{-1}`` the columns of
+    ``Y V^{-*}`` decouple: ``y_a = (I - sum_l conj(lambda_al) D_l)^{-1}
+    (C E V^{-*})_a``, one stacked ``k x k`` solve over the ``q`` joint
+    eigenvalues (``k`` the state dimension), and the limit is ``(A E V^{-*}
+    + [sum_j conj(lambda_aj) B_j y_a]_a) V*``, whose column ``a`` is
+    ``Phi(lambda_a)*`` applied to ``(E V^{-*})_a``.  Each pivot is
+    invertible, since ``||sum_l conj(lambda_al) D_l|| <= ||lambda_a|| < 1``.
+    Mapping through ``V^{-1}`` costs about ``eps cond(V)`` relative accuracy:
+    on kernel spans ``cond(V) <= sqrt(gram_cond)``, and any other tuple's
+    eigenbasis passed ``cond(V) <= JOINT_COND_LIMIT``.  A tuple without one
+    (a Jordan block) takes one ``kq x kq`` solve of ``(I - sum_l conj(S_l)
+    (x) D_l) vec Y = vec(C E)``.
+    """
+    in_map = coll.in_map
+    b_blocks = coll.b_blocks()
+    d_blocks = coll.d_blocks()
+    k = coll.block_d.shape[0]
+    basis = joint_eigenbasis(s)
+    if basis is None:
+        adjoints = s.adjoints()
+        stein = np.eye(k * s.dim, dtype=complex)
+        for d, adj in zip(d_blocks, adjoints):
+            stein -= np.kron(adj.T, d)
+        rhs = (coll.block_c @ in_map).reshape(-1, order="F")
+        y = np.linalg.solve(stein, rhs).reshape(k, s.dim, order="F")
+        return coll.block_a @ in_map + sum(b @ y @ adj for b, adj in zip(b_blocks, adjoints))
+    vecs, lam = basis
+    lam_bar = lam.conj()
+    in_hat = np.linalg.solve(vecs, in_map.conj().T).conj().T
+    pivots = np.eye(k, dtype=complex) - np.tensordot(lam_bar, np.stack(d_blocks), axes=1)
+    states = np.linalg.solve(pivots, (coll.block_c @ in_hat).T[:, :, None])[:, :, 0].T
+    columns = coll.block_a @ in_hat + sum(
+        b @ (states * lam_bar[:, j]) for j, b in enumerate(b_blocks)
+    )
+    return columns @ vecs.conj().T
 
 
 @dataclass

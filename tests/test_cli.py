@@ -146,6 +146,9 @@ def test_run_moebius_solved():
     assert report["certificates"]["max_node_residual"] <= 1e-10
     assert report["colligation"]["kind"] == "unitary"
     assert len(report["nodes"]) == 1
+    # The series is checked at its limit, so no truncation order is reported.
+    assert "series_residual" in report["certificates"]
+    assert "series_order" not in report["certificates"]
 
 
 def test_run_infeasible_two_node():

@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import event, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import schurlift.hypercontraction as hypercontraction
 import schurlift.lifting_ball as lifting_ball
+import schurlift.transfer as transfer
 from schurlift import (
     Infeasible,
     KernelSpec,
@@ -18,12 +21,19 @@ from schurlift import (
     model_tuple,
     np_solve,
     np_target_operator,
+    series_partial_lift,
     verify_lift,
 )
-from schurlift.errors import NotContraction, NotIntertwining, NotPositive
+from schurlift.errors import (
+    GramMismatch,
+    IllConditioned,
+    NotContraction,
+    NotIntertwining,
+    NotPositive,
+)
 from schurlift.hypercontraction import cp_map, defect, hereditary
 from schurlift.kernels import kernel_eval, kernel_matrix
-from schurlift.lifting_ball import SERIES_ORDER_CAP, KernelSpans, target_pick_matrix
+from schurlift.lifting_ball import KernelSpans, target_pick_matrix
 from schurlift.linalg import herm, min_eig, opnorm, psd_fails
 from schurlift.model_space import TupleOperator
 
@@ -99,57 +109,85 @@ def test_lift_identity_intertwiner():
     assert np.array_equal(given_data.colligation.matrix, res.colligation.matrix)
 
 
-def _reference_series_order(coll, s):
-    """The series order from its definition: the first order whose tail
-    bound ``||Delta|| sqrt(||sigma_S^{order+1}(I)||)`` is at most 1e-12,
-    trying every order from 1 up to the cap."""
-    delta_norm = coll.delta_norm if coll.delta_norm is not None else 1.0
-    order = 1
-    tail = cp_map(s, cp_map(s, np.eye(s.dim, dtype=complex)))
-    while delta_norm * np.sqrt(opnorm(tail)) > 1e-12 and order < SERIES_ORDER_CAP:
-        order += 1
-        tail = cp_map(s, tail)
-    return order
+#: Truncation order at which the partial sums stand in for the limit.
+LONG_ORDER = 500
+
+
+def _jordan_lift(shift, m):
+    """A lift against a tuple without a joint eigenbasis (a Jordan block)."""
+    nilpotent = np.diag(np.ones(3), 1).astype(complex)
+    s = TupleOperator((shift * np.eye(4) + 0.3 * nilpotent, 0.3 * nilpotent))
+    assert hypercontraction.joint_eigenbasis(s) is None
+    return s, lift_ball(s, s, 0.5 * np.eye(4), m)
+
+
+def _span_lift(seed, n, r, m, radius):
+    rng = np.random.default_rng(seed)
+    spec = KernelSpec.ball(m, n)
+    nodes = random_ball_nodes(rng, r, n, radius=radius, min_sep=0.3 * radius)
+    spans = KernelSpans.build(spec, nodes, scaled_targets(rng, spec, nodes))
+    return spans.s, lift_ball(spans.t, spans.s, spans.x, m, **spans.coeff_maps())
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([1, 2]),
     r=st.integers(1, 8),
     m=st.sampled_from([1, 2, 3]),
     radius=st.floats(0.3, 0.9),
 )
-@example(seed=0, r=2, m=1, radius=0.3)  # below the cap
-@example(seed=0, r=8, m=2, radius=0.9)  # at the cap
-def test_series_order_matches_the_definition(seed, r, m, radius):
-    rng = np.random.default_rng(seed)
-    spec = KernelSpec.ball(m, 2)
-    nodes = random_ball_nodes(rng, r, 2, radius=radius, min_sep=0.3 * radius)
-    spans = KernelSpans.build(spec, nodes, scaled_targets(rng, spec, nodes))
-    res = lift_ball(spans.t, spans.s, spans.x, m, **spans.coeff_maps())
-    assert res.certificate.series_order == _reference_series_order(res.colligation, spans.s)
+@example(seed=0, n=2, r=2, m=1, radius=0.3)
+@example(seed=0, n=2, r=8, m=2, radius=0.9)  # slow decay: order 60 missed its tail bound
+def test_series_residual_is_the_limit_of_the_partial_sums(seed, n, r, m, radius):
+    # Dense disc nodes can make the span ill conditioned or fail the
+    # completion's Gram agreement on round-off; such a draw has no lift,
+    # and so no series to check.
+    try:
+        s, res = _span_lift(seed, n, r, m, radius)
+    except (IllConditioned, GramMismatch) as exc:
+        event(f"no lift: {type(exc).__name__}")
+        assume(False)
+    coll = res.colligation
+    partial, bound = series_partial_lift(coll, s, LONG_ORDER)
+    truncated = opnorm(partial - coll.out_target)
+    assert abs(res.certificate.series_residual - truncated) <= bound + 1e-12
 
 
 @pytest.mark.parametrize("shift", [0.0, 0.2])
 @pytest.mark.parametrize("m", [1, 2])
-def test_series_order_without_a_joint_eigenbasis(shift, m):
-    # A Jordan block has no joint eigenbasis, so no order is skipped.
-    nilpotent = np.diag(np.ones(3), 1).astype(complex)
-    s = TupleOperator((shift * np.eye(4) + 0.3 * nilpotent, 0.3 * nilpotent))
-    assert hypercontraction.joint_eigenbasis(s) is None
-    res = lift_ball(s, s, 0.5 * np.eye(4), m)
-    assert res.certificate.series_order == _reference_series_order(res.colligation, s)
+def test_series_limit_without_a_joint_eigenbasis(shift, m):
+    # The Kronecker branch of the Stein solve.
+    s, res = _jordan_lift(shift, m)
+    partial, _ = series_partial_lift(res.colligation, s, LONG_ORDER)
+    assert opnorm(transfer._series_limit(res.colligation, s) - partial) <= 1e-13
     assert res.certificate.verify_residual <= 1e-12
 
 
-def test_capped_lift_skips_the_order_search(monkeypatch):
-    # At radius 0.8 every order below the cap fails the spectral lower
-    # bound, so the order needs no cp_map, and the model tuples bring the
-    # joint eigenbasis of the purity gate, so none is computed.
+@pytest.mark.parametrize("branch", ["eigenbasis", "kronecker"])
+def test_series_limit_sees_a_perturbed_corner(branch):
+    # The residual is no identity: moving the corner A by 1e-6 shows in it.
+    s, res = _span_lift(3, 2, 5, 2, 0.7) if branch == "eigenbasis" else _jordan_lift(0.2, 2)
+    assert (hypercontraction.joint_eigenbasis(s) is None) == (branch == "kronecker")
+    coll = res.colligation
+    assert opnorm(transfer._series_limit(coll, s) - coll.out_target) <= 1e-12
+    perturbed = dataclasses.replace(coll, matrix=coll.matrix.copy())
+    perturbed.block_a[...] += 1e-6
+    assert opnorm(transfer._series_limit(perturbed, s) - coll.out_target) > 1e-7
+
+
+def test_kernel_span_lift_solves_at_most_state_size(monkeypatch):
+    # The model tuples bring the joint eigenbasis of the purity gate, so
+    # none is computed, and the Stein solve stays in the eigenbasis: no
+    # cp_map and no Kronecker system larger than the state.
     cp_calls = []
     eig_calls = []
     pure_calls = []
+    solve_shapes = []
+    inside = []
     compute = hypercontraction._compute_joint_eigenbasis
+    solve = np.linalg.solve
+    lift = lifting_ball.lift_ball
 
     def counted_compute(t):
         eig_calls.append(t)
@@ -163,15 +201,32 @@ def test_capped_lift_skips_the_order_search(monkeypatch):
         pure_calls.append(t)
         return hypercontraction.is_pure(t, spec)
 
+    def recorded_solve(a, b):
+        if inside:
+            solve_shapes.append(np.shape(a)[-2:])
+        return solve(a, b)
+
+    def flagged_lift(*args, **kwargs):
+        inside.append(True)
+        try:
+            return lift(*args, **kwargs)
+        finally:
+            inside.pop()
+
     monkeypatch.setattr(hypercontraction, "_compute_joint_eigenbasis", counted_compute)
-    monkeypatch.setattr(lifting_ball, "cp_map", counted_cp_map)
+    monkeypatch.setattr(hypercontraction, "cp_map", counted_cp_map)
+    monkeypatch.setattr(transfer, "cp_map", counted_cp_map)
     monkeypatch.setattr(lifting_ball, "is_pure", counted_is_pure)
+    monkeypatch.setattr(lifting_ball, "lift_ball", flagged_lift)
+    monkeypatch.setattr(np.linalg, "solve", recorded_solve)
     rng = np.random.default_rng(5)
     spec = KernelSpec.ball(2, 2)
     nodes = random_ball_nodes(rng, 10, 2, radius=0.8, min_sep=0.2)
     res = np_solve(spec, nodes, scaled_targets(rng, spec, nodes))
     assert isinstance(res, LiftResult)
-    assert res.certificate.series_order == SERIES_ORDER_CAP
+    k = res.colligation.block_d.shape[0]
+    assert solve_shapes
+    assert all(rows <= k and cols <= k for rows, cols in solve_shapes)
     assert cp_calls == []
     assert len(pure_calls) == 2
     assert eig_calls == []

@@ -105,13 +105,18 @@ def _check_intertwining(t: TupleOperator, s: TupleOperator, x: np.ndarray, norm_
     return worst
 
 
+def _require_pure(spec: KernelSpec, *tuples: TupleOperator) -> None:
+    if not all(is_pure(t, spec) for t in tuples):
+        raise NotPure("both tuples must be pure for the canonical dilation")
+
+
 def _lift_preamble(
     t: TupleOperator,
     s: TupleOperator,
     x: np.ndarray,
     spec: KernelSpec,
-    in_map: np.ndarray | None,
-    out_map: np.ndarray | None,
+    in_map: np.ndarray | None = None,
+    out_map: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Checks shared by the ball and polydisc lifts, and their defect maps.
 
@@ -122,8 +127,7 @@ def _lift_preamble(
     if t.n != s.n:
         raise DimensionMismatch("tuples must have the same length")
     _check_intertwining(t, s, x, _check_contraction(x))
-    if not is_pure(t, spec) or not is_pure(s, spec):
-        raise NotPure("both tuples must be pure for the canonical dilation")
+    _require_pure(spec, t, s)
     if in_map is None:
         in_map = defect(s, spec).coord_map
     if out_map is None:
@@ -139,31 +143,27 @@ def lift_ball(
     *,
     in_map: np.ndarray | None = None,
     out_map: np.ndarray | None = None,
-    gap: np.ndarray | None = None,
 ) -> LiftResult:
-    """Lift the intertwiner ``x`` to a transfer function.
-
-    On positivity success the colligation is built and the lift is
-    verified through the operator-identity series: its limit, from one
-    Stein solve (``transfer._series_limit``), must reproduce the coupled
-    defect target, and ``series_residual`` is their distance.
-    ``in_map``/``out_map`` are the defect coordinate maps of ``s`` and
-    ``t`` and ``gap`` the positivity gap
-    ``(1 - sigma_S)^{m-1}(I - X X*)``; whatever the caller does not
-    pass is computed here (``defect``, which raises
-    ``NotHypercontraction``, and ``check_positivity``).  Kernel spans pass
-    evaluation at the origin, so the emitted function acts between their
-    coefficient spaces.
+    """Lift the intertwiner ``x`` to a transfer function: every check of
+    ``_lift_preamble``, the positivity gap ``(1 - sigma_S)^{m-1}(I - X X*)``
+    from ``check_positivity``, then ``_lift_ball``.  A defect coordinate map
+    ``in_map`` (of ``s``) or ``out_map`` (of ``t``) not passed comes from
+    ``defect``, which raises ``NotHypercontraction``; kernel spans pass
+    evaluation at the origin, so the function acts between coefficient spaces.
     """
     x = as_matrix(x)
     in_map, out_map = _lift_preamble(t, s, x, KernelSpec.ball(m, t.n), in_map, out_map)
-    if gap is None:
-        gap = check_positivity(s, x, m).matrix
+    return _lift_ball(s, x, check_positivity(s, x, m).matrix, in_map, out_map)
 
+
+def _lift_ball(s: TupleOperator, x: np.ndarray, gap: np.ndarray, in_map, out_map) -> LiftResult:
+    """The ball lift without checks.  The colligation is verified through the
+    operator-identity series: its limit, from one Stein solve
+    (``transfer._series_limit``), must reproduce the coupled defect target,
+    and ``series_residual`` is their distance."""
     coll = build_ball_colligation(s, x, gap, in_map=in_map, out_map=out_map)
     phi = TransferFunction(coll)
     series_residual = opnorm(_series_limit(coll, s) - coll.out_target)
-
     cert = LiftCertificate(
         delta_min_eig=float(coll.delta_min_eig),
         generating_residual=coll.generating_residual,
@@ -194,14 +194,14 @@ class KernelSpans:
     """One interpolation instance on kernel spans.
 
     ``q1`` spans the domain kernels and ``q2`` the target kernels at the
-    same nodes; ``t`` and ``s`` are their model tuples and ``x`` the
-    interpolation operator from ``q1`` to ``q2``.
+    same nodes (``q1`` itself when the coefficient dimensions agree); ``s``
+    is the model tuple of ``q2`` and ``x`` the interpolation operator from
+    ``q1`` to ``q2``, which intertwines the two model tuples by construction.
     """
 
     targets: list[np.ndarray]
     q1: KernelSubspace
     q2: KernelSubspace
-    t: TupleOperator
     s: TupleOperator
     x: np.ndarray
 
@@ -209,11 +209,12 @@ class KernelSpans:
     def build(cls, spec: KernelSpec, nodes, targets, d_target: int | None = None) -> KernelSpans:
         targets = [as_matrix(w) for w in targets]
         if d_target is None:
-            d_target = targets[0].shape[0]
+            # No targets: np_target_operator reports the count mismatch.
+            d_target = targets[0].shape[0] if targets else spec.d_coeff
         q1 = build_subspace(spec, nodes)
-        q2 = build_subspace(spec.with_coeff_dim(d_target), nodes)
+        q2 = q1 if d_target == spec.d_coeff else build_subspace(spec.with_coeff_dim(d_target), nodes)
         x = np_target_operator(q1, targets, q2)
-        return cls(targets, q1, q2, model_tuple(q1), model_tuple(q2), x)
+        return cls(targets, q1, q2, model_tuple(q2), x)
 
     def contractivity(self, psd_base_tol: float) -> tuple[Infeasible, bool]:
         """The ``Infeasible`` record of the contractivity test, which carries
@@ -223,6 +224,14 @@ class KernelSpans:
         spectrum = np.linalg.eigvalsh(pick)
         record = Infeasible("contractivity", float(spectrum[0]), pick)
         return record, psd_fails(spectrum, psd_base_tol)
+
+    def check_lift(self) -> bool:
+        """Whether ``||X|| <= 1 + CONTRACTION_SLACK``, and if so ``NotPure`` unless
+        ``s`` is pure: the checks of a lift the construction leaves open."""
+        if opnorm(self.x) > 1.0 + CONTRACTION_SLACK:
+            return False
+        _require_pure(self.q2.spec, self.s)
+        return True
 
     def coeff_maps(self) -> dict:
         """Defect coordinate maps of the lift: evaluation at the origin, whose
@@ -249,14 +258,14 @@ def np_solve(
 ) -> LiftResult | Infeasible:
     """Interpolation front end over kernel spans on the ball.
 
-    Builds the two spans, the interpolation operator, and runs the lift;
-    infeasibility carries the failing matrix (the weight-``m`` block
-    matrix for contractivity, the weight-one matrix with the positivity
-    gap eigenvalue otherwise).  The gates test both at ``psd_base_tol``;
-    when the lift's own checks reject what the gates passed, the gate's
-    record is returned all the same (``NotContraction`` for contractivity,
-    ``NotPositive`` for the gap, with the lift's gap eigenvalue).  On
-    success the returned certificate's ``verify_residual`` is the
+    Builds the spans and the interpolation operator, and runs two Pick gates
+    at ``psd_base_tol``; a failing gate returns its ``Infeasible`` record
+    (the weight-``m`` block matrix for contractivity, the weight-one matrix
+    with the gap eigenvalue for positivity).  ``KernelSpans.check_lift``
+    then bounds ``||X||``, or returns the contractivity record, and tests
+    purity.  The lift is ``_lift_ball`` on the gate's gap; when its square
+    root rejects what the gate passed, the positivity record comes back
+    with the builder's eigenvalue.  On success ``verify_residual`` is the
     kernel-basis residual of the lift identity and the extras carry the
     node-level data.
     """
@@ -278,11 +287,11 @@ def np_solve(
     positivity = Infeasible("positivity-gap", min_eig(pick_1), pick_1, float(gap_spectrum[0]))
     if psd_fails(gap_spectrum, psd_base_tol):
         return positivity
+    if not spans.check_lift():
+        return contractivity
 
     try:
-        result = lift_ball(spans.t, spans.s, spans.x, spec.m, gap=gap, **spans.coeff_maps())
-    except NotContraction:
-        return contractivity
+        result = _lift_ball(spans.s, spans.x, gap, **spans.coeff_maps())
     except NotPositive as exc:
         positivity.delta_min_eig = exc.min_eig
         return positivity

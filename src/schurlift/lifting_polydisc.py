@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .colligation import Colligation, build_polydisc_colligation
-from .errors import DimensionMismatch, NotContraction
+from .errors import DimensionMismatch
 from .hypercontraction import hereditary, joint_eigenbasis
 from .kernels import KernelSpec, indices_up_to, series_coeff
 from .linalg import as_matrix, clip_psd, herm, min_eig, opnorm
@@ -31,10 +31,9 @@ from .lifting_ball import (
     KernelSpans,
     LiftCertificate,
     LiftResult,
-    _check_contraction,
     _lift_preamble,
 )
-from .model_space import TupleOperator
+from .model_space import TupleOperator, model_tuple
 from .transfer import TransferFunction
 
 
@@ -262,28 +261,22 @@ def agler_feasibility(
 
 
 def lift_polydisc(
-    t: TupleOperator,
-    s: TupleOperator,
-    x: np.ndarray,
-    gamma,
-    dec: AglerDecomposition,
-    *,
-    in_map: np.ndarray | None = None,
-    out_map: np.ndarray | None = None,
+    t: TupleOperator, s: TupleOperator, x: np.ndarray, gamma, dec: AglerDecomposition
 ) -> LiftResult:
-    """Build the polydisc colligation from the decomposition and lift.
-
-    ``in_map``/``out_map`` are the defect coordinate maps of ``s`` and
-    ``t``; a map that is not given comes from ``defect``.  Kernel spans
-    pass their evaluation at the origin, whose Gram is the defect.  The
-    certificate's ``verify_residual`` starts as the generating residual;
-    interpolation front ends overwrite it with the kernel-basis residual
-    of the lift identity.
-    """
+    """Build the polydisc colligation from the decomposition and lift: every
+    check of ``_lift_preamble``, the defect coordinate maps from ``defect``,
+    then ``_lift_polydisc``."""
     x = as_matrix(x)
     gamma = tuple(int(g) for g in gamma)
-    in_map, out_map = _lift_preamble(t, s, x, KernelSpec.polydisc(gamma), in_map, out_map)
+    in_map, out_map = _lift_preamble(t, s, x, KernelSpec.polydisc(gamma))
+    return _lift_polydisc(s, x, gamma, dec, in_map, out_map)
 
+
+def _lift_polydisc(s: TupleOperator, x: np.ndarray, gamma, dec, in_map, out_map) -> LiftResult:
+    """The polydisc lift without checks, from maps whose Grams are the defects
+    of ``s`` and of the domain tuple.  ``verify_residual`` starts as the
+    generating residual; interpolation front ends overwrite it with the
+    kernel-basis residual of the lift identity."""
     squares = [transformed_positivity(s, gamma, i, g) for i, g in enumerate(dec.summands)]
     coll = build_polydisc_colligation(s, x, gamma, squares, in_map=in_map, out_map=out_map)
     phi = TransferFunction(coll)
@@ -318,26 +311,24 @@ def np_solve_polydisc(
     feasibility_tol: float = 1e-10,
     max_iter: int = 10000,
 ) -> LiftResult | Infeasible | Inconclusive:
-    """Interpolation front end over polydisc kernel spans.  An ``X`` that the
-    Pick gate passes at a loose ``psd_base_tol`` but the lift's contraction
-    check rejects gets the gate's record, before any search."""
+    """Interpolation front end over polydisc kernel spans.  After the Pick
+    gate, ``KernelSpans.check_lift`` runs before any search; an ``X`` the gate
+    passes at a loose ``psd_base_tol`` but the bound rejects gets the gate's
+    record.  The domain model tuple serves only the hereditary residual."""
     if spec.geometry != "polydisc":
         raise ValueError("np_solve_polydisc expects a polydisc kernel spec")
     spans = KernelSpans.build(spec, nodes, targets, d_target)
     contractivity, failed = spans.contractivity(psd_base_tol)
-    if failed:
+    if failed or not spans.check_lift():
         return contractivity
 
-    t, s, x = spans.t, spans.s, spans.x
-    try:
-        _check_contraction(x)
-    except NotContraction:
-        return contractivity
+    s, x = spans.s, spans.x
     dec = agler_feasibility(s, x, spec.gamma, tol=feasibility_tol, max_iter=max_iter)
     if isinstance(dec, Inconclusive):
         return dec
 
-    result = lift_polydisc(t, s, x, spec.gamma, dec, **spans.coeff_maps())
+    result = _lift_polydisc(s, x, spec.gamma, dec, **spans.coeff_maps())
+    t = model_tuple(spans.q1)
     return spans.certify(
         result,
         pick_min_eig=contractivity.pick_min_eig,

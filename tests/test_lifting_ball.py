@@ -20,19 +20,22 @@ from schurlift import (
     lift_p_gt_m,
     model_tuple,
     np_solve,
+    np_solve_polydisc,
     np_target_operator,
     series_partial_lift,
     verify_lift,
 )
 from schurlift.errors import (
+    DimensionMismatch,
     GramMismatch,
     IllConditioned,
     NotContraction,
     NotIntertwining,
     NotPositive,
+    NotPure,
 )
 from schurlift.hypercontraction import cp_map, defect, hereditary
-from schurlift.kernels import kernel_eval, kernel_matrix
+from schurlift.kernels import DOMAIN_MARGIN, kernel_eval, kernel_matrix
 from schurlift.lifting_ball import KernelSpans, target_pick_matrix
 from schurlift.linalg import herm, min_eig, opnorm, psd_fails
 from schurlift.model_space import TupleOperator
@@ -96,7 +99,7 @@ def test_lift_identity_intertwiner():
     # the transfer function is the constant adjoint corner
     z = (0.1, 0.2j)
     assert np.allclose(res.phi(z), res.colligation.block_a.conj().T)
-    # a caller-supplied gap and defect maps are the ones lift_ball computes itself
+    # caller-supplied defect maps are the ones lift_ball computes itself
     given_data = lift_ball(
         s,
         s,
@@ -104,7 +107,6 @@ def test_lift_identity_intertwiner():
         2,
         in_map=defect(s, spec).coord_map,
         out_map=defect(s, spec).coord_map,
-        gap=check_positivity(s, x, 2).matrix,
     )
     assert np.array_equal(given_data.colligation.matrix, res.colligation.matrix)
 
@@ -126,7 +128,7 @@ def _span_lift(seed, n, r, m, radius):
     spec = KernelSpec.ball(m, n)
     nodes = random_ball_nodes(rng, r, n, radius=radius, min_sep=0.3 * radius)
     spans = KernelSpans.build(spec, nodes, scaled_targets(rng, spec, nodes))
-    return spans.s, lift_ball(spans.t, spans.s, spans.x, m, **spans.coeff_maps())
+    return spans.s, lift_ball(model_tuple(spans.q1), spans.s, spans.x, m, **spans.coeff_maps())
 
 
 @settings(max_examples=40, deadline=None)
@@ -177,7 +179,7 @@ def test_series_limit_sees_a_perturbed_corner(branch):
 
 
 def test_kernel_span_lift_solves_at_most_state_size(monkeypatch):
-    # The model tuples bring the joint eigenbasis of the purity gate, so
+    # The model tuple brings the joint eigenbasis of the purity gate, so
     # none is computed, and the Stein solve stays in the eigenbasis: no
     # cp_map and no Kronecker system larger than the state.
     cp_calls = []
@@ -187,7 +189,7 @@ def test_kernel_span_lift_solves_at_most_state_size(monkeypatch):
     inside = []
     compute = hypercontraction._compute_joint_eigenbasis
     solve = np.linalg.solve
-    lift = lifting_ball.lift_ball
+    lift = lifting_ball._lift_ball
 
     def counted_compute(t):
         eig_calls.append(t)
@@ -217,7 +219,7 @@ def test_kernel_span_lift_solves_at_most_state_size(monkeypatch):
     monkeypatch.setattr(hypercontraction, "cp_map", counted_cp_map)
     monkeypatch.setattr(transfer, "cp_map", counted_cp_map)
     monkeypatch.setattr(lifting_ball, "is_pure", counted_is_pure)
-    monkeypatch.setattr(lifting_ball, "lift_ball", flagged_lift)
+    monkeypatch.setattr(lifting_ball, "_lift_ball", flagged_lift)
     monkeypatch.setattr(np.linalg, "solve", recorded_solve)
     rng = np.random.default_rng(5)
     spec = KernelSpec.ball(2, 2)
@@ -228,7 +230,7 @@ def test_kernel_span_lift_solves_at_most_state_size(monkeypatch):
     assert solve_shapes
     assert all(rows <= k and cols <= k for rows, cols in solve_shapes)
     assert cp_calls == []
-    assert len(pure_calls) == 2
+    assert len(pure_calls) == 1
     assert eig_calls == []
 
 
@@ -396,6 +398,102 @@ def test_np_solve_contraction_edge_is_infeasible():
     assert res.which == "contractivity" and res.delta_min_eig is None
     assert np.array_equal(res.pick_matrix, target_pick_matrix(spec, nodes, targets))
     assert res.pick_min_eig == min_eig(res.pick_matrix) < 0
+
+
+#: The two kernel-span front ends, each with a spec whose domain holds
+#: the nodes of ``_front_end_instance``.
+FRONT_ENDS = {
+    "ball": (np_solve, KernelSpec.ball(2, 2)),
+    "polydisc": (np_solve_polydisc, KernelSpec.polydisc((1, 1))),
+}
+
+
+def _front_end_instance(spec, d_out):
+    rng = np.random.default_rng(19)
+    nodes = random_ball_nodes(rng, 4, 2, radius=0.5)
+    return nodes, [0.6 * w for w in scaled_targets(rng, spec, nodes, d_out=d_out)]
+
+
+@pytest.mark.parametrize("geometry", FRONT_ENDS)
+def test_front_ends_reject_empty_target_lists(geometry):
+    solve, spec = FRONT_ENDS[geometry]
+    with pytest.raises(DimensionMismatch, match="got 0 targets for 2 nodes"):
+        solve(spec, [(0.1, 0.2), (-0.3, 0.1j)], [])
+    with pytest.raises(ValueError, match="at least one node is required"):
+        solve(spec, [], [])
+
+
+@pytest.mark.parametrize("geometry", FRONT_ENDS)
+@pytest.mark.parametrize("d_out", [1, 2])
+def test_front_ends_run_only_the_checks_their_construction_leaves_open(
+    monkeypatch, geometry, d_out
+):
+    # X intertwines the model tuples by construction, and the model tuples
+    # are pure exactly when the nodes are: no intertwining check, one purity
+    # read and one norm of X.  Equal coefficient dimensions share one span.
+    solve, spec = FRONT_ENDS[geometry]
+    nodes, targets = _front_end_instance(spec, d_out)
+    intertwining, pure, spans = [], [], []
+    is_pure, build = lifting_ball.is_pure, lifting_ball.build_subspace
+    monkeypatch.setattr(lifting_ball, "_check_intertwining", lambda *args: intertwining.append(1))
+    monkeypatch.setattr(lifting_ball, "is_pure", lambda t, sp: pure.append(t) or is_pure(t, sp))
+    monkeypatch.setattr(
+        lifting_ball, "build_subspace", lambda sp, z: spans.append(sp) or build(sp, z)
+    )
+    calls = record_linalg(monkeypatch, ("svd",))
+    res = solve(spec, nodes, targets)
+    assert isinstance(res, LiftResult)
+    assert intertwining == []
+    assert len(pure) == 1
+    assert calls_on(calls, "svd", res.certificate.extras["np"]["x"]) == 1
+    assert len(spans) == (1 if d_out == spec.d_coeff else 2)
+
+
+@pytest.mark.parametrize("geometry", FRONT_ENDS)
+def test_front_ends_reject_a_node_inside_the_purity_margin(geometry):
+    # Boundary gap 5e-11: inside the domain, but the model tuple's spectral
+    # radius is within PURITY_MARGIN of one.
+    solve, spec = FRONT_ENDS[geometry]
+    node = (np.sqrt(1.0 - 5e-11), 0.0)
+    assert DOMAIN_MARGIN < spec.boundary_gap(node) < hypercontraction.PURITY_MARGIN
+    with pytest.raises(NotPure):
+        solve(spec, [node], [np.array([[0.5]])])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([1, 2]),
+    r=st.integers(1, 8),
+    m=st.sampled_from([1, 2, 3]),
+    d=st.sampled_from([1, 2]),
+)
+def test_np_solve_is_lift_ball_without_its_checks(seed, n, r, m, d):
+    """``lift_ball`` on the spans runs every check and returns ``np_solve``'s
+    lift bit for bit, once its positivity gap is the front end's.  The
+    general path assembles the gap by the hereditary calculus, the front
+    end by the Pick congruence; the two agree only to round-off
+    (``test_pick_congruence_is_the_positivity_gap``)."""
+    rng = np.random.default_rng(seed)
+    spec = KernelSpec.ball(m, n)
+    nodes = random_ball_nodes(rng, r, n, radius=0.8, min_sep=0.2)
+    targets = scaled_targets(rng, spec, nodes, d_out=d)
+    try:
+        res = np_solve(spec, nodes, targets, d_target=d)
+    except (IllConditioned, GramMismatch) as exc:
+        event(f"no lift: {type(exc).__name__}")
+        assume(False)
+    assert isinstance(res, LiftResult)
+    spans = KernelSpans.build(spec, nodes, targets, d)
+    pick_1 = target_pick_matrix(KernelSpec.ball(1, n), spans.q1.nodes, spans.targets)
+    factor = spans.q2.ortho_factor
+    gap = herm(factor.conj().T @ pick_1 @ factor)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lifting_ball, "check_positivity", lambda *_: lifting_ball.PositivityReport(gap))
+        general = lift_ball(model_tuple(spans.q1), spans.s, spans.x, m, **spans.coeff_maps())
+    assert np.array_equal(general.colligation.matrix, res.colligation.matrix)
+    assert general.certificate.series_residual == res.certificate.series_residual
+    assert general.certificate.generating_residual == res.certificate.generating_residual
 
 
 def test_np_solve_matrix_targets():

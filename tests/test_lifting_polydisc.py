@@ -2,13 +2,15 @@ import importlib.util
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import schurlift.hypercontraction as hypercontraction
+import schurlift.lifting_ball as lifting_ball
 import schurlift.lifting_polydisc as lifting_polydisc
 from schurlift import (
     AglerDecomposition,
@@ -324,6 +326,37 @@ def test_np_solve_polydisc_end_to_end():
         assert res.certificate.verify_residual <= 1e-6
         for z, w in zip(nodes, targets):
             assert opnorm(res.phi(z) - w) <= 1e-6
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    gamma=st.sampled_from([(1, 1), (1, 2), (2, 1)]),
+    r=st.integers(1, 4),
+    d=st.sampled_from([1, 2]),
+)
+def test_np_solve_polydisc_is_lift_polydisc_without_its_checks(seed, gamma, r, d):
+    """``lift_polydisc`` on the spans, with ``np_solve_polydisc``'s
+    decomposition, runs every check and returns its lift bit for bit, once
+    the defect coordinate maps are the spans' evaluations at the origin.
+    ``defect`` would give other maps with the same Grams."""
+    rng = np.random.default_rng(seed)
+    spec = KernelSpec.polydisc(gamma)
+    nodes = random_polydisc_nodes(rng, r, 2, radius=0.45, min_sep=0.25)
+    targets = [0.55 * w for w in scaled_targets(rng, spec, nodes, d_out=d, weight_one=False)]
+    res = np_solve_polydisc(spec, nodes, targets)
+    event(type(res).__name__)
+    assume(isinstance(res, LiftResult))
+    spans = KernelSpans.build(spec, nodes, targets)
+    t = model_tuple(spans.q1)
+    maps = {id(spans.s): spans.q2.coeff_map_at_zero(), id(t): spans.q1.coeff_map_at_zero()}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lifting_ball, "defect", lambda tup, _: SimpleNamespace(coord_map=maps[id(tup)]))
+        dec = res.certificate.extras["decomposition"]
+        general = lift_polydisc(t, spans.s, spans.x, gamma, dec)
+    assert np.array_equal(general.colligation.matrix, res.colligation.matrix)
+    assert general.certificate.generating_residual == res.certificate.generating_residual
+    assert general.certificate.delta_min_eig == res.certificate.delta_min_eig
 
 
 def test_np_solve_polydisc_reads_purity_from_the_joint_eigenvalues(monkeypatch):

@@ -307,13 +307,10 @@ def _finish_solved(report: dict, inst: ProblemInstance, result: LiftResult, phi_
     )
     if cert.series_residual is not None:
         report["certificates"]["series_residual"] = cert.series_residual
-    for key in ("pick_weight_m_min_eig", "pick_weight_1_min_eig", "pick_min_eig"):
+    for key in ("pick_weight_m_min_eig", "pick_weight_1_min_eig", "pick_min_eig",
+                "hereditary_difference_residual"):
         if key in cert.extras:
             report["certificates"][key] = cert.extras[key]
-    if "hereditary_difference_residual" in cert.extras:
-        report["certificates"]["hereditary_difference_residual"] = cert.extras[
-            "hereditary_difference_residual"
-        ]
     if "decomposition" in cert.extras:
         report["certificates"]["feasibility"] = cert.extras["decomposition"].to_json_dict()
     report["colligation"] = result.colligation.to_json_dict()
@@ -428,11 +425,7 @@ def run(inst: ProblemInstance, *, csv_stream=None, certify: bool = False) -> tup
                 crit = factorization_criterion(
                     phi, inst.spec.m, inst.p, points, tol=1e-7, n=inst.spec.n,
                 )
-                report["certificates"]["factorization"] = {
-                    "min_eig": crit.min_eig,
-                    "pass": crit.passed,
-                    "samples": crit.sample_count,
-                }
+                report["certificates"]["factorization"] = crit.to_json_dict()
         elif inst.spec.geometry == "polydisc":
             code, phi = _solve_polydisc(inst, report)
         else:
@@ -444,11 +437,7 @@ def run(inst: ProblemInstance, *, csv_stream=None, certify: bool = False) -> tup
         if code == EXIT_SOLVED and certifying and on_ball:
             points = _sample_points(inst, inst.options.samples)
             crit = schur_agler_certificate_ball(phi, points, tol=1e-7)
-            report["certificates"]["schur_agler"] = {
-                "min_eig": crit.min_eig,
-                "pass": crit.passed,
-                "samples": crit.sample_count,
-            }
+            report["certificates"]["schur_agler"] = crit.to_json_dict()
         # The polydisc certificate and the CSV share one scan of the grid.
         if code == EXIT_SOLVED and ((certifying and not on_ball) or csv_stream is not None):
             scan = grid_scan(phi, GridSpec(*inst.options.grid), inst.spec.geometry, inst.spec.n)

@@ -16,7 +16,7 @@ class DimensionMismatch(SchurliftError):
 
 
 class IllConditioned(SchurliftError):
-    """A Gram matrix is numerically rank deficient (nodes too close)."""
+    """A Gram matrix is numerically rank deficient (nodes too close) or overflows."""
 
     def __init__(self, message: str, min_eig: float = 0.0, max_eig: float = 0.0):
         super().__init__(message)

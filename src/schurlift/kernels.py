@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainViolation
+from .errors import DimensionMismatch, DomainViolation, IllConditioned
 
 MultiIndex = tuple[int, ...]
 
@@ -190,14 +190,20 @@ def kernel_matrix(spec: KernelSpec, p, q) -> np.ndarray:
 
     Every point is checked to be strictly interior, with the margin and
     the error of ``require_interior``; the closed forms of ``kernel_eval``
-    are then evaluated for all pairs at once by broadcasting.
+    are then evaluated for all pairs at once by broadcasting.  A value that
+    overflows (a large weight) raises ``IllConditioned``.
     """
     p = spec.interior_points(p)
     q = spec.interior_points(q)
     products = p[:, None, :] * q[None, :, :].conj()
-    if spec.geometry == BALL:
-        return (1.0 - np.sum(products, axis=-1)) ** (-spec.m)
-    return np.prod((1.0 - products) ** (-np.asarray(spec.gamma)), axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.geometry == BALL:
+            values = (1.0 - np.sum(products, axis=-1)) ** (-spec.m)
+        else:
+            values = np.prod((1.0 - products) ** (-np.asarray(spec.gamma)), axis=-1)
+    if not np.isfinite(values).all():
+        raise IllConditioned(f"kernel values overflow at weight {spec.m or spec.gamma}")
+    return values
 
 
 def indices_of_degree(n: int, total: int) -> list[MultiIndex]:

@@ -20,7 +20,7 @@ from .errors import (
     NotPositive,
     NotPure,
 )
-from .hypercontraction import defect, hereditary, is_pure
+from .hypercontraction import defect, hereditary, is_pure, joint_eigenbasis
 from .kernels import KernelSpec, kernel_matrix
 from .linalg import as_matrix, herm, min_eig, opnorm, pick_blocks, psd_fails
 from .model_space import (
@@ -31,7 +31,7 @@ from .model_space import (
     multiplier_adjoint_action,
     np_target_operator,
 )
-from .transfer import TransferFunction, _series_limit, factorization_criterion
+from .transfer import TransferFunction, _series_limit, factorization_criterion, values_at
 
 INTERTWINE_TOL = 1e-10
 CONTRACTION_SLACK = 1e-10
@@ -75,6 +75,15 @@ class LiftResult:
     phi: TransferFunction
     certificate: LiftCertificate
     colligation: Colligation
+    #: ``_spectrum_values(phi, s)`` of the target tuple ``s``.
+    spectrum_values: np.ndarray | None
+
+
+def _spectrum_values(phi: TransferFunction, s: TupleOperator) -> np.ndarray | None:
+    """``phi.eval_many`` at the joint eigenvalues of ``s`` (on a kernel span the
+    nodes, each ``d`` times, node-major), or ``None`` without a joint eigenbasis."""
+    basis = joint_eigenbasis(s)
+    return None if basis is None else phi.eval_many(basis[1])
 
 
 @dataclass
@@ -158,29 +167,29 @@ def lift_ball(
 
 def _lift_ball(s: TupleOperator, x: np.ndarray, gap: np.ndarray, in_map, out_map) -> LiftResult:
     """The ball lift without checks.  The colligation is verified through the
-    operator-identity series: its limit, from one Stein solve
-    (``transfer._series_limit``), must reproduce the coupled defect target,
-    and ``series_residual`` is their distance."""
+    operator-identity series: its limit (``transfer._series_limit``, read off
+    the values at the joint eigenvalues of ``s``) must reproduce the coupled
+    defect target, and ``series_residual`` is their distance."""
     coll = build_ball_colligation(s, x, gap, in_map=in_map, out_map=out_map)
     phi = TransferFunction(coll)
-    series_residual = opnorm(_series_limit(coll, s) - coll.out_target)
+    values = _spectrum_values(phi, s)
+    series_residual = opnorm(_series_limit(coll, s, values) - coll.out_target)
     cert = LiftCertificate(
         delta_min_eig=float(coll.delta_min_eig),
         generating_residual=coll.generating_residual,
         verify_residual=series_residual,
         series_residual=series_residual,
     )
-    return LiftResult(phi=phi, certificate=cert, colligation=coll)
+    return LiftResult(phi=phi, certificate=cert, colligation=coll, spectrum_values=values)
 
 
 def verify_lift(
     phi_eval, space: KernelSubspace, x: np.ndarray, domain: KernelSubspace | None = None
 ) -> float:
     """Residual of the lift identity on the kernel basis:
-    ``|| X* - (compressed multiplier adjoint) ||``."""
-    x = as_matrix(x)
-    action = multiplier_adjoint_action(space, phi_eval, domain)
-    return opnorm(x.conj().T - action)
+    ``|| X* - (compressed multiplier adjoint of phi_eval at the nodes) ||``."""
+    action = multiplier_adjoint_action(space, values_at(phi_eval, space.nodes), domain)
+    return opnorm(as_matrix(x).conj().T - action)
 
 
 def target_pick_matrix(spec: KernelSpec, nodes, targets) -> np.ndarray:
@@ -240,8 +249,11 @@ class KernelSpans:
 
     def certify(self, result: LiftResult, **extras) -> LiftResult:
         """Set ``verify_residual`` to the kernel-basis residual of the lift
-        identity and record ``extras`` plus the span data under ``"np"``."""
-        result.certificate.verify_residual = verify_lift(result.phi, self.q2, self.x, self.q1)
+        identity, from the lift's values at the nodes (``spectrum_values[::d]``),
+        and record ``extras`` plus the span data under ``"np"``."""
+        values = result.spectrum_values[:: self.q2.spec.d_coeff]
+        action = multiplier_adjoint_action(self.q2, values, self.q1)
+        result.certificate.verify_residual = opnorm(self.x.conj().T - action)
         result.certificate.extras.update(
             extras, np={"q_domain": self.q1, "q_codomain": self.q2, "x": self.x}
         )

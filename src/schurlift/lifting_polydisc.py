@@ -32,6 +32,7 @@ from .lifting_ball import (
     LiftCertificate,
     LiftResult,
     _lift_preamble,
+    _spectrum_values,
 )
 from .model_space import TupleOperator, model_tuple
 from .transfer import TransferFunction
@@ -285,7 +286,7 @@ def _lift_polydisc(s: TupleOperator, x: np.ndarray, gamma, dec, in_map, out_map)
         generating_residual=coll.generating_residual,
         verify_residual=coll.generating_residual,
     )
-    return LiftResult(phi=phi, certificate=cert, colligation=coll)
+    return LiftResult(phi, cert, coll, spectrum_values=_spectrum_values(phi, s))
 
 
 def hereditary_difference_residual(

@@ -209,27 +209,22 @@ def np_target_operator(
 
 
 def multiplier_adjoint_action(
-    space: KernelSubspace, phi_eval, domain: KernelSubspace | None = None
+    space: KernelSubspace, values, domain: KernelSubspace | None = None
 ) -> np.ndarray:
     """Matrix of the compressed multiplier adjoint on the span.
 
-    The adjoint of multiplication by ``phi`` sends the kernel vector at
-    node ``z_j`` with coefficient ``eta`` to the kernel vector at ``z_j``
-    with coefficient ``phi(z_j)* eta``; the result is that blockwise
-    action transported to orthonormal coordinates.  Evaluator exceptions
-    propagate unchanged.
+    ``values`` are the multiplier's values ``phi(z_j)`` at the nodes, an array
+    ``(node_count, d_space, d_domain)``.  The adjoint of multiplication by
+    ``phi`` sends the kernel vector at node ``z_j`` with coefficient ``eta``
+    to the kernel vector at ``z_j`` with coefficient ``phi(z_j)* eta``; the
+    result is that blockwise action transported to orthonormal coordinates.
     """
     if domain is None:
         domain = space
     if domain.nodes != space.nodes:
         raise DimensionMismatch("spaces must share their nodes")
-    from .transfer import values_at  # transfer imports this module
-
-    values = values_at(phi_eval, space.nodes)
-    expected = (space.spec.d_coeff, domain.spec.d_coeff)
-    if values.shape[1:] != expected:
-        raise DimensionMismatch(
-            f"phi({space.nodes[0]}) has shape {values.shape[1:]}, expected {expected}"
-        )
+    expected = (space.node_count, space.spec.d_coeff, domain.spec.d_coeff)
+    if values.shape != expected:
+        raise DimensionMismatch(f"node values have shape {values.shape}, expected {expected}")
     blocks = list(values.conj().swapaxes(-1, -2))
     return domain.ortho_factor_inv @ block_diag(blocks) @ space.ortho_factor

@@ -4,7 +4,8 @@ The transfer function of the adjoint of a colligation is evaluated by
 stacked resolvent solves over chunks of points (never an explicit
 inverse), and on polydisc product grids one state block smaller; the
 lifting series is summed by an operator recursion that is linear in the
-truncation order, and its limit is taken by one Stein solve; Schur-class
+truncation order, and its limit is read off the values at the joint
+eigenvalues (one Stein solve without a joint eigenbasis); Schur-class
 membership of emitted functions is certified by sampling the Pick-type
 kernel.
 """
@@ -19,7 +20,7 @@ from .errors import DomainViolation, NearSingularResolvent
 from .colligation import BALL_ROW, Colligation
 from .hypercontraction import cp_map, joint_eigenbasis
 from .kernels import KernelSpec, kernel_matrix
-from .linalg import as_matrix, herm, opnorm, opnorms, pick_blocks
+from .linalg import as_matrix, herm, opnorm, opnorms, pick_blocks, psd_fails
 from .model_space import TupleOperator
 
 #: Points where the resolvent condition number exceeds this are rejected.
@@ -265,7 +266,7 @@ def series_partial_lift(
     return partial, bound
 
 
-def _series_limit(coll: Colligation, s: TupleOperator) -> np.ndarray:
+def _series_limit(coll: Colligation, s: TupleOperator, values: np.ndarray | None) -> np.ndarray:
     """The limit ``A E + sum_j B_j Y S_j*`` of ``series_partial_lift``.
 
     ``E`` is ``coll.in_map`` and ``Y = sum_i L^i(C E)``, ``L(Y) = sum_l D_l
@@ -273,12 +274,9 @@ def _series_limit(coll: Colligation, s: TupleOperator) -> np.ndarray:
     spectral radius below one because ``s`` is pure and ``D`` contractive.
 
     With a joint eigenbasis ``S_l = V diag(lambda_l) V^{-1}`` the columns of
-    ``Y V^{-*}`` decouple: ``y_a = (I - sum_l conj(lambda_al) D_l)^{-1}
-    (C E V^{-*})_a``, one stacked ``k x k`` solve over the ``q`` joint
-    eigenvalues (``k`` the state dimension), and the limit is ``(A E V^{-*}
-    + [sum_j conj(lambda_aj) B_j y_a]_a) V*``, whose column ``a`` is
-    ``Phi(lambda_a)*`` applied to ``(E V^{-*})_a``.  Each pivot is
-    invertible, since ``||sum_l conj(lambda_al) D_l|| <= ||lambda_a|| < 1``.
+    ``Y V^{-*}`` decouple: column ``a`` of the limit times ``V^{-*}`` is
+    ``Phi(lambda_a)*`` applied to ``(E V^{-*})_a``, read off ``values``, the
+    ``eval_many`` values at the joint eigenvalues (``None`` without them).
     Mapping through ``V^{-1}`` costs about ``eps cond(V)`` relative accuracy:
     on kernel spans ``cond(V) <= sqrt(gram_cond)``, and any other tuple's
     eigenbasis passed ``cond(V) <= JOINT_COND_LIMIT``.  A tuple without one
@@ -286,27 +284,20 @@ def _series_limit(coll: Colligation, s: TupleOperator) -> np.ndarray:
     (x) D_l) vec Y = vec(C E)``.
     """
     in_map = coll.in_map
-    b_blocks = coll.b_blocks()
-    d_blocks = coll.d_blocks()
-    k = coll.block_d.shape[0]
     basis = joint_eigenbasis(s)
     if basis is None:
+        k = coll.block_d.shape[0]
         adjoints = s.adjoints()
         stein = np.eye(k * s.dim, dtype=complex)
-        for d, adj in zip(d_blocks, adjoints):
+        for d, adj in zip(coll.d_blocks(), adjoints):
             stein -= np.kron(adj.T, d)
         rhs = (coll.block_c @ in_map).reshape(-1, order="F")
         y = np.linalg.solve(stein, rhs).reshape(k, s.dim, order="F")
-        return coll.block_a @ in_map + sum(b @ y @ adj for b, adj in zip(b_blocks, adjoints))
-    vecs, lam = basis
-    lam_bar = lam.conj()
+        return coll.block_a @ in_map + sum(b @ y @ adj for b, adj in zip(coll.b_blocks(), adjoints))
+    vecs = basis[0]
     in_hat = np.linalg.solve(vecs, in_map.conj().T).conj().T
-    pivots = np.eye(k, dtype=complex) - np.tensordot(lam_bar, np.stack(d_blocks), axes=1)
-    states = np.linalg.solve(pivots, (coll.block_c @ in_hat).T[:, :, None])[:, :, 0].T
-    columns = coll.block_a @ in_hat + sum(
-        b @ (states * lam_bar[:, j]) for j, b in enumerate(b_blocks)
-    )
-    return columns @ vecs.conj().T
+    columns = values.conj().swapaxes(-1, -2) @ in_hat.T[:, :, None]
+    return columns[:, :, 0].T @ vecs.conj().T
 
 
 @dataclass
@@ -315,14 +306,17 @@ class CertificateResult:
     passed: bool
     sample_count: int
 
+    def to_json_dict(self) -> dict:
+        return {"min_eig": self.min_eig, "pass": self.passed, "samples": self.sample_count}
+
 
 def schur_agler_certificate_ball(phi_eval, samples, tol: float) -> CertificateResult:
     """Minimum eigenvalue of the sampled Pick-type kernel matrix.
 
     Assembles ``(I - phi(u_a) phi(u_b)*) / (1 - <u_a, u_b>)`` blockwise
-    over the samples; nonnegativity (within ``tol``) certifies membership
-    in the Schur class on the samples.  This is ``factorization_criterion``
-    at ``p = m``.
+    over the samples; nonnegativity (``psd_fails`` with base ``tol``)
+    certifies membership in the Schur class on the samples.  This is
+    ``factorization_criterion`` at ``p = m``.
     """
     return factorization_criterion(phi_eval, 1, 1, samples, tol)
 
@@ -333,8 +327,8 @@ def factorization_criterion(
     """Sampled kernel test for factorization through the Schur class.
 
     Assembles ``K_{p-m+1}(u_a, u_b) I - K_1(u_a, u_b) phi(u_a) phi(u_b)*``
-    over the samples; nonnegativity within ``tol`` passes.  ``n``
-    defaults to the coordinate count of the first sample.
+    over the samples; it passes when its spectrum passes ``psd_fails`` with
+    base ``tol``.  ``n`` defaults to the coordinate count of the first sample.
     """
     points = [np.asarray(u, dtype=complex).reshape(-1) for u in samples]
     if not points:
@@ -346,8 +340,10 @@ def factorization_criterion(
     kernel_high = (
         kernel_one if p == m else kernel_matrix(KernelSpec.ball(p - m + 1, n), points, points)
     )
-    lam = float(np.linalg.eigvalsh(herm(pick_blocks(values, kernel_one, kernel_high)))[0])
-    return CertificateResult(min_eig=lam, passed=lam >= -tol, sample_count=len(points))
+    spectrum = np.linalg.eigvalsh(herm(pick_blocks(values, kernel_one, kernel_high)))
+    return CertificateResult(
+        min_eig=float(spectrum[0]), passed=not psd_fails(spectrum, tol), sample_count=len(points)
+    )
 
 
 @dataclass(frozen=True)

@@ -327,6 +327,59 @@ def test_run_factorize_mode():
     assert report["certificates"]["factorization"]["pass"] is True
 
 
+#: A solved n=1 factorize document whose sampled kernel matrix grows like
+#: ``0.19^{-p}`` (the samples reach radius 0.9).
+FACTORIZE_AT_ZERO = dict(
+    MOEBIUS,
+    mode="factorize",
+    p=15,
+    nodes=[[[0.0, 0.0]], [[0.1, 0.0]]],
+    targets=[[[[0.0, 0.0]]], [[[0.05, 0.0]]]],
+)
+
+
+@pytest.mark.parametrize("p", [15, 20, 40])
+def test_factorization_certificate_takes_the_relative_psd_rule(p):
+    # The bottom eigenvalue is round-off of a matrix whose norm grows with
+    # p, so an absolute floor of -1e-7 would fail these from p = 15 on.
+    report, code = run(parse_instance(json.dumps(dict(FACTORIZE_AT_ZERO, p=p))))
+    assert code == EXIT_SOLVED
+    assert report["certificates"]["factorization"]["pass"] is True
+
+
+def test_factorization_certificate_still_fails_a_non_contraction():
+    inst = parse_instance(json.dumps(FACTORIZE_AT_ZERO))
+    samples = cli._sample_points(inst, inst.options.samples)
+    for value, p in ((1.5, 5), (10.0, 15)):
+        crit = cli.factorization_criterion(lambda z: np.array([[value]]), 1, p, samples, 1e-7, n=1)
+        assert not crit.passed
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "doc, weight",
+    [
+        (dict(MOEBIUS, m=3000, nodes=[[[0.0, 0.0]], [[0.5, 0.0]]],
+              targets=[[[[0.0, 0.0]]], [[[0.1, 0.0]]]]), "3000"),
+        (dict(BIDISC, gamma=[3000, 1], nodes=[[[0.0, 0.0], [0.0, 0.0]], [[0.5, 0.0], [0.1, 0.0]]],
+              options={}), "(3000, 1)"),
+        (dict(FACTORIZE_AT_ZERO, p=500), "500"),
+    ],
+    ids=["ball", "polydisc", "factorize"],
+)
+def test_kernel_overflow_is_reported_as_ill_conditioned(tmp_path, capsys, doc, weight):
+    # An overflowing kernel must not reach eigh as inf/NaN, which gives a
+    # garbage Gram spectrum or a LinAlgError.
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path)]) == EXIT_ERROR
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {
+        "type": "IllConditioned",
+        "message": f"kernel values overflow at weight {weight}",
+    }
+
+
 def test_run_certify_mode():
     doc = dict(MOEBIUS, mode="certify", options={"samples": 60, "seed": 2})
     inst = parse_instance(json.dumps(doc))

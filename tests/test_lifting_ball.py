@@ -45,6 +45,7 @@ from conftest import (
     random_ball_nodes,
     random_contraction,
     random_interior_points,
+    random_polydisc_nodes,
     record_linalg,
     scaled_targets,
 )
@@ -162,7 +163,8 @@ def test_series_limit_without_a_joint_eigenbasis(shift, m):
     # The Kronecker branch of the Stein solve.
     s, res = _jordan_lift(shift, m)
     partial, _ = series_partial_lift(res.colligation, s, LONG_ORDER)
-    assert opnorm(transfer._series_limit(res.colligation, s) - partial) <= 1e-13
+    assert res.spectrum_values is None
+    assert opnorm(transfer._series_limit(res.colligation, s, None) - partial) <= 1e-13
     assert res.certificate.verify_residual <= 1e-12
 
 
@@ -172,10 +174,97 @@ def test_series_limit_sees_a_perturbed_corner(branch):
     s, res = _span_lift(3, 2, 5, 2, 0.7) if branch == "eigenbasis" else _jordan_lift(0.2, 2)
     assert (hypercontraction.joint_eigenbasis(s) is None) == (branch == "kronecker")
     coll = res.colligation
-    assert opnorm(transfer._series_limit(coll, s) - coll.out_target) <= 1e-12
+    assert opnorm(transfer._series_limit(coll, s, res.spectrum_values) - coll.out_target) <= 1e-12
     perturbed = dataclasses.replace(coll, matrix=coll.matrix.copy())
     perturbed.block_a[...] += 1e-6
-    assert opnorm(transfer._series_limit(perturbed, s) - coll.out_target) > 1e-7
+    values = lifting_ball._spectrum_values(transfer.TransferFunction(perturbed), s)
+    assert opnorm(transfer._series_limit(perturbed, s, values) - coll.out_target) > 1e-7
+
+
+def _pivot_series_limit(coll, s):
+    """The series limit by its own pivots ``I - sum_l conj(lambda_al) D_l``:
+    ``y_a`` solves the pivot against ``(C E V^{-*})_a``, and column ``a`` is
+    ``A (E V^{-*})_a + sum_j conj(lambda_aj) B_j y_a``, mapped back by ``V*``."""
+    vecs, lam = hypercontraction.joint_eigenbasis(s)
+    lam_bar = lam.conj()
+    k = coll.block_d.shape[0]
+    in_hat = np.linalg.solve(vecs, coll.in_map.conj().T).conj().T
+    pivots = np.eye(k) - np.tensordot(lam_bar, np.stack(coll.d_blocks()), axes=1)
+    states = np.linalg.solve(pivots, (coll.block_c @ in_hat).T[:, :, None])[:, :, 0].T
+    columns = coll.block_a @ in_hat + sum(
+        b @ (states * lam_bar[:, j]) for j, b in enumerate(coll.b_blocks())
+    )
+    return columns @ vecs.conj().T
+
+
+def _span_solve(geometry, seed, r, d):
+    """A kernel-span front-end solve and its spans, or None when it has no lift."""
+    rng = np.random.default_rng(seed)
+    if geometry == "ball":
+        spec = KernelSpec.ball(int(rng.integers(1, 4)), 2)
+        nodes = random_ball_nodes(rng, r, 2, radius=0.8, min_sep=0.2)
+        targets = scaled_targets(rng, spec, nodes, d_out=d)
+        solve = np_solve
+    else:
+        spec = KernelSpec.polydisc(((1, 1), (1, 2), (2, 1))[rng.integers(3)])
+        nodes = random_polydisc_nodes(rng, min(r, 4), 2, radius=0.45, min_sep=0.25)
+        targets = [0.55 * w for w in scaled_targets(rng, spec, nodes, d_out=d, weight_one=False)]
+        solve = np_solve_polydisc
+    try:
+        res = solve(spec, nodes, targets)
+    except (IllConditioned, GramMismatch) as exc:
+        event(f"no lift: {type(exc).__name__}")
+        return None
+    event(type(res).__name__)
+    return res if isinstance(res, LiftResult) else None
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    geometry=st.sampled_from(["ball", "polydisc"]),
+    seed=st.integers(0, 2**32 - 1),
+    r=st.integers(1, 8),
+    d=st.sampled_from([1, 2]),
+)
+def test_one_evaluation_serves_every_reader(geometry, seed, r, d):
+    """The lift's values at the joint eigenvalues of ``s`` are its values at
+    the nodes, each ``d`` times, and ``certify`` reads them bit for bit as
+    ``verify_lift`` evaluates them.  On the ball the series limit read off
+    them agrees with the pivot solves it replaced."""
+    res = _span_solve(geometry, seed, r, d)
+    assume(res is not None)
+    span = res.certificate.extras["np"]
+    q1, q2, x = span["q_domain"], span["q_codomain"], span["x"]
+    assert q2.spec.d_coeff == d
+    assert np.array_equal(res.spectrum_values[::d], res.phi.eval_many(q2.nodes))
+    assert res.certificate.verify_residual == verify_lift(res.phi, q2, x, q1)
+    if geometry == "ball":
+        s = model_tuple(q2)
+        reference = _pivot_series_limit(res.colligation, s)
+        limit = transfer._series_limit(res.colligation, s, res.spectrum_values)
+        assert opnorm(limit - reference) <= 1e-13 * opnorm(reference)
+
+
+def test_np_solve_takes_one_stacked_resolvent_solve(monkeypatch):
+    # The series limit and the kernel-basis residual share one evaluation of
+    # phi at the nodes: one stacked solve of the resolvents ``I - Z D*``.
+    rng = np.random.default_rng(5)
+    spec = KernelSpec.ball(2, 2)
+    nodes = random_ball_nodes(rng, 10, 2, radius=0.8, min_sep=0.2)
+    targets = scaled_targets(rng, spec, nodes)
+    stacked = []
+    solve = np.linalg.solve
+
+    def recorded_solve(a, b):
+        if np.ndim(a) == 3:
+            stacked.append(np.shape(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recorded_solve)
+    res = np_solve(spec, nodes, targets)
+    assert isinstance(res, LiftResult)
+    k = res.colligation.block_d.shape[0]
+    assert stacked == [(len(nodes), k, k)]
 
 
 def test_kernel_span_lift_solves_at_most_state_size(monkeypatch):

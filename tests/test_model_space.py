@@ -173,7 +173,7 @@ def test_multiplier_adjoint_constant():
     spec = KernelSpec.ball(1, 2, d_coeff=2)
     space = build_subspace(spec, nodes)
     c = np.array([[0.3, 0.1j], [0.0, -0.2]])
-    action = multiplier_adjoint_action(space, lambda z: c)
+    action = multiplier_adjoint_action(space, np.stack([c] * 3))
     expected = np_target_operator(space, [c] * 3, space).conj().T
     assert opnorm(action - expected) < 1e-12
 
@@ -183,8 +183,17 @@ def test_multiplier_adjoint_coordinate_matches_model_tuple():
     nodes = random_polydisc_nodes(rng, 3, 2)
     space = build_subspace(KernelSpec.polydisc((1, 1)), nodes)
     s = model_tuple(space)
-    action = multiplier_adjoint_action(space, lambda z: np.array([[z[0]]]))
+    action = multiplier_adjoint_action(space, np.array([[[z[0]]] for z in space.nodes]))
     assert opnorm(action - s[0].conj().T) < 1e-11
+
+
+def test_multiplier_adjoint_rejects_values_of_the_wrong_shape():
+    rng = np.random.default_rng(15)
+    space = build_subspace(KernelSpec.ball(1, 2, d_coeff=2), random_ball_nodes(rng, 3, 2))
+    with pytest.raises(DimensionMismatch):
+        multiplier_adjoint_action(space, np.zeros((2, 2, 2)))
+    with pytest.raises(DimensionMismatch):
+        multiplier_adjoint_action(space, np.zeros((3, 1, 2)))
 
 
 def test_tuple_operator_rejects_noncommuting():

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -26,7 +27,7 @@ from .errors import (
 from .kernels import KernelSpec
 from .lifting_ball import Infeasible, LiftResult, lift_p_gt_m, np_solve
 from .lifting_polydisc import Inconclusive, np_solve_polydisc
-from .linalg import opnorm
+from .linalg import opnorms
 from .model_space import build_subspace, np_target_operator
 from .transfer import (
     GridSpec,
@@ -249,35 +250,46 @@ def _matrix_json(mat: np.ndarray) -> list:
     return [[_pair(v) for v in row] for row in np.atleast_2d(mat)]
 
 
-def _sample_points(inst: ProblemInstance, count: int) -> list[tuple[complex, ...]]:
-    """Uniform points in the ball of radius ``sample_radius``; only ball modes sample."""
+def _sample_points(inst: ProblemInstance, count: int) -> np.ndarray:
+    """Uniform points in the ball of radius ``sample_radius`` as a ``(count, n)``
+    array; only ball modes sample.
+
+    The loop only draws, in the stream order of the per-point formula: ``2n``
+    normals (the real parts, then the imaginary parts) and one uniform,
+    whose radius is a Python-float power.  Each direction is scaled by its
+    norm, taken as ``np.linalg.norm`` takes it (over the real and imaginary
+    views of the point), so the points equal the per-point formula's bit
+    for bit.
+    """
     rng = np.random.default_rng(inst.options.seed)
     n = inst.spec.n
-    radius = inst.options.sample_radius
-    points = []
-    for _ in range(count):
-        direction = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        direction /= np.linalg.norm(direction)
-        r = radius * rng.uniform() ** (1.0 / (2 * n))
-        points.append(tuple(r * direction))
+    exponent = 1.0 / (2 * n)
+    draws = np.empty((count, 2 * n))
+    radii = np.empty(count)
+    for a in range(count):
+        draws[a] = rng.standard_normal(2 * n)
+        radii[a] = inst.options.sample_radius * rng.uniform() ** exponent
+    points = draws[:, :n] + 1j * draws[:, n:]
+    norms = [math.sqrt(re.dot(re) + im.dot(im)) for re, im in zip(points.real, points.imag)]
+    points /= np.array(norms)[:, None]
+    points *= radii[:, None]
     return points
 
 
-def _node_table(inst: ProblemInstance, phi_eval) -> tuple[list[dict], float]:
-    rows = []
-    worst = 0.0
-    for z, w, value in zip(inst.nodes, inst.targets, values_at(phi_eval, inst.nodes)):
-        residual = opnorm(value - w)
-        worst = max(worst, residual)
-        rows.append(
-            {
-                "z": [_pair(c) for c in z],
-                "target": _matrix_json(w),
-                "phi": _matrix_json(value),
-                "residual": residual,
-            }
-        )
-    return rows, worst
+def _node_table(inst: ProblemInstance, values: np.ndarray) -> tuple[list[dict], float]:
+    """Rows of the report's node table from the function's values at the
+    nodes, and the largest node residual (0 for none)."""
+    residuals = opnorms(values - np.stack(inst.targets)).tolist()
+    rows = [
+        {
+            "z": [_pair(c) for c in z],
+            "target": _matrix_json(w),
+            "phi": _matrix_json(value),
+            "residual": residual,
+        }
+        for z, w, value, residual in zip(inst.nodes, inst.targets, values, residuals)
+    ]
+    return rows, max(residuals, default=0.0)
 
 
 def _base_report(inst: ProblemInstance) -> dict:
@@ -291,9 +303,11 @@ def _base_report(inst: ProblemInstance) -> dict:
     }
 
 
-def _finish_solved(report: dict, inst: ProblemInstance, result: LiftResult, phi_eval) -> int:
+def _finish_solved(
+    report: dict, inst: ProblemInstance, result: LiftResult, node_values: np.ndarray
+) -> int:
     cert = result.certificate
-    rows, worst = _node_table(inst, phi_eval)
+    rows, worst = _node_table(inst, node_values)
     report["nodes"] = rows
     report["certificates"].update(
         {
@@ -359,7 +373,9 @@ def _finish_outcome(report: dict, inst: ProblemInstance, outcome):
         return code, None
     if isinstance(outcome, Inconclusive):
         return _finish_inconclusive(report, outcome), None
-    return _finish_solved(report, inst, outcome, outcome.phi), outcome.phi
+    # The lift's values at the joint eigenvalues: the nodes, each d times.
+    node_values = outcome.spectrum_values[:: inst.d_target]
+    return _finish_solved(report, inst, outcome, node_values), outcome.phi
 
 
 def _finish_error(report: dict, exc: Exception) -> dict:
@@ -393,7 +409,9 @@ def _solve_lift_pm(inst: ProblemInstance, report: dict):
     )
     inner = composite.inner
     inner.certificate.verify_residual = composite.verify_residual
-    code = _finish_solved(report, inst, inner, composite.composite)
+    # The composite is not the inner lift, so it is evaluated at the nodes.
+    node_values = values_at(composite.composite, inst.nodes)
+    code = _finish_solved(report, inst, inner, node_values)
     return code, composite.composite
 
 
@@ -489,7 +507,10 @@ def _apply_flags(inst: ProblemInstance, args) -> None:
     _check_options(inst.options, from_flags=True)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and each call returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="schurlift",
         description="interpolation and intertwining lifting on weighted Bergman spaces",
@@ -504,8 +525,11 @@ def main(argv=None) -> int:
         _add_common_flags(p)
         if name == "scan":
             p.add_argument("--csv-out", type=str, default="scan.csv")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     with contextlib.ExitStack() as outputs:
         # Output files are opened before the solve, so a bad path is an error
         # report (also in ``--out`` once that is open), not a traceback.

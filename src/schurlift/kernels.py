@@ -99,14 +99,22 @@ class KernelSpec:
 
     def interior_points(self, points) -> np.ndarray:
         """Stack ``points`` into an ``(N, n)`` array, each checked to be strictly
-        interior exactly as ``require_interior`` checks one point."""
-        rows = [np.asarray(z, dtype=complex).reshape(-1) for z in points]
-        for z in rows:
-            if z.size != self.n:
-                raise DimensionMismatch(
-                    f"point has {z.size} coordinates, spec expects {self.n}"
-                )
-        pts = np.array(rows, dtype=complex).reshape(len(rows), self.n)
+        interior exactly as ``require_interior`` checks one point.
+
+        An ``(N, n)`` array is checked and used as it is, without a list of
+        rows; any other sequence is stacked row by row, and the first row
+        with the wrong coordinate count raises ``DimensionMismatch``.
+        """
+        if isinstance(points, np.ndarray) and points.ndim == 2 and points.shape[1] == self.n:
+            pts = points.astype(complex, copy=False)
+        else:
+            rows = [np.asarray(z, dtype=complex).reshape(-1) for z in points]
+            for z in rows:
+                if z.size != self.n:
+                    raise DimensionMismatch(
+                        f"point has {z.size} coordinates, spec expects {self.n}"
+                    )
+            pts = np.array(rows, dtype=complex).reshape(len(rows), self.n)
         first = self.first_exterior(pts)
         if first < len(pts):
             self.require_interior(pts[first])
@@ -188,19 +196,33 @@ def kernel_eval(spec: KernelSpec, z, w) -> complex:
 def kernel_matrix(spec: KernelSpec, p, q) -> np.ndarray:
     """Scalar kernel values ``[K(p_a, q_b)]`` for two lists of points.
 
-    Every point is checked to be strictly interior, with the margin and
-    the error of ``require_interior``; the closed forms of ``kernel_eval``
-    are then evaluated for all pairs at once by broadcasting.  A value that
-    overflows (a large weight) raises ``IllConditioned``.
+    ``p`` and ``q`` are sequences of points or ``(N, n)`` arrays, taken by
+    ``KernelSpec.interior_points``: every point is checked to be strictly
+    interior, with the margin and the error of ``require_interior``, ``p``
+    before ``q``, and once when ``p is q``.  The closed forms of
+    ``kernel_eval`` are then evaluated for all pairs at once by
+    broadcasting.  A value that overflows (a large weight) raises
+    ``IllConditioned``.
+
+    On the ball of fewer than four variables the products ``p_ai conj(q_bi)``
+    are formed as one contiguous ``(N, M)`` plane per coordinate ``i`` and
+    added in index order.  That is the order in which numpy sums so few
+    terms over a trailing axis, so the pairing is the same bit for bit; from
+    four terms on numpy sums pairwise, and the trailing-axis sum stays.
     """
+    same = p is q
     p = spec.interior_points(p)
-    q = spec.interior_points(q)
-    products = p[:, None, :] * q[None, :, :].conj()
+    q = p if same else spec.interior_points(q)
     with np.errstate(over="ignore", invalid="ignore"):
-        if spec.geometry == BALL:
-            values = (1.0 - np.sum(products, axis=-1)) ** (-spec.m)
+        if spec.geometry == BALL and spec.n < 4:
+            planes = p.T[:, :, None] * np.ascontiguousarray(q.T).conj()[:, None, :]
+            values = (1.0 - sum(planes[1:], planes[0])) ** (-spec.m)
         else:
-            values = np.prod((1.0 - products) ** (-np.asarray(spec.gamma)), axis=-1)
+            products = p[:, None, :] * q[None, :, :].conj()
+            if spec.geometry == BALL:
+                values = (1.0 - np.sum(products, axis=-1)) ** (-spec.m)
+            else:
+                values = np.prod((1.0 - products) ** (-np.asarray(spec.gamma)), axis=-1)
     if not np.isfinite(values).all():
         raise IllConditioned(f"kernel values overflow at weight {spec.m or spec.gamma}")
     return values

@@ -54,6 +54,16 @@ class TupleOperator:
                     )
         object.__setattr__(self, "mats", mats)
 
+    @classmethod
+    def _trusted(cls, mats: tuple[np.ndarray, ...]) -> TupleOperator:
+        """A tuple of equal-size square complex matrices that commute by
+        construction, made without the shape and commutator checks (and
+        their three ``opnorm``s per pair).  Only ``model_tuple`` makes one."""
+        t = cls.__new__(cls)
+        t.mats = mats
+        t.eigenbasis_cache = None
+        return t
+
     @property
     def n(self) -> int:
         return len(self.mats)
@@ -122,7 +132,8 @@ def build_subspace(spec: KernelSpec, nodes) -> KernelSubspace:
     below ``GRAM_FLOOR`` times the largest (coincident or clustered
     nodes), and ``DomainViolation`` for nodes on or outside the boundary.
     """
-    node_list = [tuple(z) for z in spec.interior_points(nodes)]
+    points = spec.interior_points(nodes)
+    node_list = [tuple(z) for z in points]
     if not node_list:
         raise ValueError("at least one node is required")
     r = len(node_list)
@@ -131,7 +142,7 @@ def build_subspace(spec: KernelSpec, nodes) -> KernelSubspace:
             if node_list[a] == node_list[b]:
                 raise ValueError(f"nodes {a} and {b} coincide")
 
-    kernel = kernel_matrix(spec, node_list, node_list)
+    kernel = kernel_matrix(spec, points, points)
     gram = np.kron(kernel, np.eye(spec.d_coeff))
     gram = (gram + gram.conj().T) / 2.0
 
@@ -165,13 +176,15 @@ def model_tuple(space: KernelSubspace) -> TupleOperator:
     So ``S_i L* = L* (diag(z_.i) (x) I_d)``: the columns of ``L*``, scaled
     to unit norm, are a joint eigenbasis, and the nodes, each ``d`` times,
     the joint eigenvalues.  The tuple carries both as read-only arrays.
+    The entries commute by construction, so the tuple is made without the
+    commutator check of ``TupleOperator(...)``.
     """
     lam = np.repeat(np.asarray(space.nodes, dtype=complex), space.spec.d_coeff, axis=0)
     ortho, ortho_inv = space.ortho_factor, space.ortho_factor_inv
     mats = []
     for i in range(space.spec.n):
         mats.append((ortho_inv @ (lam[:, i, None].conj() * ortho)).conj().T)
-    t = TupleOperator(tuple(mats))
+    t = TupleOperator._trusted(tuple(mats))
     vecs = ortho.conj().T / np.linalg.norm(ortho, axis=1)
     vecs.flags.writeable = lam.flags.writeable = False
     t.eigenbasis_cache = (t.mats, (vecs, lam))

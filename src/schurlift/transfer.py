@@ -328,13 +328,19 @@ def factorization_criterion(
 
     Assembles ``K_{p-m+1}(u_a, u_b) I - K_1(u_a, u_b) phi(u_a) phi(u_b)*``
     over the samples; it passes when its spectrum passes ``psd_fails`` with
-    base ``tol``.  ``n`` defaults to the coordinate count of the first sample.
+    base ``tol``.  ``samples`` is a sequence of points or an ``(N, n)``
+    array; an array goes to ``values_at`` and ``kernel_matrix`` as it is,
+    without a list of its rows, and the kernel checks the samples once.
+    ``n`` defaults to the coordinate count of the first sample.
     """
-    points = [np.asarray(u, dtype=complex).reshape(-1) for u in samples]
-    if not points:
+    if isinstance(samples, np.ndarray) and samples.ndim == 2:
+        points = samples
+    else:
+        points = [np.asarray(u, dtype=complex).reshape(-1) for u in samples]
+    if not len(points):
         raise ValueError("at least one sample point is required")
     if n is None:
-        n = points[0].size
+        n = np.size(points[0])
     values = values_at(phi_eval, points)
     kernel_one = kernel_matrix(KernelSpec.ball(1, n), points, points)
     kernel_high = (

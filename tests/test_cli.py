@@ -3,6 +3,9 @@ import functools
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import types
 
 import numpy as np
@@ -859,3 +862,88 @@ def test_kernel_span_solves_take_no_eigenproblem(tmp_path, capsys, monkeypatch):
     # The general path still takes its eigenproblem through the wrapper.
     joint_eigenbasis(TupleOperator(model_tuple(q2).mats))
     assert calls
+
+
+def _per_point_samples(seed: int, n: int, count: int, radius: float) -> np.ndarray:
+    """Reference: the sampling formula one point at a time."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for _ in range(count):
+        direction = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        direction /= np.linalg.norm(direction)
+        r = radius * rng.uniform() ** (1.0 / (2 * n))
+        points.append(tuple(r * direction))
+    return np.array(points, dtype=complex).reshape(count, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sample_points_equal_the_per_point_formula_bit_for_bit(n):
+    for seed, count, radius in ((0, 1, 0.9), (3, 40, 0.9), (7, 200, 0.5), (11, 13, 0.99)):
+        doc = dict(BALL_CERTIFY, n=n, nodes=[[[0.0, 0.0]] * n],
+                   targets=[[[[0.1, 0.0]]]], options={"seed": seed, "sample_radius": radius})
+        got = cli._sample_points(parse_instance(json.dumps(doc)), count)
+        want = _per_point_samples(seed, n, count, radius)
+        assert got.shape == (count, n)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("doc", [dict(BALL_CERTIFY, mode="np-ball"), BIDISC, dict(MOEBIUS, dEstar=2,
+                                 targets=[[[[0.3, 0.0]], [[0.0, 0.2]]]])],
+                         ids=["ball", "bidisc", "ball-d2"])
+def test_node_table_reads_the_lift_values_at_the_nodes(monkeypatch, doc):
+    """A front end's node table is the lift's spectrum values at the nodes,
+    equal to evaluating the interpolant there, with no evaluation of its own."""
+    inst = parse_instance(json.dumps(doc))
+    solve = np_solve if inst.spec.geometry == "ball" else np_solve_polydisc
+    result = solve(inst.spec, inst.nodes, inst.targets, d_target=inst.d_target)
+    want = cli._node_table(inst, result.phi.eval_many(inst.nodes))
+
+    calls = []
+    original = TransferFunction.eval_many
+
+    def counted(self, points):
+        calls.append(len(points))
+        return original(self, points)
+
+    monkeypatch.setattr(TransferFunction, "eval_many", counted)
+    report, code = run(inst)
+    assert code == EXIT_SOLVED
+    assert calls == [len(inst.nodes) * inst.d_target]
+    assert report_to_json({"nodes": report["nodes"], "worst": report["certificates"]["max_node_residual"]}) \
+        == report_to_json({"nodes": want[0], "worst": want[1]})
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    """Two commands in one process, on the once-built parser, give the reports,
+    exit codes and scan CSV that each gives as the first call of a new process."""
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(BALL_CERTIFY))
+    commands = (["scan", str(path)], ["certify", str(path), "--samples", "50"])
+
+    def fresh(argv, cwd):
+        cwd.mkdir()
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from schurlift.cli import main; sys.exit(main(sys.argv[1:]))",
+             *argv],
+            cwd=cwd, capture_output=True, text=True, check=False,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        csv = cwd / "scan.csv"
+        return proc.returncode, proc.stdout, csv.read_text() if csv.exists() else None
+
+    expected = [fresh(argv, tmp_path / f"fresh-{argv[0]}") for argv in commands]
+    shared = tmp_path / "shared"
+    shared.mkdir()
+    monkeypatch.chdir(shared)
+    cli._parser.cache_clear()
+    got = []
+    for argv in commands:
+        code = main(argv)
+        csv = shared / "scan.csv"
+        got.append((code, capsys.readouterr().out, csv.read_text() if csv.exists() else None))
+        csv.unlink(missing_ok=True)
+    assert cli._parser.cache_info().misses == 1
+    assert got == expected
+    assert expected[0][0] == expected[1][0] == EXIT_SOLVED and expected[0][2]
+    assert json.loads(got[1][1])["certificates"]["schur_agler"]["samples"] == 50

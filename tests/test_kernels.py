@@ -154,6 +154,58 @@ def test_kernel_matrix_rejects_boundary_and_wrong_dimension():
             kernel_matrix(spec, inside, [(0.1,)])
 
 
+def _ball_points(rng, count, n, radius=0.95):
+    v = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+    return radius * rng.uniform(size=(count, 1)) * v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_ball_kernel_matrix_is_the_trailing_axis_broadcast_bit_for_bit(m, n):
+    """Below four variables the kernel adds contiguous coordinate planes in
+    index order, and from four on it keeps the trailing-axis sum; both give
+    the bits of the trailing-axis broadcast."""
+    rng = np.random.default_rng(100 * m + n)
+    spec = KernelSpec.ball(m, n)
+    for count_p, count_q in ((1, 1), (7, 3), (40, 25)):
+        p, q = _ball_points(rng, count_p, n), _ball_points(rng, count_q, n)
+        reference = (1.0 - np.sum(p[:, None, :] * q[None, :, :].conj(), axis=-1)) ** (-m)
+        assert _same_bits(kernel_matrix(spec, p, q), reference)
+        assert _same_bits(kernel_matrix(spec, [tuple(z) for z in p], list(q)), reference)
+
+
+@pytest.mark.parametrize("polydisc", [False, True])
+def test_kernel_matrix_of_one_point_list_equals_that_of_its_copy(polydisc):
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 3):
+        spec = KernelSpec.polydisc((2,) * n) if polydisc else KernelSpec.ball(2, n)
+        points = _ball_points(rng, 30, n)
+        assert _same_bits(kernel_matrix(spec, points, points),
+                          kernel_matrix(spec, points, points.copy()))
+        rows = [tuple(z) for z in points]
+        assert _same_bits(kernel_matrix(spec, rows, rows), kernel_matrix(spec, points, points))
+
+
+def test_kernel_matrix_names_the_first_exterior_point_of_either_argument():
+    for spec, edge, beyond in (
+        (KernelSpec.ball(2, 2), (0.6, 0.8), (0.9, 0.9)),
+        (KernelSpec.polydisc((1, 2)), (0.2, 1.0), (1.5, 0.0)),
+    ):
+        inside = np.array([(0.1, 0.2j), (0.0, 0.0)])
+        with pytest.raises(DomainViolation) as expected:
+            spec.require_interior(np.asarray(edge, dtype=complex))
+        points = np.array([inside[0], edge, beyond, inside[1]])
+        for p, q in ((points, inside), (inside, points), (points, points), (points, points.copy()),
+                     (list(points), list(inside)), (list(inside), list(points))):
+            with pytest.raises(DomainViolation) as raised:
+                kernel_matrix(spec, p, q)
+            assert str(raised.value) == str(expected.value)
+
+
 def test_inverse_kernel_coeffs_convolution_delta():
     # the coefficients (-1)^{|j|} prod_i C(gamma_i, j_i) of the inverse kernel
     # prod_i (1 - x_i)^{gamma_i}, convolved against the kernel's series, give

@@ -203,6 +203,25 @@ def test_tuple_operator_rejects_noncommuting():
         TupleOperator((a, b))
 
 
+def test_model_tuple_skips_the_checks_its_construction_makes_true(monkeypatch):
+    """``model_tuple`` takes no ``opnorm`` (its entries commute by construction),
+    and its entries pass every check of the public constructor unchanged."""
+    import schurlift.model_space as model_space
+
+    rng = np.random.default_rng(19)
+    space = build_subspace(KernelSpec.ball(2, 3, d_coeff=2), random_ball_nodes(rng, 4, 3))
+
+    def forbidden(a):
+        raise AssertionError("model_tuple took an opnorm")
+
+    monkeypatch.setattr(model_space, "opnorm", forbidden)
+    s = model_tuple(space)
+    monkeypatch.undo()
+    checked = TupleOperator(s.mats)
+    assert s.n == 3 and s.dim == 8
+    assert all(a is b for a, b in zip(checked.mats, s.mats))
+
+
 def test_gram_condition_reported():
     rng = np.random.default_rng(17)
     space = build_subspace(KernelSpec.ball(1, 2), random_ball_nodes(rng, 3, 2))

@@ -204,25 +204,20 @@ def kernel_matrix(spec: KernelSpec, p, q) -> np.ndarray:
     broadcasting.  A value that overflows (a large weight) raises
     ``IllConditioned``.
 
-    On the ball of fewer than four variables the products ``p_ai conj(q_bi)``
-    are formed as one contiguous ``(N, M)`` plane per coordinate ``i`` and
-    added in index order.  That is the order in which numpy sums so few
-    terms over a trailing axis, so the pairing is the same bit for bit; from
-    four terms on numpy sums pairwise, and the trailing-axis sum stays.
+    On the ball the products ``p_ai conj(q_bi)`` are formed as one
+    contiguous ``(N, M)`` plane per coordinate ``i`` and added in index
+    order.
     """
     same = p is q
     p = spec.interior_points(p)
     q = p if same else spec.interior_points(q)
     with np.errstate(over="ignore", invalid="ignore"):
-        if spec.geometry == BALL and spec.n < 4:
+        if spec.geometry == BALL:
             planes = p.T[:, :, None] * np.ascontiguousarray(q.T).conj()[:, None, :]
             values = (1.0 - sum(planes[1:], planes[0])) ** (-spec.m)
         else:
             products = p[:, None, :] * q[None, :, :].conj()
-            if spec.geometry == BALL:
-                values = (1.0 - np.sum(products, axis=-1)) ** (-spec.m)
-            else:
-                values = np.prod((1.0 - products) ** (-np.asarray(spec.gamma)), axis=-1)
+            values = np.prod((1.0 - products) ** (-np.asarray(spec.gamma)), axis=-1)
     if not np.isfinite(values).all():
         raise IllConditioned(f"kernel values overflow at weight {spec.m or spec.gamma}")
     return values

@@ -329,26 +329,22 @@ def factorization_criterion(
     Assembles ``K_{p-m+1}(u_a, u_b) I - K_1(u_a, u_b) phi(u_a) phi(u_b)*``
     over the samples; it passes when its spectrum passes ``psd_fails`` with
     base ``tol``.  ``samples`` is a sequence of points or an ``(N, n)``
-    array; an array goes to ``values_at`` and ``kernel_matrix`` as it is,
-    without a list of its rows, and the kernel checks the samples once.
-    ``n`` defaults to the coordinate count of the first sample.
+    array, passed as it is to ``values_at`` and ``kernel_matrix``; the
+    kernel checks the samples once.  ``n`` defaults to the coordinate count
+    of the first sample.
     """
-    if isinstance(samples, np.ndarray) and samples.ndim == 2:
-        points = samples
-    else:
-        points = [np.asarray(u, dtype=complex).reshape(-1) for u in samples]
-    if not len(points):
+    if not len(samples):
         raise ValueError("at least one sample point is required")
     if n is None:
-        n = np.size(points[0])
-    values = values_at(phi_eval, points)
-    kernel_one = kernel_matrix(KernelSpec.ball(1, n), points, points)
+        n = np.size(samples[0])
+    values = values_at(phi_eval, samples)
+    kernel_one = kernel_matrix(KernelSpec.ball(1, n), samples, samples)
     kernel_high = (
-        kernel_one if p == m else kernel_matrix(KernelSpec.ball(p - m + 1, n), points, points)
+        kernel_one if p == m else kernel_matrix(KernelSpec.ball(p - m + 1, n), samples, samples)
     )
     spectrum = np.linalg.eigvalsh(herm(pick_blocks(values, kernel_one, kernel_high)))
     return CertificateResult(
-        min_eig=float(spectrum[0]), passed=not psd_fails(spectrum, tol), sample_count=len(points)
+        min_eig=float(spectrum[0]), passed=not psd_fails(spectrum, tol), sample_count=len(samples)
     )
 
 

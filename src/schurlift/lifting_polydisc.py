@@ -147,7 +147,10 @@ def agler_feasibility(
     O(n q^2).  Only the ``H_i`` are clipped: ``1 / M_i`` is the Gram of the
     weight ``gamma - e_i`` kernel at the joint eigenvalues, so ``H_i >= 0``
     gives ``Gamma_i = (1 / M_i) o H_i >= 0`` (Schur product theorem).  The map
-    ``w -> P_A(P_C w) + w - P_C w`` is Anderson-accelerated: an
+    ``w -> P_A(P_C w) + w - P_C w`` is Anderson-accelerated, with the
+    coefficients from the normal equations: the real Gram of the last
+    ``ANDERSON_DEPTH`` residual changes gains one row per step, and a
+    singular Gram resets the history for the plain step.  An
     extrapolated point is kept only when its residual is no larger than
     the plain step's, else the history is reset.  A tuple without a joint
     eigenbasis returns ``Inconclusive`` at once.
@@ -219,41 +222,56 @@ def agler_feasibility(
     project = _affine_projector(weights, to_eig(r_inner))
 
     def dykstra_map(w):
-        # The affine set needs no correction term.  Also returns ``P_A(P_C w)``.
+        # The affine set needs no correction term.  Returns ``F(w)``,
+        # ``P_A(P_C w)``, the residual ``F(w) - w`` and its norm.
         v = np.concatenate([w[: s.n], clip_psd(w[s.n :])])
         y = project(v)
-        return y + w - v, y
+        fw = y + w - v
+        res = fw - w
+        return fw, y, res, np.linalg.norm(res)
 
     gs = to_eig(np.stack([r_target / s.n - pad] * s.n))
     w = np.concatenate([gs, weights * gs])
-    fw = dykstra_map(w)[0]
+    fw, _, res, res_norm = dykstra_map(w)
     # Anderson acceleration (Walker-Ni): the last ``depth`` changes of the
-    # residual ``F(w) - w``, as real columns oldest first, and of the map
-    # value ``F(w)``, as rows.
-    res_changes = np.empty((2 * w.size, ANDERSON_DEPTH), order="F")
+    # residual ``F(w) - w``, as real rows oldest first, their real Gram
+    # ``Re<dr_j, dr_k>``, and the changes of the map value ``F(w)``.
+    res_changes = np.empty((ANDERSON_DEPTH, 2 * w.size))
+    gram = np.empty((ANDERSON_DEPTH, ANDERSON_DEPTH))
     map_changes = np.empty((ANDERSON_DEPTH, w.size), dtype=complex)
     depth = 0
     for it in range(1, max_iter + 1):
-        res = fw - w
         w_new = fw
         if depth:
-            coef = np.linalg.lstsq(res_changes[:, :depth], res.ravel().view(float), rcond=None)[0]
-            w_new = fw - (coef @ map_changes[:depth]).reshape(w.shape)
-        fw_new, y_new = dykstra_map(w_new)
+            # Normal equations of min |res - sum_j c_j dr_j|; a singular
+            # Gram drops the history, for the plain step.
+            try:
+                coef = np.linalg.solve(
+                    gram[:depth, :depth], res_changes[:depth] @ res.ravel().view(float)
+                )
+            except np.linalg.LinAlgError:
+                depth = 0
+            else:
+                w_new = fw - (coef @ map_changes[:depth]).reshape(w.shape)
+        fw_new, y_new, res_new, res_new_norm = dykstra_map(w_new)
         # Safeguard: an extrapolation whose residual exceeds the plain
         # step's length is dropped with the history, for the plain step.
-        if depth and np.linalg.norm(fw_new - w_new) > np.linalg.norm(res):
+        if depth and res_new_norm > res_norm:
             depth = 0
             w_new = fw
-            fw_new, y_new = dykstra_map(w_new)
+            fw_new, y_new, res_new, res_new_norm = dykstra_map(w_new)
         if depth == ANDERSON_DEPTH:
-            res_changes[:, :-1] = res_changes[:, 1:]
+            res_changes[:-1] = res_changes[1:]
+            gram[:-1, :-1] = gram[1:, 1:]
             map_changes[:-1] = map_changes[1:]
             depth -= 1
-        res_changes[:, depth] = (fw_new - w_new - res).ravel().view(float)
+        res_changes[depth] = (res_new - res).ravel().view(float)
+        gram[depth, : depth + 1] = gram[: depth + 1, depth] = (
+            res_changes[: depth + 1] @ res_changes[depth]
+        )
         map_changes[depth] = (fw_new - fw).ravel()
         depth += 1
-        w, fw, y = w_new, fw_new, y_new
+        w, fw, y, res, res_norm = w_new, fw_new, y_new, res_new, res_new_norm
 
         if it % 10 == 0 or it == max_iter:
             summary = summarize(vecs @ y[: s.n] @ vecs.conj().T + pad, it, floor)

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import sys
 import tracemalloc
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
+import schurlift
 import schurlift.hypercontraction as hypercontraction
 import schurlift.lifting_ball as lifting_ball
 import schurlift.lifting_polydisc as lifting_polydisc
@@ -123,36 +125,110 @@ def test_feasibility_random_bidisc_instances():
 
 
 def test_anderson_history_is_a_sliding_window(monkeypatch):
-    """Each least-squares problem holds the previous one's residual changes,
-    oldest first, plus the newest: one column more, or the oldest dropped
-    once ``ANDERSON_DEPTH`` are held, or a single column after the
-    safeguard reset the history.  The iteration count is the one recorded
-    for this class (design 0, r=8, gamma=(1,2))."""
-    problems = []
-    lstsq = np.linalg.lstsq
+    """Each Anderson step solves with the real Gram of the held residual
+    changes, oldest first: the previous Gram grown by the newest row and
+    column, or its trailing block plus the newest row once
+    ``ANDERSON_DEPTH`` are held, or 1x1 after the safeguard reset the
+    history.  The iteration count is the one recorded for this class
+    (design 0, r=8, gamma=(1,2))."""
+    grams = []
+    solve = np.linalg.solve
 
-    def recording(a, b, rcond=None):
-        problems.append(np.array(a))
-        return lstsq(a, b, rcond=rcond)
+    def recording(a, b):
+        # The hereditary conjugations solve complex systems; the Anderson
+        # Gram is the one real matrix solved with.
+        if not np.iscomplexobj(a):
+            grams.append(np.array(a))
+        return solve(a, b)
 
-    monkeypatch.setattr(np.linalg, "lstsq", recording)
+    monkeypatch.setattr(np.linalg, "solve", recording)
     nodes = GEN.polydisc_design(0, 8)
     spans = KernelSpans.build(KernelSpec.polydisc((1, 2)), nodes, GEN.z1z2_targets(nodes))
     out = agler_feasibility(spans.s, spans.x, (1, 2), tol=1e-10)
     assert isinstance(out, AglerDecomposition) and out.iterations == 120
-    assert problems[0].shape[1] == 1
+    assert grams[0].shape == (1, 1)
+    assert all(np.array_equal(g, g.T) for g in grams)
     kinds = set()
-    for old, new in zip(problems, problems[1:]):
-        if new.shape[1] == old.shape[1] + 1:
-            assert np.array_equal(new[:, :-1], old)
+    for old, new in zip(grams, grams[1:]):
+        if len(new) == len(old) + 1:
+            assert np.array_equal(new[:-1, :-1], old)
             kinds.add("grown")
-        elif new.shape[1] == old.shape[1] == ANDERSON_DEPTH:
-            assert np.array_equal(new[:, :-1], old[:, 1:])
+        elif len(new) == len(old) == ANDERSON_DEPTH:
+            assert np.array_equal(new[:-1, :-1], old[1:, 1:])
             kinds.add("shifted")
         else:
-            assert new.shape[1] == 1
+            assert new.shape == (1, 1)
             kinds.add("reset")
     assert {"grown", "shifted"} <= kinds
+
+
+def test_singular_anderson_gram_takes_the_plain_step(monkeypatch):
+    """A Gram that ``np.linalg.solve`` rejects as singular clears the
+    history: the next step solves with a 1x1 Gram, and the search still
+    finds the decomposition."""
+    grams = []
+    solve = np.linalg.solve
+
+    def failing_once_at_three(a, b):
+        if not np.iscomplexobj(a):
+            grams.append(np.array(a))
+            if len(a) == 3 and [len(g) for g in grams].count(3) == 1:
+                raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", failing_once_at_three)
+    nodes = GEN.polydisc_design(0, 8)
+    spans = KernelSpans.build(KernelSpec.polydisc((1, 2)), nodes, GEN.z1z2_targets(nodes))
+    out = agler_feasibility(spans.s, spans.x, (1, 2), tol=1e-10)
+    assert isinstance(out, AglerDecomposition)
+    sizes = [len(g) for g in grams]
+    assert sizes[sizes.index(3) + 1] == 1
+
+
+def _fault_targets(nodes):
+    return [np.array([[0.02 * (z[0] + z[1]) / 2]]) for z in nodes]
+
+
+@pytest.mark.parametrize(
+    "design, r, targets, gamma, iterations",
+    [
+        (0, 6, GEN.z1z2_targets, (1, 2), 30),
+        (0, 6, GEN.z1z2_targets, (2, 2), 20),
+        (0, 8, GEN.z1z2_targets, (1, 2), 120),
+        (0, 8, GEN.z1z2_targets, (2, 2), 140),
+        (0, 24, GEN.constant_targets, (1, 2), 10),
+        (1, 16, _fault_targets, (1, 2), 50),
+    ],
+    ids=["r6-12", "r6-22", "r8-12", "r8-22", "r24-const", "fault-r16"],
+)
+def test_polydisc_benchmark_classes_keep_their_iteration_counts(
+    design, r, targets, gamma, iterations
+):
+    """The six polydisc-solve classes, on their unrotated designs, solve in
+    the Dykstra iteration counts recorded for them."""
+    nodes = GEN.polydisc_design(design, r)
+    out = np_solve_polydisc(KernelSpec.polydisc(gamma), nodes, targets(nodes))
+    assert isinstance(out, LiftResult)
+    assert out.certificate.extras["decomposition"].iterations == iterations
+
+
+def test_cli_polydisc_documents_keep_their_iteration_counts(monkeypatch, tmp_path):
+    """The benchmark's seed-1 polydisc ``scan`` (r=6, gamma=(1,2)) and
+    ``certify`` (r=8, gamma=(2,2)) commands report 30 and 140 iterations."""
+    monkeypatch.syspath_prepend(str(INSTANCES.parent))
+    loaded = set(sys.modules)
+    try:
+        workloads = importlib.import_module("workloads")
+        ops = workloads.cli_certify(schurlift, np.random.default_rng(1), str(tmp_path)).ops
+    finally:
+        # The benchmark imports its modules by bare name; drop them again.
+        for name in {"workloads", "checks", "instances"} - loaded:
+            sys.modules.pop(name, None)
+    ops = {op.size: op for op in ops}
+    for size, iterations in (("polydisc-scan", 30), ("polydisc-certify", 140)):
+        code, text = ops[size].call()
+        assert code == 0
+        assert json.loads(text)["certificates"]["feasibility"]["iterations"] == iterations
 
 
 def test_feasibility_inconclusive_at_iteration_cap():

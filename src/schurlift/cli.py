@@ -27,7 +27,7 @@ from .errors import (
 from .kernels import KernelSpec
 from .lifting_ball import Infeasible, LiftResult, lift_p_gt_m, np_solve
 from .lifting_polydisc import Inconclusive, np_solve_polydisc
-from .linalg import opnorms
+from .linalg import complex_pairs, opnorms
 from .model_space import build_subspace, np_target_operator
 from .transfer import (
     GridSpec,
@@ -93,11 +93,12 @@ def _integer(value, path: str) -> int:
     return value
 
 
-def _check_options(options: Options, from_flags: bool = False) -> None:
+def _check_options(options: Options, mode: str, from_flags: bool = False) -> None:
     """Range checks shared by the instance document and the command-line flags.
 
     The document is checked when it is parsed, so a failure after the
-    flags are applied names the flag.
+    flags are applied names the flag.  The ``lift-pm`` and ``factorize`` lifts
+    test positivity at a fixed tolerance, so there ``psd_tol`` keeps its default.
     """
 
     def path(key: str) -> str:
@@ -107,6 +108,10 @@ def _check_options(options: Options, from_flags: bool = False) -> None:
         value = getattr(options, key)
         if not (math.isfinite(value) and value >= 0.0):
             raise ValidationError(f"{key} must be finite and nonnegative", path(key))
+    if mode in ("lift-pm", "factorize") and options.psd_tol != Options.psd_tol:
+        raise ValidationError(
+            f"{mode} does not take psd_tol; leave it at {Options.psd_tol:g}", path("psd_tol")
+        )
     if not 0.0 < options.sample_radius < 1.0:
         raise ValidationError("sample_radius must lie in (0, 1)", path("sample_radius"))
     for key in ("max_iter", "samples"):
@@ -229,7 +234,7 @@ def parse_instance(text: str) -> ProblemInstance:
             _integer(g[1], "$.options.grid[1]"),
             _real(g[2], "$.options.grid[2]"),
         )
-    _check_options(options)
+    _check_options(options, mode)
 
     return ProblemInstance(
         spec=spec,
@@ -240,14 +245,6 @@ def parse_instance(text: str) -> ProblemInstance:
         p=p,
         options=options,
     )
-
-
-def _pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
-def _matrix_json(mat: np.ndarray) -> list:
-    return [[_pair(v) for v in row] for row in np.atleast_2d(mat)]
 
 
 def _sample_points(inst: ProblemInstance, count: int) -> np.ndarray:
@@ -282,9 +279,9 @@ def _node_table(inst: ProblemInstance, values: np.ndarray) -> tuple[list[dict], 
     residuals = opnorms(values - np.stack(inst.targets)).tolist()
     rows = [
         {
-            "z": [_pair(c) for c in z],
-            "target": _matrix_json(w),
-            "phi": _matrix_json(value),
+            "z": complex_pairs(z),
+            "target": complex_pairs(w),
+            "phi": complex_pairs(value),
             "residual": residual,
         }
         for z, w, value, residual in zip(inst.nodes, inst.targets, values, residuals)
@@ -393,7 +390,7 @@ def _solve_ball_np(inst: ProblemInstance, report: dict):
 def _solve_lift_pm(inst: ProblemInstance, report: dict):
     q1 = build_subspace(inst.spec, inst.nodes)
     spec_p = KernelSpec.ball(inst.p, inst.spec.n, inst.d_target)
-    q2 = build_subspace(spec_p, inst.nodes)
+    q2 = build_subspace(spec_p, q1.nodes)
     x = np_target_operator(q1, inst.targets, q2)
     try:
         composite = lift_p_gt_m(q1, q2, x)
@@ -410,7 +407,7 @@ def _solve_lift_pm(inst: ProblemInstance, report: dict):
     inner = composite.inner
     inner.certificate.verify_residual = composite.verify_residual
     # The composite is not the inner lift, so it is evaluated at the nodes.
-    node_values = values_at(composite.composite, inst.nodes)
+    node_values = values_at(composite.composite, q2.nodes)
     code = _finish_solved(report, inst, inner, node_values)
     return code, composite.composite
 
@@ -504,7 +501,7 @@ def _apply_flags(inst: ProblemInstance, args) -> None:
             inst.options.grid = (int(radii), int(angles), float(radius))
         except ValueError:
             raise ValidationError("grid flag is RADII:ANGLES:RADIUS", "--grid") from None
-    _check_options(inst.options, from_flags=True)
+    _check_options(inst.options, inst.mode, from_flags=True)
 
 
 @functools.cache

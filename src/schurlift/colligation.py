@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, GramMismatch
-from .linalg import as_matrix, checked_sqrt, herm, opnorm, snap_unitary
+from .linalg import as_matrix, checked_sqrt, complex_pairs, herm, opnorm, snap_unitary
 from .model_space import TupleOperator
 
 BALL_ROW = "ball-row"
@@ -98,9 +98,6 @@ class Colligation:
         return _split_columns(self.block_d, self.in_state_dims)
 
     def to_json_dict(self) -> dict:
-        entries = [
-            [[float(v.real), float(v.imag)] for v in row] for row in self.matrix
-        ]
         return {
             "geometry": self.geometry,
             "kind": self.kind,
@@ -108,7 +105,7 @@ class Colligation:
             "in_state_dims": list(self.in_state_dims),
             "out_defect_dim": self.out_defect_dim,
             "out_state_dims": list(self.out_state_dims),
-            "entries": entries,
+            "entries": complex_pairs(self.matrix),
         }
 
 

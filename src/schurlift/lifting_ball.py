@@ -221,15 +221,17 @@ class KernelSpans:
             # No targets: np_target_operator reports the count mismatch.
             d_target = targets[0].shape[0] if targets else spec.d_coeff
         q1 = build_subspace(spec, nodes)
-        q2 = q1 if d_target == spec.d_coeff else build_subspace(spec.with_coeff_dim(d_target), nodes)
+        same = d_target == spec.d_coeff
+        q2 = q1 if same else build_subspace(spec.with_coeff_dim(d_target), q1.nodes)
         x = np_target_operator(q1, targets, q2)
         return cls(targets, q1, q2, model_tuple(q2), x)
 
     def contractivity(self, psd_base_tol: float) -> tuple[Infeasible, bool]:
         """The ``Infeasible`` record of the contractivity test, which carries
         the Pick matrix for the domain kernel (weight ``m`` or ``gamma``) and
-        its bottom eigenvalue, and whether that matrix fails the test."""
-        pick = target_pick_matrix(self.q1.spec, self.q1.nodes, self.targets)
+        its bottom eigenvalue, and whether that matrix fails the test.  It is
+        ``target_pick_matrix`` at the nodes, built from ``q1.kernel``."""
+        pick = herm(pick_blocks(np.stack(self.targets), self.q1.kernel))
         spectrum = np.linalg.eigvalsh(pick)
         record = Infeasible("contractivity", float(spectrum[0]), pick)
         return record, psd_fails(spectrum, psd_base_tol)
@@ -337,9 +339,10 @@ def dilate_p_to_m(q2: KernelSubspace, m: int) -> Dilation:
     the weight-``p-m`` kernel, so each basis vector maps to the
     weight-``m`` kernel vector at the same node whose coefficient is the
     corresponding weight-``p-m`` kernel vector.  The image Gram is then
-    ``q2.gram``, and ``q2.ortho_factor`` orthonormalizes the image as
-    well: no second orthonormalization is needed.  ``isometry_residual``
-    is ``||L2* image_gram L2 - I||`` with ``L2 = q2.ortho_factor``.
+    ``q2.gram`` (derived from ``q2.kernel``), and ``q2.ortho_factor``
+    orthonormalizes the image as well: no second orthonormalization is
+    needed.  ``isometry_residual`` is ``||L2* image_gram L2 - I||`` with
+    ``L2 = q2.ortho_factor``.
     """
     p = q2.spec.m
     n = q2.spec.n
@@ -378,7 +381,8 @@ class CompositeInterpolant:
     def eval_many(self, points) -> np.ndarray:
         """Values at each point, stacked as ``(k, d_out, d_in)``, from one
         batch of each factor; equal to per-point calls."""
-        points = list(points)
+        if not isinstance(points, np.ndarray):
+            points = list(points)
         try:
             inner = self.factor_in.eval_many(points)
             outer = self.coeff_space.eval_many(points)

@@ -25,7 +25,7 @@ from .colligation import Colligation, build_polydisc_colligation
 from .errors import DimensionMismatch
 from .hypercontraction import hereditary, joint_eigenbasis
 from .kernels import KernelSpec, indices_up_to, series_coeff
-from .linalg import as_matrix, clip_psd, herm, min_eig, opnorm
+from .linalg import as_matrix, clip_psd, complex_pairs, herm, min_eig, opnorm
 from .lifting_ball import (
     Infeasible,
     KernelSpans,
@@ -59,10 +59,7 @@ class AglerDecomposition:
 
     def to_json_dict(self) -> dict:
         return {
-            "summands": [
-                [[[float(v.real), float(v.imag)] for v in row] for row in g]
-                for g in self.summands
-            ],
+            "summands": [complex_pairs(g) for g in self.summands],
             "reconstruction_residual": self.reconstruction_residual,
             "cone_min_eigs": list(self.cone_min_eigs),
             "summand_min_eigs": list(self.summand_min_eigs),

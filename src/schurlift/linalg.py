@@ -24,6 +24,13 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def complex_pairs(a) -> list:
+    """Nested lists of ``[re, im]`` float pairs, one per entry of a complex
+    array: the JSON form of complex numbers in reports (``-0.0`` kept)."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], -1).tolist()
+
+
 def herm(a: np.ndarray) -> np.ndarray:
     """Hermitian part (A + A*)/2 of a matrix or of each matrix in a stack."""
     return (a + np.swapaxes(a, -1, -2).conj()) / 2.0
@@ -105,20 +112,6 @@ def snap_unitary(u: np.ndarray) -> np.ndarray:
     """Nearest unitary (polar factor) of a square matrix."""
     a, _, bh = np.linalg.svd(u)
     return a @ bh
-
-
-def block_diag(blocks) -> np.ndarray:
-    """Complex block diagonal of a list of matrices."""
-    blocks = [as_matrix(b) for b in blocks]
-    rows = sum(b.shape[0] for b in blocks)
-    cols = sum(b.shape[1] for b in blocks)
-    out = np.zeros((rows, cols), dtype=complex)
-    r = c = 0
-    for b in blocks:
-        out[r : r + b.shape[0], c : c + b.shape[1]] = b
-        r += b.shape[0]
-        c += b.shape[1]
-    return out
 
 
 def pick_blocks(values, kernel: np.ndarray, identity_kernel: np.ndarray | None = None) -> np.ndarray:

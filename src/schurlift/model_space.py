@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, IllConditioned
 from .kernels import KernelSpec, kernel_matrix
-from .linalg import as_matrix, block_diag, opnorm
+from .linalg import as_matrix, herm, opnorm
 
 #: Relative eigenvalue floor below which a Gram matrix is rejected.
 GRAM_FLOOR = 1e-10
@@ -83,21 +83,29 @@ class TupleOperator:
 class KernelSubspace:
     """Kernel-function span in orthonormal coordinates.
 
-    ``gram`` carries blocks ``K(z_a, z_b) I_d`` (row index ``a``), and
-    ``ortho_factor`` is the matrix ``L`` with ``L* G L = I`` mapping
-    orthonormal coordinates back to kernel-basis coefficients.
+    ``nodes`` is a read-only ``(r, n)`` complex array the span owns (never
+    the caller's buffer), and ``kernel`` the scalar kernel matrix
+    ``[K(z_a, z_b)]`` at them.  ``gram`` is derived from it: blocks
+    ``K(z_a, z_b) I_d`` (row index ``a``).  ``ortho_factor`` is the matrix
+    ``L`` with ``L* G L = I`` mapping orthonormal coordinates back to
+    kernel-basis coefficients.
     """
 
     spec: KernelSpec
-    nodes: tuple[tuple[complex, ...], ...]
-    gram: np.ndarray
+    nodes: np.ndarray
+    kernel: np.ndarray
     ortho_factor: np.ndarray
     ortho_factor_inv: np.ndarray
     gram_cond: float
     dim: int = field(init=False)
 
     def __post_init__(self):
-        self.dim = self.gram.shape[0]
+        self.dim = self.ortho_factor.shape[0]
+
+    @property
+    def gram(self) -> np.ndarray:
+        """Gram matrix of the span's kernel basis: the Hermitian part of ``K (x) I_d``."""
+        return herm(np.kron(self.kernel, np.eye(self.spec.d_coeff)))
 
     @property
     def node_count(self) -> int:
@@ -126,25 +134,27 @@ class KernelSubspace:
 
 
 def build_subspace(spec: KernelSpec, nodes) -> KernelSubspace:
-    """Assemble the Gram matrix at the nodes and orthonormalize it.
+    """Check the nodes once, assemble the Gram matrix at them and
+    orthonormalize it.
 
-    Raises ``IllConditioned`` when the smallest Gram eigenvalue falls
-    below ``GRAM_FLOOR`` times the largest (coincident or clustered
-    nodes), and ``DomainViolation`` for nodes on or outside the boundary.
+    The span keeps a read-only copy of the nodes and the scalar kernel
+    matrix.  Raises ``ValueError`` for coincident nodes (the first pair in
+    row order), ``DomainViolation`` for nodes on or outside the boundary,
+    and ``IllConditioned`` when the smallest Gram eigenvalue falls below
+    ``GRAM_FLOOR`` times the largest (clustered nodes).
     """
-    points = spec.interior_points(nodes)
-    node_list = [tuple(z) for z in points]
-    if not node_list:
+    points = spec.interior_points(nodes).copy()
+    if not len(points):
         raise ValueError("at least one node is required")
-    r = len(node_list)
-    for a in range(r):
-        for b in range(a + 1, r):
-            if node_list[a] == node_list[b]:
-                raise ValueError(f"nodes {a} and {b} coincide")
+    same = np.triu((points[:, None, :] == points[None, :, :]).all(axis=-1), 1)
+    if same.any():
+        a, b = np.argwhere(same)[0]
+        raise ValueError(f"nodes {a} and {b} coincide")
+    points.flags.writeable = False
 
     kernel = kernel_matrix(spec, points, points)
-    gram = np.kron(kernel, np.eye(spec.d_coeff))
-    gram = (gram + gram.conj().T) / 2.0
+    kernel.flags.writeable = False
+    gram = herm(np.kron(kernel, np.eye(spec.d_coeff)))
 
     w, v = np.linalg.eigh(gram)
     w_min, w_max = float(w[0]), float(w[-1])
@@ -158,8 +168,8 @@ def build_subspace(spec: KernelSpec, nodes) -> KernelSubspace:
     ortho_inv = (v * (w**0.5)).conj().T
     return KernelSubspace(
         spec=spec,
-        nodes=tuple(node_list),
-        gram=gram,
+        nodes=points,
+        kernel=kernel,
         ortho_factor=ortho,
         ortho_factor_inv=ortho_inv,
         gram_cond=w_max / w_min,
@@ -179,7 +189,7 @@ def model_tuple(space: KernelSubspace) -> TupleOperator:
     The entries commute by construction, so the tuple is made without the
     commutator check of ``TupleOperator(...)``.
     """
-    lam = np.repeat(np.asarray(space.nodes, dtype=complex), space.spec.d_coeff, axis=0)
+    lam = np.repeat(space.nodes, space.spec.d_coeff, axis=0)
     ortho, ortho_inv = space.ortho_factor, space.ortho_factor_inv
     mats = []
     for i in range(space.spec.n):
@@ -198,11 +208,12 @@ def np_target_operator(
 
     ``X*`` sends the codomain kernel vector at node ``j`` with coefficient
     ``eta`` to the domain kernel vector at the same node with coefficient
-    ``W_j* eta``, so ``X`` intertwines the two model tuples exactly by
-    construction.  Targets are ``d_codomain x d_domain`` matrices, one per
-    node.
+    ``W_j* eta``: it is the compressed adjoint of multiplication by the
+    targets, ``multiplier_adjoint_action(codomain, targets, domain)``, so
+    ``X`` intertwines the two model tuples exactly by construction.
+    Targets are ``d_codomain x d_domain`` matrices, one per node.
     """
-    if domain.nodes != codomain.nodes:
+    if not np.array_equal(domain.nodes, codomain.nodes):
         raise DimensionMismatch("domain and codomain must be built on the same nodes")
     d_in = domain.spec.d_coeff
     d_out = codomain.spec.d_coeff
@@ -216,9 +227,7 @@ def np_target_operator(
             raise DimensionMismatch(
                 f"target {j} has shape {w.shape}, expected {(d_out, d_in)}"
             )
-    adj_kernel = block_diag([w.conj().T for w in mats])
-    adj = domain.ortho_factor_inv @ adj_kernel @ codomain.ortho_factor
-    return adj.conj().T
+    return multiplier_adjoint_action(codomain, np.stack(mats), domain).conj().T
 
 
 def multiplier_adjoint_action(
@@ -234,10 +243,12 @@ def multiplier_adjoint_action(
     """
     if domain is None:
         domain = space
-    if domain.nodes != space.nodes:
+    if not np.array_equal(domain.nodes, space.nodes):
         raise DimensionMismatch("spaces must share their nodes")
     expected = (space.node_count, space.spec.d_coeff, domain.spec.d_coeff)
     if values.shape != expected:
         raise DimensionMismatch(f"node values have shape {values.shape}, expected {expected}")
-    blocks = list(values.conj().swapaxes(-1, -2))
-    return domain.ortho_factor_inv @ block_diag(blocks) @ space.ortho_factor
+    count, d_space, d_domain = expected
+    blocks = np.zeros((count, d_domain, count, d_space), dtype=complex)
+    blocks[np.arange(count), :, np.arange(count), :] = values.conj().swapaxes(-1, -2)
+    return domain.ortho_factor_inv @ blocks.reshape(domain.dim, space.dim) @ space.ortho_factor

@@ -679,6 +679,38 @@ def test_malformed_options_are_rejected_before_solving(
     assert report["error"]["type"] == "ValidationError"
 
 
+#: A solvable lift-pm document: targets z / 2 at three nodes of the disc.
+HALF_Z = dict(MOEBIUS, mode="lift-pm", p=2, nodes=THREE_NODES, targets=_linear_targets(0.5))
+
+
+@pytest.mark.parametrize("mode", ["lift-pm", "factorize"])
+@pytest.mark.parametrize(
+    "options, flags, path",
+    [({"psd_tol": 1e-5}, [], "$.options.psd_tol"), ({}, ["--psd-tol", "1e-5"], "--psd-tol")],
+    ids=["document", "flag"],
+)
+def test_lift_pm_modes_reject_a_psd_tol_they_do_not_use(
+    tmp_path, capsys, monkeypatch, mode, options, flags, path
+):
+    _forbid_solves(monkeypatch)
+    doc = dict(HALF_Z, mode=mode, options=options)
+    code, report = _main_report(tmp_path, capsys, doc, *flags)
+    assert code == EXIT_ERROR
+    assert report["status"] == "error"
+    assert report["error"]["type"] == "ValidationError"
+    assert report["error"]["message"].startswith(f"{path}:")
+
+
+@pytest.mark.parametrize("mode", ["lift-pm", "factorize"])
+def test_lift_pm_modes_accept_the_default_psd_tol(tmp_path, capsys, mode):
+    doc = dict(HALF_Z, mode=mode)
+    code, plain = _main_report(tmp_path, capsys, doc)
+    stated = _main_report(tmp_path, capsys, dict(doc, options={"psd_tol": 1e-9}),
+                          "--psd-tol", "1e-9")
+    assert code == EXIT_SOLVED
+    assert stated == (code, plain)
+
+
 @pytest.mark.parametrize("mode", ["np-ball", "lift-ball"])
 def test_ball_modes_on_polydisc_documents_are_rejected_before_solving(
     tmp_path, capsys, monkeypatch, mode

@@ -392,6 +392,34 @@ def test_np_solve_dense_nodes_without_false_rejection():
 
 @settings(max_examples=40, deadline=None)
 @given(
+    geometry=st.sampled_from(["ball", "polydisc"]),
+    seed=st.integers(0, 2**32 - 1),
+    r=st.integers(1, 8),
+    n=st.integers(1, 2),
+    d_coeff=st.integers(1, 2),
+    d_target=st.integers(1, 3),
+)
+def test_contractivity_pick_matrix_is_the_target_pick_matrix(
+    geometry, seed, r, n, d_coeff, d_target
+):
+    # The gate builds its Pick matrix from the domain span's stored kernel;
+    # it must equal, bit for bit, the matrix built from the span's nodes.
+    rng = np.random.default_rng(seed)
+    if geometry == "ball":
+        spec = KernelSpec.ball(int(rng.integers(1, 4)), n, d_coeff)
+        nodes = random_ball_nodes(rng, r, n, radius=0.8, min_sep=0.2)
+    else:
+        spec = KernelSpec.polydisc(rng.integers(1, 3, size=n), d_coeff)
+        nodes = random_polydisc_nodes(rng, r, n, min_sep=0.2)
+    targets = [random_contraction(rng, d_target, d_coeff, norm_cap=1.2) for _ in nodes]
+    spans = KernelSpans.build(spec, nodes, targets)
+    record, _ = spans.contractivity(1e-9)
+    reference = target_pick_matrix(spans.q1.spec, spans.q1.nodes, targets)
+    assert np.array_equal(record.pick_matrix, reference)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
     seed=st.integers(0, 2**32 - 1),
     r=st.integers(1, 10),
     n=st.integers(1, 2),

@@ -31,9 +31,48 @@ def test_single_node_gram_value():
     assert space.gram[0, 0] == pytest.approx(2.0)
 
 
-def test_coincident_nodes_rejected():
+@pytest.mark.parametrize(
+    "nodes, pair",
+    [
+        ([(0.3,), (0.3,)], (0, 1)),
+        ([(0.1,), (0.2,), (0.2,), (0.1,)], (0, 3)),
+        ([(0.1,), (0.2,), (0.3,), (0.2,), (0.3,)], (1, 3)),
+        ([(0.1, 0.2j), (0.1, -0.2j), (-0.3, 0.0), (0.1, -0.2j)], (1, 3)),
+        (np.array([[0.5j], [-0.1], [0.5j]]), (0, 2)),
+    ],
+    ids=["adjacent", "x-y-y-x", "two-pairs", "one-coordinate-shared", "array"],
+)
+def test_coincident_nodes_rejected(nodes, pair):
+    # The first coincident pair (a, b) in row order is named, as a loop over
+    # a < b would name it.
+    spec = KernelSpec.ball(1, len(nodes[0]))
+    with pytest.raises(ValueError, match=f"^nodes {pair[0]} and {pair[1]} coincide$"):
+        build_subspace(spec, nodes)
+
+
+def test_nodes_are_a_copy_of_the_input_array():
+    points = np.array(random_ball_nodes(np.random.default_rng(3), 4, 2), dtype=complex)
+    space = build_subspace(KernelSpec.ball(2, 2), points)
+    assert space.nodes.shape == (4, 2) and space.nodes.dtype == complex
+    assert np.array_equal(space.nodes, points)
+    assert not np.shares_memory(space.nodes, points)
+
+
+def test_nodes_are_read_only():
+    space = build_subspace(KernelSpec.ball(1, 2), [(0.1, 0.2), (-0.3, 0.0)])
     with pytest.raises(ValueError):
-        build_subspace(KernelSpec.ball(1, 1), [(0.3,), (0.3,)])
+        space.nodes[0, 0] = 0.5
+
+
+def test_mutating_the_callers_nodes_leaves_the_span_unchanged():
+    rng = np.random.default_rng(4)
+    points = np.array(random_ball_nodes(rng, 5, 2), dtype=complex)
+    probe = random_ball_nodes(rng, 3, 2)
+    space = build_subspace(KernelSpec.ball(2, 2, d_coeff=2), points)
+    tuple_before, values_before = model_tuple(space).mats, space.eval_many(probe)
+    points[:] = points[::-1] / 2
+    assert all(np.array_equal(a, b) for a, b in zip(model_tuple(space).mats, tuple_before))
+    assert np.array_equal(space.eval_many(probe), values_before)
 
 
 def test_clustered_nodes_ill_conditioned():

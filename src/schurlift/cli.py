@@ -34,7 +34,6 @@ from .transfer import (
     factorization_criterion,
     grid_scan,
     schur_agler_certificate_ball,
-    values_at,
     write_scan_csv,
 )
 
@@ -406,9 +405,7 @@ def _solve_lift_pm(inst: ProblemInstance, report: dict):
     )
     inner = composite.inner
     inner.certificate.verify_residual = composite.verify_residual
-    # The composite is not the inner lift, so it is evaluated at the nodes.
-    node_values = values_at(composite.composite, q2.nodes)
-    code = _finish_solved(report, inst, inner, node_values)
+    code = _finish_solved(report, inst, inner, composite.node_values)
     return code, composite.composite
 
 

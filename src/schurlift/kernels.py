@@ -99,11 +99,13 @@ class KernelSpec:
 
     def interior_points(self, points) -> np.ndarray:
         """Stack ``points`` into an ``(N, n)`` array, each checked to be strictly
-        interior exactly as ``require_interior`` checks one point.
+        interior exactly as ``require_interior`` checks one point: the one
+        point check of every evaluator, from kernels to transfer functions.
 
         An ``(N, n)`` array is checked and used as it is, without a list of
-        rows; any other sequence is stacked row by row, and the first row
-        with the wrong coordinate count raises ``DimensionMismatch``.
+        rows; any other sequence is stacked row by row.  The first row with
+        the wrong coordinate count raises ``DimensionMismatch``; otherwise
+        the first row not strictly inside raises ``DomainViolation``.
         """
         if isinstance(points, np.ndarray) and points.ndim == 2 and points.shape[1] == self.n:
             pts = points.astype(complex, copy=False)
@@ -111,22 +113,17 @@ class KernelSpec:
             rows = [np.asarray(z, dtype=complex).reshape(-1) for z in points]
             for z in rows:
                 if z.size != self.n:
-                    raise DimensionMismatch(
-                        f"point has {z.size} coordinates, spec expects {self.n}"
-                    )
+                    raise DimensionMismatch(f"point has {z.size} coordinates, spec expects {self.n}")
             pts = np.array(rows, dtype=complex).reshape(len(rows), self.n)
         first = self.first_exterior(pts)
         if first < len(pts):
             self.require_interior(pts[first])
         return pts
 
-    def first_exterior(self, pts: np.ndarray, gaps: np.ndarray | None = None) -> int:
+    def first_exterior(self, pts: np.ndarray) -> int:
         """Index of the first row of an ``(N, n)`` array that ``require_interior``
-        rejects, or ``N`` when every row is strictly interior.  ``gaps``, when
-        given, are the rows' ``_gaps``, already computed."""
-        if gaps is None:
-            gaps = self._gaps(pts)
-        bad = np.flatnonzero(gaps <= DOMAIN_MARGIN)
+        rejects, or ``N`` when every row is strictly interior."""
+        bad = np.flatnonzero(self._gaps(pts) <= DOMAIN_MARGIN)
         return int(bad[0]) if bad.size else len(pts)
 
 

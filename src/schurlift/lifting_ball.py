@@ -380,18 +380,10 @@ class CompositeInterpolant:
 
     def eval_many(self, points) -> np.ndarray:
         """Values at each point, stacked as ``(k, d_out, d_in)``, from one
-        batch of each factor; equal to per-point calls."""
-        if not isinstance(points, np.ndarray):
-            points = list(points)
-        try:
-            inner = self.factor_in.eval_many(points)
-            outer = self.coeff_space.eval_many(points)
-        except Exception:
-            # Raise what a loop of per-point calls raises first.
-            for w in points:
-                self(w)
-            raise
-        return outer @ inner
+        batch of each factor; equal to per-point calls.  The batch is stacked
+        and checked by ``KernelSpec.interior_points`` before either factor runs."""
+        pts = self.factor_in.domain.interior_points(points)
+        return self.coeff_space.eval_many(pts) @ self.factor_in.eval_many(pts)
 
 
 @dataclass
@@ -399,6 +391,8 @@ class CompositeLift:
     composite: CompositeInterpolant
     inner: LiftResult
     dilation: Dilation
+    #: ``composite.eval_many`` at the nodes, the values ``verify_residual`` reads.
+    node_values: np.ndarray
     verify_residual: float
     positivity_min_eigs: tuple[float, float]
 
@@ -413,7 +407,8 @@ def lift_p_gt_m(q1: KernelSubspace, q2: KernelSubspace, x: np.ndarray) -> Compos
     every check once; its ``NotPositive`` is re-raised as a failure of the
     positivity gap on the higher-weight span.  ``positivity_min_eigs``
     repeats the gap's bottom eigenvalue for both sides of the dilation,
-    which carry the same gap.
+    which carry the same gap.  ``verify_residual`` is the kernel-basis
+    residual of the lift identity, read off the inner lift's node values.
     """
     m = q1.spec.m
     x = as_matrix(x)
@@ -426,11 +421,13 @@ def lift_p_gt_m(q1: KernelSubspace, q2: KernelSubspace, x: np.ndarray) -> Compos
         context = "positivity gap on the higher-weight span"
         raise NotPositive(exc.min_eig, context=context) from None
     composite = CompositeInterpolant(coeff_space=dil.coeff_space, factor_in=inner.phi)
-    residual = verify_lift(composite, q2, x, q1)
+    values = dil.coeff_space.eval_many(q2.nodes) @ inner.spectrum_values[:: q2.spec.d_coeff]
+    action = multiplier_adjoint_action(q2, values, q1)
     return CompositeLift(
         composite=composite,
         inner=inner,
         dilation=dil,
-        verify_residual=residual,
+        node_values=values,
+        verify_residual=opnorm(x.conj().T - action),
         positivity_min_eigs=(inner.certificate.delta_min_eig,) * 2,
     )

@@ -51,11 +51,15 @@ def transformed_positivity(s: TupleOperator, gamma, i: int, a: np.ndarray) -> np
 
 @dataclass
 class AglerDecomposition:
+    """PSD summands ``G_i`` of ``I - X X*``; ``squares`` holds the roots' squares
+    ``transformed_positivity(s, gamma, i, G_i)``, kept out of the JSON form."""
+
     summands: tuple[np.ndarray, ...]
     reconstruction_residual: float
     cone_min_eigs: tuple[float, ...]
     summand_min_eigs: tuple[float, ...]
     iterations: int
+    squares: tuple[np.ndarray, ...]
 
     def to_json_dict(self) -> dict:
         return {
@@ -169,10 +173,11 @@ def agler_feasibility(
     def summarize(gs, iterations, floor):
         summands = tuple(herm(g) for g in gs)
         recon = opnorm(sum(summands) - r_target)
-        cone = tuple(min_eig(transformed_positivity(s, gamma, i, g)) for i, g in enumerate(summands))
+        squares = tuple(transformed_positivity(s, gamma, i, g) for i, g in enumerate(summands))
+        cone = tuple(min_eig(square) for square in squares)
         own = tuple(min_eig(g) for g in summands)
         if recon <= tol and all(e >= floor for e in cone + own):
-            return AglerDecomposition(summands, recon, cone, own, iterations)
+            return AglerDecomposition(summands, recon, cone, own, iterations, squares)
         residuals = {
             "reconstruction": recon,
             "cone_min_eigs": list(cone),
@@ -289,12 +294,11 @@ def lift_polydisc(
 
 
 def _lift_polydisc(s: TupleOperator, x: np.ndarray, gamma, dec, in_map, out_map) -> LiftResult:
-    """The polydisc lift without checks, from maps whose Grams are the defects
-    of ``s`` and of the domain tuple.  ``verify_residual`` starts as the
-    generating residual; interpolation front ends overwrite it with the
-    kernel-basis residual of the lift identity."""
-    squares = [transformed_positivity(s, gamma, i, g) for i, g in enumerate(dec.summands)]
-    coll = build_polydisc_colligation(s, x, gamma, squares, in_map=in_map, out_map=out_map)
+    """The polydisc lift without checks, from the decomposition's ``squares`` and
+    maps whose Grams are the defects of ``s`` and of the domain tuple.
+    ``verify_residual`` starts as the generating residual; interpolation front
+    ends overwrite it with the kernel-basis residual of the lift identity."""
+    coll = build_polydisc_colligation(s, x, gamma, dec.squares, in_map=in_map, out_map=out_map)
     phi = TransferFunction(coll)
     cert = LiftCertificate(
         delta_min_eig=min(dec.cone_min_eigs),
@@ -311,7 +315,7 @@ def hereditary_difference_residual(
     hereditary product of ``I - X X*`` (exact under intertwining)."""
     x = as_matrix(x)
     d_s = hereditary(s, gamma, np.eye(s.dim, dtype=complex))
-    d_t = hereditary(t, gamma, np.eye(t.dim, dtype=complex))
+    d_t = d_s if t is s else hereditary(t, gamma, np.eye(t.dim, dtype=complex))
     lhs = d_s - x @ d_t @ x.conj().T
     rhs = hereditary(s, gamma, np.eye(s.dim, dtype=complex) - x @ x.conj().T)
     return opnorm(lhs - rhs)
@@ -344,7 +348,7 @@ def np_solve_polydisc(
         return dec
 
     result = _lift_polydisc(s, x, spec.gamma, dec, **spans.coeff_maps())
-    t = model_tuple(spans.q1)
+    t = s if spans.q1 is spans.q2 else model_tuple(spans.q1)
     return spans.certify(
         result,
         pick_min_eig=contractivity.pick_min_eig,

@@ -82,66 +82,45 @@ class TransferFunction:
     def eval_many(self, points) -> np.ndarray:
         """Values at each point, stacked as ``(k, d_out, d_in)``.
 
-        ``points`` is a sequence of points or an ``(N, n)`` array, which is
-        used as it is.  The points are taken ``EVAL_CHUNK`` at a time: one
+        ``points`` is a sequence of points or an ``(N, n)`` array, checked
+        in full by ``KernelSpec.interior_points`` before any value is
+        computed.  The points are then taken ``EVAL_CHUNK`` at a time: one
         stacked ``solve`` gives the values of a chunk, and one stacked
         ``cond`` makes the ``COND_LIMIT`` decision for the points the
-        resolvent gate cannot clear.  The exception raised is the one a
-        loop of single-point evaluations would raise first: a wrong
-        coordinate count, a point not strictly inside, or a nearly singular
-        resolvent, whichever comes earliest in input order.
+        resolvent gate cannot clear.
         """
-        if isinstance(points, np.ndarray) and points.ndim == 2 and points.shape[1] == self.n:
-            pts, misfit = points.astype(complex, copy=False), None
-        else:
-            rows = [np.asarray(z, dtype=complex).reshape(-1) for z in points]
-            sized = next((j for j, z in enumerate(rows) if z.size != self.n), len(rows))
-            pts = np.array(rows[:sized], dtype=complex).reshape(sized, self.n)
-            misfit = rows[sized] if sized < len(rows) else None
+        pts = self.domain.interior_points(points)
         values = np.empty((len(pts), self.d_out, self.d_in), dtype=complex)
         for start in range(0, len(pts), EVAL_CHUNK):
             chunk = slice(start, start + EVAL_CHUNK)
             values[chunk] = self._eval_chunk(pts[chunk])
-        if misfit is not None:
-            raise DomainViolation(
-                f"point has {misfit.size} coordinates, transfer function expects {self.n}"
-            )
         return values
 
     def _eval_chunk(self, pts: np.ndarray) -> np.ndarray:
-        """Values at the interior prefix of ``pts``; raises for its first bad point."""
+        """Values at checked points; ``NearSingularResolvent`` at the first cond >= COND_LIMIT."""
         coll = self.colligation
-        gaps = self.domain._gaps(pts)
-        exterior = self.domain.first_exterior(pts, gaps)
-        inside = pts[:exterior]
         a_adj = coll.block_a.conj().T
         if sum(coll.in_state_dims) == 0:
-            values = np.broadcast_to(a_adj, (len(inside),) + a_adj.shape)
+            return np.broadcast_to(a_adj, (len(pts),) + a_adj.shape)
+        # Every factor is 3-D so that the complex products take the same
+        # numpy kernel for one point as for many; the ball terms are
+        # summed in index order, as the single-point formula sums them.
+        if self.geometry == BALL_ROW:
+            zd = sum(pts[:, i, None, None] * d.conj().T[None]
+                     for i, d in enumerate(coll.d_blocks()))
+            zb = sum(pts[:, i, None, None] * b.conj().T[None]
+                     for i, b in enumerate(coll.b_blocks()))
         else:
-            # Every factor is 3-D so that the complex products take the same
-            # numpy kernel for one point as for many; the ball terms are
-            # summed in index order, as the single-point formula sums them.
-            if self.geometry == BALL_ROW:
-                zd = sum(inside[:, i, None, None] * d.conj().T[None]
-                         for i, d in enumerate(coll.d_blocks()))
-                zb = sum(inside[:, i, None, None] * b.conj().T[None]
-                         for i, b in enumerate(coll.b_blocks()))
-            else:
-                weights = np.repeat(inside, coll.in_state_dims, axis=1)[:, :, None]
-                zd = weights * coll.block_d.conj().T[None]
-                zb = weights * coll.block_b.conj().T[None]
-            # The resolvents ``I - Z D*`` are built in the buffer of ``zd``.
-            resolvents = np.subtract(np.eye(zd.shape[-1], dtype=complex), zd, out=zd)
-            unsure = np.flatnonzero(~self._gate_clears(gaps[:exterior]))
-            singular = unsure[np.linalg.cond(resolvents[unsure]) >= COND_LIMIT]
-            if singular.size:
-                raise NearSingularResolvent(
-                    f"resolvent nearly singular at {inside[singular[0]]}"
-                )
-            values = a_adj + coll.block_c.conj().T @ np.linalg.solve(resolvents, zb)
-        if exterior < len(pts):
-            self.domain.require_interior(pts[exterior])
-        return values
+            weights = np.repeat(pts, coll.in_state_dims, axis=1)[:, :, None]
+            zd = weights * coll.block_d.conj().T[None]
+            zb = weights * coll.block_b.conj().T[None]
+        # The resolvents ``I - Z D*`` are built in the buffer of ``zd``.
+        resolvents = np.subtract(np.eye(zd.shape[-1], dtype=complex), zd, out=zd)
+        unsure = np.flatnonzero(~self._gate_clears(self.domain._gaps(pts)))
+        singular = unsure[np.linalg.cond(resolvents[unsure]) >= COND_LIMIT]
+        if singular.size:
+            raise NearSingularResolvent(f"resolvent nearly singular at {pts[singular[0]]}")
+        return a_adj + coll.block_c.conj().T @ np.linalg.solve(resolvents, zb)
 
     def _grid_values(self, axis: np.ndarray, points: np.ndarray) -> np.ndarray | None:
         """Values at ``points``, the product grid of ``axis`` in
@@ -168,8 +147,8 @@ class TransferFunction:
         if self.geometry == BALL_ROW or self.n < 2 or not sum(dims):
             return None
         column = axis[:, None]
-        gaps = self.domain._gaps(column)
-        if self.domain.first_exterior(column, gaps) < len(column) or not self._gate_clears(gaps).all():
+        exterior = self.domain.first_exterior(column) < len(column)
+        if exterior or not self._gate_clears(self.domain._gaps(column)).all():
             return None
         k1 = dims[0]
         m = coll.block_d.conj().T
@@ -313,10 +292,9 @@ class CertificateResult:
 def schur_agler_certificate_ball(phi_eval, samples, tol: float) -> CertificateResult:
     """Minimum eigenvalue of the sampled Pick-type kernel matrix.
 
-    Assembles ``(I - phi(u_a) phi(u_b)*) / (1 - <u_a, u_b>)`` blockwise
-    over the samples; nonnegativity (``psd_fails`` with base ``tol``)
-    certifies membership in the Schur class on the samples.  This is
-    ``factorization_criterion`` at ``p = m``.
+    Assembles ``(I - phi(u_a) phi(u_b)*) / (1 - <u_a, u_b>)`` blockwise over
+    the samples; its scaled nonnegativity (``factorization_criterion`` at
+    ``p = m``) certifies membership in the Schur class on the samples.
     """
     return factorization_criterion(phi_eval, 1, 1, samples, tol)
 
@@ -326,12 +304,14 @@ def factorization_criterion(
 ) -> CertificateResult:
     """Sampled kernel test for factorization through the Schur class.
 
-    Assembles ``K_{p-m+1}(u_a, u_b) I - K_1(u_a, u_b) phi(u_a) phi(u_b)*``
-    over the samples; it passes when its spectrum passes ``psd_fails`` with
-    base ``tol``.  ``samples`` is a sequence of points or an ``(N, n)``
-    array, passed as it is to ``values_at`` and ``kernel_matrix``; the
-    kernel checks the samples once.  ``n`` defaults to the coordinate count
-    of the first sample.
+    Assembles ``P = [K_{p-m+1}(u_a, u_b) I - K_1(u_a, u_b) phi(u_a) phi(u_b)*]``
+    over the samples.  The verdict (``psd_fails`` with base ``tol``) and
+    ``min_eig`` are those of ``D^{-1/2} P D^{-1/2}``, ``D = diag(K_{p-m+1}(u_a,
+    u_a)) (x) I``: a positive diagonal congruence keeps the exact PSD verdict,
+    and the tolerance no longer grows with ``||P||`` (like ``0.19^{-(p-m+1)}``
+    at radius 0.9).  ``samples`` is a sequence of points or an ``(N, n)``
+    array, passed as it is to ``values_at`` and ``kernel_matrix``.  ``n``
+    defaults to the coordinate count of the first sample.
     """
     if not len(samples):
         raise ValueError("at least one sample point is required")
@@ -342,6 +322,11 @@ def factorization_criterion(
     kernel_high = (
         kernel_one if p == m else kernel_matrix(KernelSpec.ball(p - m + 1, n), samples, samples)
     )
+    scale = np.diag(kernel_high).real ** -0.5
+    weights = np.outer(scale, scale)
+    kernel_one *= weights
+    if p != m:  # else ``kernel_high`` is ``kernel_one``, scaled already
+        kernel_high *= weights
     spectrum = np.linalg.eigvalsh(herm(pick_blocks(values, kernel_one, kernel_high)))
     return CertificateResult(
         min_eig=float(spectrum[0]), passed=not psd_fails(spectrum, tol), sample_count=len(samples)
@@ -399,14 +384,19 @@ class ScanResult:
 def sup_norm_scan(phi_eval, points) -> ScanResult:
     """Operator norm of the function at each point, and their maximum.
 
-    The values are evaluated in one batch and their norms taken by one
-    ``opnorms`` call, so each equals ``opnorm`` of the value alone.
+    ``points`` is an iterable or an ``(N, n)`` array.  One ``values_at`` batch
+    gives the values and one ``opnorms`` call their norms, each ``opnorm`` of
+    the value alone.  The points are converted after that: an ``(N, n)`` array
+    is kept, scalars are one-coordinate points, unequal sizes raise ``DomainViolation``.
     """
-    pts = _point_array(points)
-    norms = opnorms(values_at(phi_eval, pts))
-    if not isinstance(pts, np.ndarray):
-        raise DomainViolation("scan points must all have the same number of coordinates")
-    return _scan_result(pts, norms)
+    points = points if isinstance(points, np.ndarray) else list(points)
+    norms = opnorms(values_at(phi_eval, points))
+    if not (isinstance(points, np.ndarray) and points.ndim == 2):
+        try:
+            points = np.array(points, dtype=complex).reshape(len(norms), -1 if len(norms) else 0)
+        except ValueError:  # unequal sizes
+            raise DomainViolation("scan points must all have the same number of coordinates") from None
+    return _scan_result(points.astype(complex, copy=False), norms)
 
 
 def grid_scan(phi_eval, grid: GridSpec, geometry: str, n: int) -> ScanResult:
@@ -429,25 +419,6 @@ def grid_scan(phi_eval, grid: GridSpec, geometry: str, n: int) -> ScanResult:
 def _scan_result(points: np.ndarray, norms: np.ndarray) -> ScanResult:
     # ``fmax`` passes over NaN norms, as ``max`` over Python floats from 0.0 does.
     return ScanResult(points=points, norms=norms, max_norm=float(np.fmax.reduce(norms, initial=0.0)))
-
-
-def _point_array(points):
-    """Points of equal size as one ``(N, n)`` complex array, converted once.
-
-    An ``(N, n)`` complex array is used as it is.  Scalars count as
-    one-coordinate points, and no points give a ``(0, 0)`` array.
-    Otherwise the points stay a list of rows, so that the evaluator names
-    the first misfit.
-    """
-    if isinstance(points, np.ndarray) and points.ndim == 2:
-        return points.astype(complex, copy=False)
-    rows = list(points)
-    if not rows:
-        return np.zeros((0, 0), dtype=complex)
-    try:
-        return np.array(rows, dtype=complex).reshape(len(rows), -1)
-    except ValueError:  # unequal sizes
-        return [np.asarray(z, dtype=complex).reshape(-1) for z in rows]
 
 
 def write_scan_csv(result: ScanResult, n: int, stream) -> None:

@@ -343,19 +343,27 @@ FACTORIZE_AT_ZERO = dict(
 
 @pytest.mark.parametrize("p", [15, 20, 40])
 def test_factorization_certificate_takes_the_relative_psd_rule(p):
-    # The bottom eigenvalue is round-off of a matrix whose norm grows with
-    # p, so an absolute floor of -1e-7 would fail these from p = 15 on.
+    # The kernel matrix's norm grows with p; scaled to a unit diagonal its
+    # bottom eigenvalue is round-off at every p (unscaled, -3.7e12 at p = 40).
     report, code = run(parse_instance(json.dumps(dict(FACTORIZE_AT_ZERO, p=p))))
     assert code == EXIT_SOLVED
-    assert report["certificates"]["factorization"]["pass"] is True
+    factorization = report["certificates"]["factorization"]
+    assert factorization["pass"] is True and factorization["min_eig"] >= -1e-12
 
 
 def test_factorization_certificate_still_fails_a_non_contraction():
+    # Relative to the unscaled matrix's norm, which grows like 0.19^{-p},
+    # the constants from 1.001 on passed at p = 15, 20 and 40.
     inst = parse_instance(json.dumps(FACTORIZE_AT_ZERO))
     samples = cli._sample_points(inst, inst.options.samples)
-    for value, p in ((1.5, 5), (10.0, 15)):
+    cases = [(1.5, 5), (10.0, 15), (10.0, 20), (10.0, 40)]
+    cases += [(value, p) for value in (1.001, 1.01, 1.5) for p in (15, 20, 40)]
+    for value, p in cases:
         crit = cli.factorization_criterion(lambda z: np.array([[value]]), 1, p, samples, 1e-7, n=1)
         assert not crit.passed
+    for p in (15, 20, 40):
+        crit = cli.factorization_criterion(lambda z: np.eye(1), 1, p, samples, 1e-7, n=1)
+        assert crit.passed and crit.min_eig >= -1e-12
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -800,8 +808,7 @@ def test_batched_outputs_match_pointwise_reference(tmp_path, capsys, monkeypatch
         return certified, json.loads(capsys.readouterr().out), csv.read_text()
 
     batched = outputs("batched")
-    for module in (transfer, cli):
-        monkeypatch.setattr(module, "values_at", lambda phi, pts: _loop_values(_pointwise(phi), pts))
+    monkeypatch.setattr(transfer, "values_at", lambda phi, pts: _loop_values(_pointwise(phi), pts))
     monkeypatch.setattr(
         cli, "grid_scan",
         lambda phi, grid, geometry, n: _loop_sup_norm_scan(

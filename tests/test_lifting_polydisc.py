@@ -320,9 +320,12 @@ def test_f_operators_sigma_sum_bounded_by_summand():
     rng = np.random.default_rng(8)
     spec, nodes, q1, q2, t, s, x, targets = _bidisc_instance(rng)
     dec = agler_feasibility(s, x, (1, 1), tol=1e-10)
+    assert "squares" not in dec.to_json_dict()
     for i in range(2):
-        # F_i^2 summed geometrically over the other coordinate stays below G_i
+        # F_i^2 summed geometrically over the other coordinate stays below G_i;
+        # the decomposition keeps it, the matrix the lift roots.
         square = transformed_positivity(s, (1, 1), i, dec.summands[i])
+        assert np.array_equal(dec.squares[i], square)
         for order in (2, 5, 10, 25):
             powers = [np.linalg.matrix_power(s[1 - i], k) for k in range(order)]
             partial = sum(p @ square @ p.conj().T for p in powers)
@@ -333,6 +336,9 @@ def test_hereditary_difference_identity():
     rng = np.random.default_rng(9)
     spec, nodes, q1, q2, t, s, x, targets = _bidisc_instance(rng)
     assert hereditary_difference_residual(t, s, x, (1, 1)) <= 1e-9
+    # One tuple on both sides reuses its defect, with the same bits.
+    same = hereditary_difference_residual(s, s, x, (1, 1))
+    assert same == hereditary_difference_residual(model_tuple(q2), s, x, (1, 1))
 
 
 def _conjugation_sequence(s, gamma, i, a):

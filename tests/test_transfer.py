@@ -26,9 +26,9 @@ from schurlift import (
     write_scan_csv,
 )
 from schurlift.colligation import BALL_ROW, POLYDISC_DIAGONAL, UNITARY, Colligation
-from schurlift.errors import DomainViolation, NearSingularResolvent
+from schurlift.errors import DimensionMismatch, DomainViolation, NearSingularResolvent
 from schurlift.kernels import DOMAIN_MARGIN, kernel_eval, kernel_matrix
-from schurlift.lifting_ball import factorization_criterion
+from schurlift.lifting_ball import factorization_criterion, verify_lift
 from schurlift.linalg import as_matrix, herm, opnorm, opnorms
 import schurlift.transfer as transfer
 from schurlift.transfer import COND_LIMIT, EVAL_CHUNK, ScanResult, TransferFunction, values_at
@@ -139,8 +139,25 @@ def test_certificate_solved_instance():
     assert cert.min_eig >= -1e-9
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([1, 2]),
+    count=st.integers(20, 200),
+    c=st.floats(1.001, 10.0),
+    p=st.integers(2, 40),
+)
+def test_factorization_criterion_fails_every_constant_above_one(seed, n, count, c, p):
+    """At the origin the scaled diagonal entry is ``1 - c^2``, so a constant
+    ``c > 1`` fails at every weight, however large the kernel's norm."""
+    samples = [(0.0,) * n] + random_interior_points(np.random.default_rng(seed), count - 1, n)
+    crit = factorization_criterion(lambda z: np.array([[c]]), 1, p, samples, tol=1e-7, n=n)
+    assert not crit.passed and crit.min_eig <= 1.0 - c**2
+
+
 def _loop_schur_agler_min_eig(phi_eval, samples):
-    """Reference: the sampled Pick-type matrix assembled one block at a time."""
+    """Reference: the sampled Pick-type matrix assembled one block at a time,
+    block ``(a, b)`` divided by ``sqrt(K(u_a, u_a) K(u_b, u_b))``."""
     points = [np.asarray(u, dtype=complex).reshape(-1) for u in samples]
     values = [np.atleast_2d(phi_eval(u)) for u in points]
     d = values[0].shape[0]
@@ -149,12 +166,14 @@ def _loop_schur_agler_min_eig(phi_eval, samples):
         for b in range(len(points)):
             pairing = complex(np.sum(points[a] * points[b].conj()))
             block = (np.eye(d) - values[a] @ values[b].conj().T) / (1.0 - pairing)
-            mat[a * d : (a + 1) * d, b * d : (b + 1) * d] = block
+            scale = np.sqrt((1.0 - np.sum(np.abs(points[a]) ** 2)) * (1.0 - np.sum(np.abs(points[b]) ** 2)))
+            mat[a * d : (a + 1) * d, b * d : (b + 1) * d] = block * scale
     return float(np.linalg.eigvalsh(herm(mat))[0])
 
 
 def _loop_factorization_min_eig(phi_eval, m, p, samples, n):
-    """Reference: ``K_{p-m+1} I - K_1 phi(u_a) phi(u_b)*`` one block at a time."""
+    """Reference: ``K_{p-m+1} I - K_1 phi(u_a) phi(u_b)*`` one block at a time,
+    block ``(a, b)`` divided by ``sqrt(K_{p-m+1}(u_a, u_a) K_{p-m+1}(u_b, u_b))``."""
     points = [np.asarray(u, dtype=complex).reshape(-1) for u in samples]
     values = [np.atleast_2d(phi_eval(u)) for u in points]
     d = values[0].shape[0]
@@ -165,7 +184,8 @@ def _loop_factorization_min_eig(phi_eval, m, p, samples, n):
             block = kernel_eval(high, points[a], points[b]) * np.eye(d) - kernel_eval(
                 one, points[a], points[b]
             ) * (values[a] @ values[b].conj().T)
-            mat[a * d : (a + 1) * d, b * d : (b + 1) * d] = block
+            scale = np.sqrt(kernel_eval(high, points[a], points[a]) * kernel_eval(high, points[b], points[b]))
+            mat[a * d : (a + 1) * d, b * d : (b + 1) * d] = block / scale
     return float(np.linalg.eigvalsh(herm(mat))[0])
 
 
@@ -312,10 +332,6 @@ def _loop_eval(tf, z):
     """Reference: the single-point resolvent formula and its errors, one
     point at a time."""
     z = np.asarray(z, dtype=complex).reshape(-1)
-    if z.size != tf.n:
-        raise DomainViolation(
-            f"point has {z.size} coordinates, transfer function expects {tf.n}"
-        )
     tf.domain.require_interior(z)
     coll = tf.colligation
     a_adj = coll.block_a.conj().T
@@ -434,12 +450,17 @@ def _singular_at_half():
     return TransferFunction(_colligation(mat, POLYDISC_DIAGONAL, 1, 1, (2,), (2,)))
 
 
-def _loop_error(tf, points):
-    for z in points:
-        try:
-            _loop_eval(tf, z)
-        except Exception as exc:  # noqa: BLE001 - the reference records any error
-            return type(exc), str(exc)
+def _rule_error(tf, points):
+    """Reference: the one rule, in three passes over the points.  The first
+    wrong coordinate count, else the first point not strictly inside, else
+    the first nearly singular resolvent."""
+    rows = [np.asarray(z, dtype=complex).reshape(-1) for z in points]
+    for check in (tf.domain.boundary_gap, tf.domain.require_interior, lambda z: _loop_eval(tf, z)):
+        for z in rows:
+            try:
+                check(z)
+            except Exception as exc:  # noqa: BLE001 - the reference records any error
+                return type(exc), str(exc)
     return None
 
 
@@ -449,27 +470,89 @@ GOOD, NEAR_SINGULAR, OUTSIDE, WRONG_SIZE = (0.1,), (0.5 - 1e-14,), (1.0,), (0.1,
 @pytest.mark.parametrize(
     "points, expected",
     [
-        ([GOOD, WRONG_SIZE], DomainViolation),
+        ([GOOD, WRONG_SIZE], DimensionMismatch),
         ([GOOD, OUTSIDE], DomainViolation),
         ([GOOD, NEAR_SINGULAR], NearSingularResolvent),
-        # Mixed chunks: the earliest bad point in input order decides.
-        ([GOOD, NEAR_SINGULAR, OUTSIDE], NearSingularResolvent),
+        # A bad point anywhere in the batch wins over a singular resolvent.
+        ([GOOD, NEAR_SINGULAR, OUTSIDE], DomainViolation),
         ([GOOD, OUTSIDE, NEAR_SINGULAR], DomainViolation),
-        ([NEAR_SINGULAR, WRONG_SIZE], NearSingularResolvent),
-        ([WRONG_SIZE, NEAR_SINGULAR], DomainViolation),
+        ([NEAR_SINGULAR, WRONG_SIZE], DimensionMismatch),
+        ([WRONG_SIZE, NEAR_SINGULAR], DimensionMismatch),
         ([GOOD] * (EVAL_CHUNK + 3) + [OUTSIDE, NEAR_SINGULAR], DomainViolation),
-        ([GOOD] * (EVAL_CHUNK + 3) + [NEAR_SINGULAR, OUTSIDE], NearSingularResolvent),
-        ([GOOD] * (EVAL_CHUNK - 1) + [NEAR_SINGULAR, OUTSIDE], NearSingularResolvent),
-        ([GOOD] * EVAL_CHUNK + [WRONG_SIZE, OUTSIDE], DomainViolation),
+        ([GOOD] * (EVAL_CHUNK + 3) + [NEAR_SINGULAR, OUTSIDE], DomainViolation),
+        ([GOOD] * (EVAL_CHUNK - 1) + [NEAR_SINGULAR, OUTSIDE], DomainViolation),
+        ([GOOD] * EVAL_CHUNK + [WRONG_SIZE, OUTSIDE], DimensionMismatch),
+        # A wrong coordinate count wins over an earlier exterior point.
+        ([OUTSIDE, WRONG_SIZE], DimensionMismatch),
+        # Among singular resolvents the first decides, across chunks.
+        ([GOOD] * (EVAL_CHUNK - 1) + [NEAR_SINGULAR, (0.5 - 2e-14,)], NearSingularResolvent),
     ],
 )
-def test_eval_many_raises_what_the_pointwise_loop_raises_first(points, expected):
+def test_eval_many_checks_the_batch_before_evaluating(points, expected):
     tf = _singular_at_half()
-    reference = _loop_error(tf, points)
+    reference = _rule_error(tf, points)
     assert reference is not None and reference[0] is expected
     with pytest.raises(expected) as info:
         tf.eval_many(points)
     assert (type(info.value), str(info.value)) == reference
+
+
+def _ball_singular_at_half(n):
+    """Ball row, n variables, state dimension 2: the resolvent ``diag(1 - 2 z_1, 1)``."""
+    mat = np.zeros((3, 1 + 2 * n))
+    mat[0, 0], mat[0, 1], mat[1, 0], mat[1, 1] = 0.5, 0.3, 0.3, 2.0
+    return TransferFunction(_colligation(mat, BALL_ROW, 1, 1, (2,) * n, (2,)))
+
+
+def _rule_composite(n):
+    """The composite of a lift from weight 1 into weight 2 on the ball in n variables."""
+    rng = np.random.default_rng(70 + n)
+    nodes = random_ball_nodes(rng, 3, n, radius=0.6, min_sep=0.2)
+    q1, q2 = build_subspace(KernelSpec.ball(1, n), nodes), build_subspace(KernelSpec.ball(2, n), nodes)
+    targets = scaled_targets(rng, KernelSpec.ball(2, n), nodes, weight_one=False)
+    return lift_p_gt_m(q1, q2, np_target_operator(q1, targets, q2)).composite
+
+
+def _raised(call):
+    try:
+        call()
+    except Exception as exc:  # noqa: BLE001 - the property compares any error
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.sampled_from([1, 2]),
+    lead=st.sampled_from([0, 1, EVAL_CHUNK - 2, EVAL_CHUNK, EVAL_CHUNK + 1]),
+    kinds=st.lists(st.sampled_from(["good", "wrong", "outside", "near"]), max_size=5),
+)
+def test_every_evaluator_takes_the_one_point_rule(n, lead, kinds):
+    """A batch with a domain error raises the same exception type and message
+    from every evaluator of the geometry; a nearly singular resolvent is
+    reported only for batches without one."""
+    good = (0.1,) + (0.05j,) * (n - 1)
+    point = {"good": good, "wrong": (0.1,) * (n + 1), "outside": (0.8,) * 2 if n == 2 else (1.0,),
+             "near": (0.5 - 1e-14,) + (0.0,) * (n - 1)}
+    batch = [good] * lead + [point[k] for k in kinds]
+    spec = KernelSpec.ball(1, n)
+    tf, composite = _ball_singular_at_half(n), _rule_composite(n)
+    domain_error = _raised(lambda: kernel_matrix(spec, batch, batch))
+    evaluators = [
+        lambda: build_subspace(spec, [good]).eval_many(batch),
+        lambda: tf.eval_many(batch),
+        lambda: composite.eval_many(batch),
+        lambda: values_at(tf, batch),
+        lambda: sup_norm_scan(tf, batch),
+    ]
+    errors = [_raised(call) for call in evaluators]
+    if domain_error is not None:
+        assert domain_error[0] in (DimensionMismatch, DomainViolation)
+        assert errors == [domain_error] * len(evaluators)
+    else:
+        # The composite of a contractive lift has no singular resolvent inside.
+        singular = NearSingularResolvent if "near" in kinds else None
+        assert [e and e[0] for e in errors] == [None, singular, None, singular, singular]
 
 
 def test_eval_many_edge_shapes():
@@ -485,6 +568,11 @@ def test_eval_many_edge_shapes():
     assert stateless.eval_many([]).shape == (0, 2, 3)
     with pytest.raises(DomainViolation):
         stateless.eval_many([(0.1, 0.2j), (0.9, 0.9)])
+    # A wrong coordinate count raises the message of ``interior_points``,
+    # also from an array with the wrong number of columns.
+    for wrong in ([(0.1, 0.2j), (0.1,)], np.zeros((2, 3))):
+        with pytest.raises(DimensionMismatch, match="point has .* coordinates, spec expects 2"):
+            stateless.eval_many(wrong)
 
     empty = sup_norm_scan(tf, [])
     assert empty.max_norm == 0.0 and empty.points.size == 0 and empty.norms.shape == (0,)
@@ -565,8 +653,8 @@ def test_resolvent_gate_never_clears_an_ill_conditioned_point(seed, geometry, n,
             t = z_norm * np.linalg.norm(mat[1:, 1:], 2)
             assert t < 1 and (1 + t) / (1 - t) <= transfer._GATE_LIMIT * (1 + 1e-9)
             assert np.linalg.cond(_loop_resolvent(tf, z)[0]) < COND_LIMIT
-    # The gated batch gives the loop's values, or raises the loop's first error.
-    reference = _loop_error(tf, points)
+    # The gated batch gives the loop's values, or raises the first error of the rule.
+    reference = _rule_error(tf, points)
     if reference is None:
         assert np.array_equal(tf.eval_many(points), np.stack([_loop_eval(tf, z) for z in points]))
     else:
@@ -591,16 +679,16 @@ def test_gate_falls_back_to_the_svd_without_a_finite_norm(monkeypatch):
     broken = TransferFunction(_colligation(mat, POLYDISC_DIAGONAL, 1, 1, (2,), (2,)))
     assert np.isnan(broken._d_norm) and not broken._gate_clears(broken.domain._gaps(np.array([GOOD]))).any()
     seen = _count_cond(monkeypatch)
-    reference = _loop_error(broken, [GOOD])
+    reference = _rule_error(broken, [GOOD])
     assert reference is not None and reference[0] is np.linalg.LinAlgError
     with pytest.raises(np.linalg.LinAlgError) as info:
         broken.eval_many([GOOD])
     assert str(info.value) == reference[1] and sum(seen) == 1
 
-    # A NaN coordinate clears nothing either, and errs as the loop does.
+    # A NaN coordinate clears nothing either, and errs as the reference does.
     tf = _singular_at_half()
     assert not tf._gate_clears(tf.domain._gaps(np.array([(np.nan,)]))).any()
-    reference = _loop_error(tf, [GOOD, (np.nan,)])
+    reference = _rule_error(tf, [GOOD, (np.nan,)])
     with pytest.raises(reference[0]) as info:
         tf.eval_many([GOOD, (np.nan,)])
     assert str(info.value) == reference[1] and sum(seen) == 2
@@ -724,15 +812,15 @@ def test_sup_norm_scan_accepts_scalars_arrays_and_misfits():
     tf = _singular_at_half()
     points = [0.1, 0.2j, -0.3]
     reference = _loop_sup_norm_scan(tf, points)
-    for given_points in (points, np.array(points), [np.array([[z]]) for z in points],
+    for given_points in (points, iter(points), np.array(points), [np.array([[z]]) for z in points],
                          np.array(points)[:, None]):
         assert _same_scan(sup_norm_scan(tf, given_points), reference)
     # An ``(N, n)`` complex array is scanned without a copy.
     given_array = np.array(points, dtype=complex)[:, None]
     assert sup_norm_scan(tf, given_array).points is given_array
-    with pytest.raises(DomainViolation) as info:
+    with pytest.raises(DimensionMismatch) as info:
         sup_norm_scan(tf, [GOOD, WRONG_SIZE])
-    assert (type(info.value), str(info.value)) == _loop_error(tf, [GOOD, WRONG_SIZE])
+    assert (type(info.value), str(info.value)) == _rule_error(tf, [GOOD, WRONG_SIZE])
     # An evaluator that takes points of any size still gets no ragged scan.
     with pytest.raises(DomainViolation, match="same number of coordinates"):
         sup_norm_scan(lambda z: np.eye(1), [(0.1,), (0.1, 0.2)])
@@ -755,7 +843,12 @@ def test_composite_interpolant_batch_equals_pointwise_calls(n):
         q1 = build_subspace(KernelSpec.ball(1, n, d), nodes)
         q2 = build_subspace(KernelSpec.ball(2, n, d), nodes)
         targets = scaled_targets(rng, KernelSpec.ball(2, n, d), nodes, d_out=d, weight_one=False)
-        composite = lift_p_gt_m(q1, q2, np_target_operator(q1, targets, q2)).composite
+        x = np_target_operator(q1, targets, q2)
+        lift = lift_p_gt_m(q1, q2, x)
+        composite = lift.composite
+        # The node values read off the inner lift are the batch's bits.
+        assert np.array_equal(lift.node_values, composite.eval_many(q2.nodes))
+        assert lift.verify_residual == verify_lift(composite, q2, x, q1)
         points = random_interior_points(rng, EVAL_CHUNK + 5, n, radius=0.97)
         for batch in ([], points[:1], points):
             values = composite.eval_many(batch)

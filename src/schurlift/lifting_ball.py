@@ -236,6 +236,21 @@ class KernelSpans:
         record = Infeasible("contractivity", float(spectrum[0]), pick)
         return record, psd_fails(spectrum, psd_base_tol)
 
+    def positivity(self, psd_base_tol: float) -> tuple[Infeasible, np.ndarray, bool]:
+        """The ``Infeasible`` record of the positivity-gap test, the gap and
+        whether it fails.  On the span the gap is the weight-one Pick matrix in
+        orthonormal coordinates, ``(1 - sigma_S)^{m-1}(I - X X*) = L2* Pick_1 L2``;
+        the record carries ``Pick_1``, its bottom eigenvalue and the gap's."""
+        spec = self.q1.spec
+        pick_1 = target_pick_matrix(
+            KernelSpec.ball(1, spec.n, spec.d_coeff), self.q1.nodes, self.targets
+        )
+        factor = self.q2.ortho_factor
+        gap = herm(factor.conj().T @ pick_1 @ factor)
+        spectrum = np.linalg.eigvalsh(gap)
+        record = Infeasible("positivity-gap", min_eig(pick_1), pick_1, float(spectrum[0]))
+        return record, gap, psd_fails(spectrum, psd_base_tol)
+
     def check_lift(self) -> bool:
         """Whether ``||X|| <= 1 + CONTRACTION_SLACK``, and if so ``NotPure`` unless
         ``s`` is pure: the checks of a lift the construction leaves open."""
@@ -275,7 +290,7 @@ def np_solve(
     Builds the spans and the interpolation operator, and runs two Pick gates
     at ``psd_base_tol``; a failing gate returns its ``Infeasible`` record
     (the weight-``m`` block matrix for contractivity, the weight-one matrix
-    with the gap eigenvalue for positivity).  ``KernelSpans.check_lift``
+    with the gap eigenvalue for ``KernelSpans.positivity``).  ``check_lift``
     then bounds ``||X||``, or returns the contractivity record, and tests
     purity.  The lift is ``_lift_ball`` on the gate's gap; when its square
     root rejects what the gate passed, the positivity record comes back
@@ -290,16 +305,8 @@ def np_solve(
     if failed:
         return contractivity
 
-    pick_1 = target_pick_matrix(
-        KernelSpec.ball(1, spec.n, spec.d_coeff), spans.q1.nodes, spans.targets
-    )
-    # On the span the positivity gap is the weight-one Pick matrix in
-    # orthonormal coordinates: (1 - sigma_S)^{m-1}(I - X X*) = L2* Pick_1 L2.
-    factor = spans.q2.ortho_factor
-    gap = herm(factor.conj().T @ pick_1 @ factor)
-    gap_spectrum = np.linalg.eigvalsh(gap)
-    positivity = Infeasible("positivity-gap", min_eig(pick_1), pick_1, float(gap_spectrum[0]))
-    if psd_fails(gap_spectrum, psd_base_tol):
+    positivity, gap, failed = spans.positivity(psd_base_tol)
+    if failed:
         return positivity
     if not spans.check_lift():
         return contractivity

@@ -7,10 +7,10 @@ identities.
 
 The existence theory behind the decomposition is non-constructive; here
 feasibility is decided numerically by Dykstra's alternating projections
-between an affine subspace (the decomposition equation plus auxiliary
-variables pinned to the transformed operators) and a product of PSD
-cones, run in the joint eigenbasis of the tuple, where the affine
-projection is entrywise, and accelerated by Anderson extrapolation.
+between the affine subspace of the decomposition equation, written in
+the transformed summands, and a product of PSD cones, run in the joint
+eigenbasis of the tuple, where the affine projection is entrywise, and
+accelerated by Anderson extrapolation.
 Failure to converge, or a tuple without a joint eigenbasis, is reported
 as inconclusive and is explicitly *not* an infeasibility certificate.
 """
@@ -73,9 +73,9 @@ class AglerDecomposition:
 
 @dataclass
 class Inconclusive:
-    """An iterate that fails the acceptance checks: the forced summand of
-    one variable, or the projected iterate at the iteration cap.  Carries
-    that iterate and its residuals.  A tuple without a joint eigenbasis is
+    """An iterate that fails the acceptance checks at ``-tol``: the forced
+    summand of one variable, or the projected iterate at the iteration cap.
+    Carries that iterate and its residuals.  A tuple without a joint eigenbasis is
     not searched: ``iterations`` 0, ``{"joint_eigenbasis": "none"}``, no iterate."""
 
     iterations: int
@@ -96,21 +96,18 @@ def _entry_weights(lam: np.ndarray, gamma) -> np.ndarray:
 
 
 def _affine_projector(weights: np.ndarray, target: np.ndarray):
-    """Orthogonal projector onto ``sum_i Gamma_i = target``, ``H_i = M_i o Gamma_i``
-    for stacks ``(Gamma_1..Gamma_n, H_1..H_n)`` in the Frobenius metric.
+    """Orthogonal projector onto ``sum_i H_i / M_i = target`` for stacks
+    ``(H_1..H_n)`` in the Frobenius metric.
 
-    Per entry it solves ``min sum |x_i - g_i|^2 + |m_i x_i - h_i|^2`` under
-    ``sum x_i = t``: ``x_i = (g_i + conj(m_i) h_i + mu) / (1 + |m_i|^2)``,
-    with ``mu`` fixed by the sum.  One projection costs O(n q^2).
+    Per entry, with ``k_i = 1 / m_i``, it is
+    ``h_i + conj(k_i) (t - sum_j k_j h_j) / sum_j |k_j|^2``.  One projection
+    costs O(n q^2).
     """
-    n = len(weights)
-    shrink = 1.0 / (1.0 + np.abs(weights) ** 2)
-    total = shrink.sum(axis=0)
+    k = 1.0 / weights
+    step = k.conj() / (np.abs(k) ** 2).sum(axis=0)
 
-    def project(v):
-        y = shrink * (v[:n] + weights.conj() * v[n:])
-        gs = y + shrink * ((target - y.sum(axis=0)) / total)
-        return np.concatenate([gs, weights * gs])
+    def project(h):
+        return h + step * (target - (k * h).sum(axis=0))
 
     return project
 
@@ -125,39 +122,38 @@ def agler_feasibility(
 ) -> AglerDecomposition | Inconclusive:
     """Search for PSD summands of ``I - X X*`` with transformed positivity.
 
-    Success requires the reconstruction residual and every eigenvalue
-    violation to fall within ``tol``.  The iteration starts from the even
-    split ``(I - X X*) / n``.  For a single variable the summand is
-    forced and the answer is immediate.  ``max_iter`` below 1 raises
-    ``ValueError``.
+    Success requires the reconstruction residual to fall within ``tol`` and
+    every bottom eigenvalue of the summands and their transforms to be at
+    least ``-tol``.  The iteration starts from the even split
+    ``(I - X X*) / n``.  For a single variable the summand is forced and
+    the answer is immediate.  ``max_iter`` below 1 raises ``ValueError``.
 
     The iteration may target a right-hand side shrunk by a tiny multiple
-    of the identity and add the slack back evenly afterwards, so that the
-    returned summands have transforms at least ``tol`` and the downstream
-    square roots need no clipping.  It does so only when the cone floor
-    (the bottom eigenvalue of the transformed identity, over all ``i``)
-    and ``min_eig(I - X X*)`` both exceed ``10 * tol``; otherwise the
-    slack is 0 and the eigenvalue floor is ``-tol``.  The cone floor is
-    often round-off: for gamma=(1,2) on ``polydisc_design(0, r)`` it is
-    about 1e-14 at r=16 and negative from r=24 on.
+    of the identity and add the slack back evenly afterwards, which lifts
+    the returned transforms above that floor.  It does so only when the
+    cone floor (the bottom eigenvalue of the transformed identity, over
+    all ``i``) and ``min_eig(I - X X*)`` both exceed ``10 * tol``.  The
+    cone floor is often round-off: for gamma=(1,2) on
+    ``polydisc_design(0, r)`` it is about 1e-14 at r=16 and negative from
+    r=24 on.
 
-    Dykstra runs over ``Gamma_i = V^{-1} G_i V^{-*}`` in the joint
-    eigenbasis ``S_i = V Lambda_i V^{-1}`` of ``joint_eigenbasis``.  There
-    the transformed positivity is the Hadamard product with ``M_i``
-    (``_entry_weights``), so the affine projection is entrywise; memory is
-    O(n q^2).  Only the ``H_i`` are clipped: ``1 / M_i`` is the Gram of the
-    weight ``gamma - e_i`` kernel at the joint eigenvalues, so ``H_i >= 0``
-    gives ``Gamma_i = (1 / M_i) o H_i >= 0`` (Schur product theorem).  The map
-    ``w -> P_A(P_C w) + w - P_C w`` is Anderson-accelerated, with the
-    coefficients from the normal equations: the real Gram of the last
-    ``ANDERSON_DEPTH`` residual changes gains one row per step, and a
-    singular Gram resets the history for the plain step.  An
-    extrapolated point is kept only when its residual is no larger than
-    the plain step's, else the history is reset.  A tuple without a joint
-    eigenbasis returns ``Inconclusive`` at once.
+    Dykstra runs over the cone blocks ``H_i = M_i o Gamma_i``,
+    ``Gamma_i = V^{-1} G_i V^{-*}``, in the joint eigenbasis
+    ``S_i = V Lambda_i V^{-1}`` of ``joint_eigenbasis``, where ``M_i``
+    (``_entry_weights``) is the symbol of the transformed positivity, so
+    the affine projection is entrywise; memory is O(n q^2).  ``1 / M_i`` is
+    the Gram of the weight ``gamma - e_i`` kernel at the joint eigenvalues,
+    so ``H_i >= 0`` gives ``Gamma_i = (1 / M_i) o H_i >= 0`` (Schur product
+    theorem).  The map ``w -> P_A(P_C w) + w - P_C w`` is
+    Anderson-accelerated, with the coefficients from the normal equations:
+    the real Gram of the last ``ANDERSON_DEPTH`` residual changes gains one
+    row per step, and a singular Gram resets the history for the plain
+    step.  An extrapolated point is kept only when its residual is no
+    larger than the plain step's, else the history is reset.  A tuple
+    without a joint eigenbasis returns ``Inconclusive`` at once.
 
     Every outcome comes from one summary of an iterate (every tenth
-    iteration and at the cap), ``G_i = V Gamma_i V*`` plus the slack in
+    iteration and at the cap), ``G_i = V (H_i / M_i) V*`` plus the slack in
     orthonormal coordinates: the decomposition if it passes, else
     ``Inconclusive`` with the same residuals.
     """
@@ -170,13 +166,13 @@ def agler_feasibility(
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     r_target = herm(np.eye(q, dtype=complex) - x @ x.conj().T)
 
-    def summarize(gs, iterations, floor):
+    def summarize(gs, iterations):
         summands = tuple(herm(g) for g in gs)
         recon = opnorm(sum(summands) - r_target)
         squares = tuple(transformed_positivity(s, gamma, i, g) for i, g in enumerate(summands))
         cone = tuple(min_eig(square) for square in squares)
         own = tuple(min_eig(g) for g in summands)
-        if recon <= tol and all(e >= floor for e in cone + own):
+        if recon <= tol and all(e >= -tol for e in cone + own):
             return AglerDecomposition(summands, recon, cone, own, iterations, squares)
         residuals = {
             "reconstruction": recon,
@@ -186,7 +182,7 @@ def agler_feasibility(
         return Inconclusive(iterations=iterations, residuals=residuals, best=summands)
 
     if s.n == 1:
-        return summarize([r_target], 1, -tol)
+        return summarize([r_target], 1)
 
     # Slack that survives the iteration's eigenvalue tolerance: the cone
     # floor of the identity tells how much headroom evenly added slack buys.
@@ -207,9 +203,6 @@ def agler_feasibility(
         slack = 0.0
     r_inner = r_target - slack * np.eye(q, dtype=complex)
     pad = (slack / s.n) * np.eye(q, dtype=complex)
-    # With slack active, insist on strict interiority so the state
-    # operator square roots downstream never clip an eigenvalue.
-    floor = tol if slack > 0.0 else -tol
 
     basis = joint_eigenbasis(s)
     if basis is None:
@@ -226,14 +219,13 @@ def agler_feasibility(
     def dykstra_map(w):
         # The affine set needs no correction term.  Returns ``F(w)``,
         # ``P_A(P_C w)``, the residual ``F(w) - w`` and its norm.
-        v = np.concatenate([w[: s.n], clip_psd(w[s.n :])])
+        v = clip_psd(w)
         y = project(v)
         fw = y + w - v
         res = fw - w
         return fw, y, res, np.linalg.norm(res)
 
-    gs = to_eig(np.stack([r_target / s.n - pad] * s.n))
-    w = np.concatenate([gs, weights * gs])
+    w = weights * to_eig(np.stack([r_target / s.n - pad] * s.n))
     fw, _, res, res_norm = dykstra_map(w)
     # Anderson acceleration (Walker-Ni): the last ``depth`` changes of the
     # residual ``F(w) - w``, as real rows oldest first, their real Gram
@@ -276,7 +268,7 @@ def agler_feasibility(
         w, fw, y, res, res_norm = w_new, fw_new, y_new, res_new, res_new_norm
 
         if it % 10 == 0 or it == max_iter:
-            summary = summarize(vecs @ y[: s.n] @ vecs.conj().T + pad, it, floor)
+            summary = summarize(vecs @ (y / weights) @ vecs.conj().T + pad, it)
             if isinstance(summary, AglerDecomposition) or it == max_iter:
                 return summary
 
@@ -334,13 +326,19 @@ def np_solve_polydisc(
     """Interpolation front end over polydisc kernel spans.  After the Pick
     gate, ``KernelSpans.check_lift`` runs before any search; an ``X`` the gate
     passes at a loose ``psd_base_tol`` but the bound rejects gets the gate's
-    record.  The domain model tuple serves only the hereditary residual."""
+    record.  On one variable the forced summand's transform is the positivity
+    gap, so its ``KernelSpans.positivity`` record proves a failing instance
+    infeasible.  The domain model tuple serves only the hereditary residual."""
     if spec.geometry != "polydisc":
         raise ValueError("np_solve_polydisc expects a polydisc kernel spec")
     spans = KernelSpans.build(spec, nodes, targets, d_target)
     contractivity, failed = spans.contractivity(psd_base_tol)
     if failed or not spans.check_lift():
         return contractivity
+    if spec.n == 1:
+        positivity, _, failed = spans.positivity(psd_base_tol)
+        if failed:
+            return positivity
 
     s, x = spans.s, spans.x
     dec = agler_feasibility(s, x, spec.gamma, tol=feasibility_tol, max_iter=max_iter)

@@ -16,7 +16,10 @@ import schurlift.lifting_ball as lifting_ball
 import schurlift.lifting_polydisc as lifting_polydisc
 from schurlift import (
     AglerDecomposition,
+    GramMismatch,
+    IllConditioned,
     Inconclusive,
+    Infeasible,
     KernelSpec,
     LiftResult,
     TupleOperator,
@@ -24,6 +27,7 @@ from schurlift import (
     build_subspace,
     lift_polydisc,
     model_tuple,
+    np_solve,
     np_solve_polydisc,
     np_target_operator,
     psi_gamma_diagnostics,
@@ -40,7 +44,7 @@ from schurlift.lifting_polydisc import (
 )
 from schurlift.linalg import herm, min_eig, opnorm
 
-from conftest import random_polydisc_nodes, record_linalg, scaled_targets
+from conftest import random_ball_nodes, random_polydisc_nodes, record_linalg, scaled_targets
 
 INSTANCES = Path(__file__).resolve().parents[1] / "perfbench" / "instances.py"
 
@@ -145,7 +149,7 @@ def test_anderson_history_is_a_sliding_window(monkeypatch):
     nodes = GEN.polydisc_design(0, 8)
     spans = KernelSpans.build(KernelSpec.polydisc((1, 2)), nodes, GEN.z1z2_targets(nodes))
     out = agler_feasibility(spans.s, spans.x, (1, 2), tol=1e-10)
-    assert isinstance(out, AglerDecomposition) and out.iterations == 120
+    assert isinstance(out, AglerDecomposition) and out.iterations == 60
     assert grams[0].shape == (1, 1)
     assert all(np.array_equal(g, g.T) for g in grams)
     kinds = set()
@@ -192,12 +196,12 @@ def _fault_targets(nodes):
 @pytest.mark.parametrize(
     "design, r, targets, gamma, iterations",
     [
-        (0, 6, GEN.z1z2_targets, (1, 2), 30),
+        (0, 6, GEN.z1z2_targets, (1, 2), 20),
         (0, 6, GEN.z1z2_targets, (2, 2), 20),
-        (0, 8, GEN.z1z2_targets, (1, 2), 120),
-        (0, 8, GEN.z1z2_targets, (2, 2), 140),
+        (0, 8, GEN.z1z2_targets, (1, 2), 60),
+        (0, 8, GEN.z1z2_targets, (2, 2), 60),
         (0, 24, GEN.constant_targets, (1, 2), 10),
-        (1, 16, _fault_targets, (1, 2), 50),
+        (1, 16, _fault_targets, (1, 2), 20),
     ],
     ids=["r6-12", "r6-22", "r8-12", "r8-22", "r24-const", "fault-r16"],
 )
@@ -212,9 +216,69 @@ def test_polydisc_benchmark_classes_keep_their_iteration_counts(
     assert out.certificate.extras["decomposition"].iterations == iterations
 
 
+@pytest.mark.parametrize(
+    "design, gamma", [(108, (2, 2)), (126, (2, 2)), (108, (1, 2)), (112, (1, 2))]
+)
+def test_z1z2_designs_solve_at_the_one_floor(design, gamma):
+    """Designs whose iterates stalled below a strict ``+tol`` acceptance floor
+    (``Inconclusive`` at 10 000 iterations) solve within 200 iterations."""
+    nodes = GEN.polydisc_design(design, 6)
+    out = np_solve_polydisc(
+        KernelSpec.polydisc(gamma), nodes, GEN.z1z2_targets(nodes), max_iter=200
+    )
+    assert isinstance(out, LiftResult)
+    assert out.certificate.verify_residual <= 1e-7
+
+
+def _schur_solvable(nodes, values):
+    """Whether a function of sup norm at most one on the disc takes ``values``
+    at ``nodes`` (Schur-Nevanlinna): peel one node at a time by Moebius maps;
+    a value of modulus above one fails, and one of modulus one forces the
+    constant."""
+    z, w = np.array(nodes, dtype=complex), np.array(values, dtype=complex)
+    while w.size:
+        if abs(w[0]) >= 1.0:
+            return bool(abs(w[0]) == 1.0 and np.all(w == w[0]))
+        z0, w0, z, w = z[0], w[0], z[1:], w[1:]
+        w = (w - w0) / (1 - np.conj(w0) * w) * (1 - np.conj(z0) * z) / (z - z0)
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 3),
+    r=st.integers(1, 8),
+    radius=st.floats(0.3, 0.9),
+    scale=st.floats(0.5, 1.5),
+)
+def test_disc_front_ends_agree_with_the_schur_algorithm(seed, m, r, radius, scale):
+    """On the disc the ball of weight ``m`` and the polydisc of weight ``(m,)``
+    are one space with the multipliers of ``H^infinity``.  Both front ends
+    decide (never ``Inconclusive``), and give the verdict of the Schur
+    algorithm; a lift that raises ``GramMismatch``, or a span that raises
+    ``IllConditioned``, is counted as an event."""
+    rng = np.random.default_rng(seed)
+    nodes = random_ball_nodes(rng, r, 1, radius, min_sep=0.3 * radius)
+    targets = [scale * w for w in scaled_targets(rng, KernelSpec.ball(m, 1), nodes)]
+    verdicts = []
+    front_ends = ((np_solve, KernelSpec.ball(m, 1)), (np_solve_polydisc, KernelSpec.polydisc((m,))))
+    for solve, spec in front_ends:
+        try:
+            out = solve(spec, nodes, targets)
+        except (GramMismatch, IllConditioned) as exc:
+            event(f"{type(exc).__name__} from {solve.__name__}")
+            return
+        assert isinstance(out, (LiftResult, Infeasible))
+        verdicts.append(isinstance(out, LiftResult))
+    expected = _schur_solvable([z[0] for z in nodes], [w[0, 0] for w in targets])
+    event("solvable" if expected else "not solvable")
+    assert verdicts == [expected, expected]
+
+
 def test_cli_polydisc_documents_keep_their_iteration_counts(monkeypatch, tmp_path):
     """The benchmark's seed-1 polydisc ``scan`` (r=6, gamma=(1,2)) and
-    ``certify`` (r=8, gamma=(2,2)) commands report 30 and 140 iterations."""
+    ``certify`` (r=8, gamma=(2,2)) commands report 20 and 60 iterations."""
     monkeypatch.syspath_prepend(str(INSTANCES.parent))
     loaded = set(sys.modules)
     try:
@@ -225,7 +289,7 @@ def test_cli_polydisc_documents_keep_their_iteration_counts(monkeypatch, tmp_pat
         for name in {"workloads", "checks", "instances"} - loaded:
             sys.modules.pop(name, None)
     ops = {op.size: op for op in ops}
-    for size, iterations in (("polydisc-scan", 30), ("polydisc-certify", 140)):
+    for size, iterations in (("polydisc-scan", 20), ("polydisc-certify", 60)):
         code, text = ops[size].call()
         assert code == 0
         assert json.loads(text)["certificates"]["feasibility"]["iterations"] == iterations
@@ -267,7 +331,7 @@ def _recomputed_summary(s, x, gamma, gs):
 )
 def test_feasibility_outcome_reports_its_own_iterate(seed, gamma, r, scale, max_iter, tol):
     """Both outcomes carry the numbers of the iterate they return, and an
-    ``Inconclusive`` never passes the acceptance checks at the strict floor."""
+    ``Inconclusive`` never passes the acceptance checks."""
     rng = np.random.default_rng(seed)
     spec = KernelSpec.polydisc(gamma)
     nodes = random_polydisc_nodes(rng, r, len(gamma), radius=0.7, min_sep=0.1)
@@ -291,7 +355,7 @@ def test_feasibility_outcome_reports_its_own_iterate(seed, gamma, r, scale, max_
             "summand_min_eigs": own,
         }
         assert out.iterations == (1 if len(gamma) == 1 else max_iter)
-        assert not (recon <= tol and min(cone + own) >= tol)
+        assert not (recon <= tol and min(cone + own) >= -tol)
 
 
 def test_f_operators_single_variable():
@@ -472,8 +536,9 @@ def test_np_solve_polydisc_verifies_ill_conditioned_pairs(case):
 
 def test_np_solve_polydisc_meets_the_strict_floor():
     """gamma=(1,2) on 12 design nodes with z1 z2 targets: plain Dykstra left
-    a cone eigenvalue of 8e-11 against the 1e-10 floor after 10 000
-    iterations; the accelerated iteration passes it."""
+    a cone eigenvalue of 8e-11 against a former +1e-10 floor after 10 000
+    iterations; the accelerated iteration solves it and verifies within
+    the CLI's ``verify_tol``."""
     nodes = GEN.polydisc_design(1, 12)
     res = np_solve_polydisc(KernelSpec.polydisc((1, 2)), nodes, GEN.z1z2_targets(nodes))
     assert isinstance(res, LiftResult)
@@ -591,27 +656,25 @@ def _coords(basis, a):
 
 
 def _dense_reference_projection(s, gamma, target, v):
-    """Dense least-squares projection of the stack ``v`` onto
+    """Dense least-squares projection of the stack ``v`` of cone blocks onto
     ``sum Gamma_i = target``, ``H_i = V^{-1} L_i(V Gamma_i V*) V^{-*}``, in the
-    coordinates of ``_hermitian_basis``: the constraint matrix ``A`` applies
-    the transformed positivity map ``L_i`` to the basis matrices, and the
-    projection is ``v - A^T (A A^T)^{-1} (A v - b)``."""
+    coordinates of ``_hermitian_basis``: ``l_i`` applies the transformed
+    positivity map ``L_i`` to the basis matrices, the constraint matrix is
+    ``A = [l_1^{-1} .. l_n^{-1}]``, and the projection is
+    ``v - A^T (A A^T)^{-1} (A v - b)``."""
     q, n = s.dim, s.n
     vecs, _ = joint_eigenbasis(s)
     vecs_inv = np.linalg.inv(vecs)
     basis = _hermitian_basis(q)
     k = len(basis)
-    a = np.zeros(((n + 1) * k, 2 * n * k))
+    a = np.zeros((k, n * k))
     for i in range(n):
         images = transformed_positivity(s, gamma, i, vecs @ basis @ vecs.conj().T)
         l_i = _coords(basis, vecs_inv @ images @ vecs_inv.conj().T).T
-        a[:k, i * k : (i + 1) * k] = np.eye(k)
-        a[(1 + i) * k : (2 + i) * k, i * k : (i + 1) * k] = -l_i
-        a[(1 + i) * k : (2 + i) * k, (n + i) * k : (n + i + 1) * k] = np.eye(k)
-    b = np.zeros((n + 1) * k)
-    b[:k] = _coords(basis, target)
+        a[:, i * k : (i + 1) * k] = np.linalg.inv(l_i)
+    b = _coords(basis, target)
     flat = _coords(basis, v).ravel()
-    return (flat - a.T @ np.linalg.solve(a @ a.T, a @ flat - b)).reshape(2 * n, k), basis
+    return (flat - a.T @ np.linalg.solve(a @ a.T, a @ flat - b)).reshape(n, k), basis
 
 
 @pytest.mark.parametrize(
@@ -619,8 +682,9 @@ def _dense_reference_projection(s, gamma, target, v):
     [((1, 1), 3), ((1, 2), 3), ((2, 2), 3), ((2, 2), 1), ((1, 2, 1), 2)],
 )
 def test_affine_projector_matches_dense_reference(gamma, count):
-    """The entrywise projector in the joint eigenbasis is the orthogonal
-    projection onto the affine set, with ``M_i`` the symbol of ``L_i``."""
+    """The entrywise projector of the cone blocks in the joint eigenbasis is
+    the orthogonal projection onto the affine set, with ``M_i`` the symbol
+    of ``L_i``."""
     rng = np.random.default_rng(sum(gamma) * 10 + count)
     spec = KernelSpec.polydisc(gamma)
     nodes = random_polydisc_nodes(rng, count, len(gamma))
@@ -630,12 +694,12 @@ def test_affine_projector_matches_dense_reference(gamma, count):
     weights = _entry_weights(joint_eigenbasis(s)[1], gamma)
     project = _affine_projector(weights, target)
     for _ in range(3):
-        v = _random_herm(rng, (2 * n, q, q))
+        v = _random_herm(rng, (n, q, q))
         out = project(v)
         ref, basis = _dense_reference_projection(s, gamma, target, v)
         assert np.linalg.norm(_coords(basis, out) - ref) <= 1e-10 * np.linalg.norm(ref)
         assert np.allclose(out, herm(out), rtol=0, atol=1e-14)
-        assert opnorm(sum(out[:n]) - target) <= 1e-12 * (1 + opnorm(target))
+        assert opnorm(sum(out / weights) - target) <= 1e-12 * (1 + opnorm(target))
         assert np.linalg.norm(project(out) - out) <= 1e-12 * np.linalg.norm(out)
 
 

@@ -119,28 +119,35 @@ def _split_columns(mat: np.ndarray, dims: tuple[int, ...]) -> list[np.ndarray]:
 
 
 def _orthonormal_complement(basis: np.ndarray, dim: int) -> np.ndarray:
-    """Deterministic orthonormal complement of the column span of ``basis``.
+    """Deterministic orthonormal complement of the column span of ``basis``
+    (orthonormal columns).
 
     Gram-Schmidt over the standard basis in index order, keeping residuals
-    above 1e-6.  It cannot end short: a unit ``u`` orthogonal to a smaller
-    final span would have every ``|u_idx| <= 1e-6``, so ``1 <= dim * 1e-12``.
+    above 1e-6: each candidate is orthogonalized against the columns held
+    so far by two matrix-vector passes (classical Gram-Schmidt, run
+    twice; the first reads a row of the held columns).  The second pass
+    restores the orthogonality that one pass loses when a candidate keeps
+    only a small residual.  It cannot end short: a unit ``u`` orthogonal
+    to a smaller final span would have every ``|u_idx| <= 1e-6``, so
+    ``1 <= dim * 1e-12``.
     """
-    needed = dim - basis.shape[1]
-    if needed <= 0:
+    start = held = basis.shape[1]
+    if held >= dim:
         return np.zeros((dim, 0), dtype=complex)
-    cols = [basis[:, j] for j in range(basis.shape[1])]
-    kept: list[np.ndarray] = []
+    cols = np.empty((dim, dim), dtype=complex)
+    cols[:, :held] = basis
     for idx in range(dim):
-        v = np.zeros(dim, dtype=complex)
-        v[idx] = 1.0
-        for u in cols + kept:
-            v = v - u * np.vdot(u, v)
+        q = cols[:, :held]
+        v = -q @ q[idx].conj()
+        v[idx] += 1.0
+        v -= q @ (q.conj().T @ v)
         norm = np.linalg.norm(v)
         if norm > 1e-6:
-            kept.append(v / norm)
-            if len(kept) == needed:
+            cols[:, held] = v / norm
+            held += 1
+            if held == dim:
                 break
-    return np.column_stack(kept)
+    return cols[:, start:held]
 
 
 def complete_pairs(

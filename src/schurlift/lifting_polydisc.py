@@ -152,10 +152,18 @@ def agler_feasibility(
     larger than the plain step's, else the history is reset.  A tuple
     without a joint eigenbasis returns ``Inconclusive`` at once.
 
-    Every outcome comes from one summary of an iterate (every tenth
-    iteration and at the cap), ``G_i = V (H_i / M_i) V*`` plus the slack in
-    orthonormal coordinates: the decomposition if it passes, else
-    ``Inconclusive`` with the same residuals.
+    Every outcome comes from one summary of an iterate,
+    ``G_i = V (H_i / M_i) V*`` plus the slack in orthonormal coordinates:
+    the decomposition if it passes, else ``Inconclusive`` with the same
+    residuals.  The summary runs at the cap, and before it on every iterate
+    that passes its floor tests in the eigenbasis: since
+    ``T_i(V Gamma V*) = V (M_i o Gamma) V*``, congruence by ``V^{-1}`` turns
+    ``T_i(G_i) + tol I`` and ``G_i + tol I`` into ``H_i + M_i o P + tol B``
+    and ``H_i / M_i + P + tol B``, with ``P`` the slack pad and
+    ``B = V^{-1} V^{-*}`` in eigen coordinates, and one batched Cholesky
+    of those ``2 n`` blocks tests them all.  A summary that rejects its
+    iterate lets the search go on, so the first iterate that passes is the
+    one returned.
     """
     x = as_matrix(x)
     gamma = tuple(int(g) for g in gamma)
@@ -215,6 +223,14 @@ def agler_feasibility(
 
     weights = _entry_weights(lam, gamma)
     project = _affine_projector(weights, to_eig(r_inner))
+    # The floor tests of the docstring, stacked ``(2, n, q, q)``: ``y`` times
+    # ``scales`` (1 and ``1 / M_i``) plus the fixed ``floors``
+    # (``M_i o P + tol B`` and ``P + tol B``, ``P = to_eig(pad)``).
+    pad_eig = to_eig(pad)
+    floors = np.stack([weights * pad_eig, np.broadcast_to(pad_eig, weights.shape)])
+    floors += to_eig(tol * np.eye(q, dtype=complex))
+    scales = np.stack([np.ones_like(weights), 1.0 / weights])
+    floor_test = np.empty_like(floors)
 
     def dykstra_map(w):
         # The affine set needs no correction term.  Returns ``F(w)``,
@@ -267,10 +283,16 @@ def agler_feasibility(
         depth += 1
         w, fw, y, res, res_norm = w_new, fw_new, y_new, res_new, res_new_norm
 
-        if it % 10 == 0 or it == max_iter:
-            summary = summarize(vecs @ (y / weights) @ vecs.conj().T + pad, it)
-            if isinstance(summary, AglerDecomposition) or it == max_iter:
-                return summary
+        if it < max_iter:
+            np.multiply(y, scales, out=floor_test)
+            floor_test += floors
+            try:
+                np.linalg.cholesky(floor_test)
+            except np.linalg.LinAlgError:
+                continue
+        summary = summarize(vecs @ (y / weights) @ vecs.conj().T + pad, it)
+        if isinstance(summary, AglerDecomposition) or it == max_iter:
+            return summary
 
 
 def lift_polydisc(

@@ -16,7 +16,7 @@ from schurlift import (
     np_solve,
     np_target_operator,
 )
-from schurlift.colligation import PARTIAL_ISOMETRY, UNITARY
+from schurlift.colligation import PARTIAL_ISOMETRY, UNITARY, _orthonormal_complement
 from schurlift.errors import GramMismatch, NotPositive
 from schurlift.hypercontraction import cp_map, hereditary
 from schurlift.linalg import opnorm
@@ -116,6 +116,78 @@ def _ball_instance(rng, m, n, count, d_out=1):
     targets = scaled_targets(rng, spec, nodes, d_out=d_out)
     x = np_target_operator(q1, targets, q2)
     return q1, q2, model_tuple(q1), model_tuple(q2), x, targets
+
+
+def _vector_complement(basis, dim):
+    """The one-vector-at-a-time Gram-Schmidt that ``_orthonormal_complement``
+    replaced: standard vectors in index order, projected off each held
+    column in turn, kept above 1e-6."""
+    needed = dim - basis.shape[1]
+    if needed <= 0:
+        return np.zeros((dim, 0), dtype=complex)
+    cols = [basis[:, j] for j in range(basis.shape[1])]
+    kept = []
+    for idx in range(dim):
+        v = np.zeros(dim, dtype=complex)
+        v[idx] = 1.0
+        for u in cols + kept:
+            v = v - u * np.vdot(u, v)
+        norm = np.linalg.norm(v)
+        if norm > 1e-6:
+            kept.append(v / norm)
+            if len(kept) == needed:
+                break
+    return np.column_stack(kept)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 30),
+    data=st.data(),
+    kind=st.sampled_from(["random", "standard", "near-standard"]),
+)
+def test_orthonormal_complement_matches_the_vector_loop(seed, dim, data, kind):
+    """The array Gram-Schmidt keeps the columns of the vector loop for random
+    orthonormal bases, bases of standard vectors (in any order) and bases
+    within ``10**-6..10**-2`` of standard vectors; a full basis leaves
+    none.  Its columns are orthonormal and orthogonal to the basis to
+    1e-14.  The vector loop loses that orthogonality (up to about 1e-9)
+    when a candidate keeps only a small residual, so the agreement bound
+    is 1e-12 plus ten times the loop's own loss."""
+    rng = np.random.default_rng(seed)
+    held = data.draw(st.integers(0, dim))
+    basis = np.eye(dim, dtype=complex)[:, rng.permutation(dim)[:held]]
+    if kind != "standard":
+        noise = rng.standard_normal((dim, held)) + 1j * rng.standard_normal((dim, held))
+        if kind == "near-standard":
+            noise = basis + 10.0 ** rng.uniform(-6, -2) * noise
+        basis = np.linalg.qr(noise)[0] if held else basis
+    comp = _orthonormal_complement(basis, dim)
+    loop = _vector_complement(basis, dim)
+    assert comp.shape == (dim, dim - held)
+    loop_loss = np.abs(basis.conj().T @ loop).max(initial=0.0)
+    assert np.abs(comp - loop).max(initial=0.0) <= 1e-12 + 10.0 * loop_loss
+    assert np.abs(comp.conj().T @ comp - np.eye(dim - held)).max(initial=0.0) <= 1e-14
+    assert np.abs(basis.conj().T @ comp).max(initial=0.0) <= 1e-14
+    if kind == "standard":
+        # The complement of standard vectors is the missing standard vectors.
+        missing = sorted(set(range(dim)) - set(np.flatnonzero(np.abs(basis).sum(axis=1))))
+        assert np.array_equal(comp, np.eye(dim, dtype=complex)[:, missing])
+
+
+@pytest.mark.parametrize("dim", [2, 5, 24])
+def test_orthonormal_complement_edge_cases(dim):
+    """A full basis needs no column (``needed = 0``), also given a spanning
+    basis with more columns than ``dim``; standard vectors leave the other
+    standard vectors in index order, as the vector loop does."""
+    unitary = np.linalg.qr(np.random.default_rng(dim).standard_normal((dim, dim)) + 0j)[0]
+    for full in (np.eye(dim, dtype=complex), unitary, np.hstack([unitary, unitary])):
+        assert _orthonormal_complement(full, dim).shape == (dim, 0)
+    ends = np.eye(dim, dtype=complex)[:, [dim - 1, 0]]
+    comp = _orthonormal_complement(ends, dim)
+    assert np.array_equal(comp, np.eye(dim, dtype=complex)[:, 1 : dim - 1])
+    assert np.array_equal(comp, _vector_complement(ends, dim))
 
 
 def test_ball_colligation_invariants():

@@ -149,7 +149,7 @@ def test_anderson_history_is_a_sliding_window(monkeypatch):
     nodes = GEN.polydisc_design(0, 8)
     spans = KernelSpans.build(KernelSpec.polydisc((1, 2)), nodes, GEN.z1z2_targets(nodes))
     out = agler_feasibility(spans.s, spans.x, (1, 2), tol=1e-10)
-    assert isinstance(out, AglerDecomposition) and out.iterations == 60
+    assert isinstance(out, AglerDecomposition) and out.iterations == 22
     assert grams[0].shape == (1, 1)
     assert all(np.array_equal(g, g.T) for g in grams)
     kinds = set()
@@ -196,11 +196,11 @@ def _fault_targets(nodes):
 @pytest.mark.parametrize(
     "design, r, targets, gamma, iterations",
     [
-        (0, 6, GEN.z1z2_targets, (1, 2), 20),
-        (0, 6, GEN.z1z2_targets, (2, 2), 20),
-        (0, 8, GEN.z1z2_targets, (1, 2), 60),
-        (0, 8, GEN.z1z2_targets, (2, 2), 60),
-        (0, 24, GEN.constant_targets, (1, 2), 10),
+        (0, 6, GEN.z1z2_targets, (1, 2), 11),
+        (0, 6, GEN.z1z2_targets, (2, 2), 11),
+        (0, 8, GEN.z1z2_targets, (1, 2), 22),
+        (0, 8, GEN.z1z2_targets, (2, 2), 54),
+        (0, 24, GEN.constant_targets, (1, 2), 1),
         (1, 16, _fault_targets, (1, 2), 20),
     ],
     ids=["r6-12", "r6-22", "r8-12", "r8-22", "r24-const", "fault-r16"],
@@ -209,11 +209,38 @@ def test_polydisc_benchmark_classes_keep_their_iteration_counts(
     design, r, targets, gamma, iterations
 ):
     """The six polydisc-solve classes, on their unrotated designs, solve in
-    the Dykstra iteration counts recorded for them."""
+    the Dykstra iteration counts recorded for them, at their first passing
+    iterate: capped one iteration short, the search is ``Inconclusive``."""
     nodes = GEN.polydisc_design(design, r)
-    out = np_solve_polydisc(KernelSpec.polydisc(gamma), nodes, targets(nodes))
+    spec = KernelSpec.polydisc(gamma)
+    out = np_solve_polydisc(spec, nodes, targets(nodes))
     assert isinstance(out, LiftResult)
     assert out.certificate.extras["decomposition"].iterations == iterations
+    if iterations > 1:
+        capped = np_solve_polydisc(spec, nodes, targets(nodes), max_iter=iterations - 1)
+        assert isinstance(capped, Inconclusive) and capped.iterations == iterations - 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(2, 5),
+    scale=st.floats(0.3, 0.95),
+    gamma=st.sampled_from([(1, 1), (1, 2), (2, 2)]),
+)
+def test_feasibility_returns_its_first_passing_iterate(seed, count, scale, gamma):
+    """On small bidisc instances a decomposition found at iteration ``k > 1``
+    is the first iterate that passes: the search capped at ``k - 1`` is
+    ``Inconclusive``."""
+    *_, s, x, _ = _bidisc_instance(np.random.default_rng(seed), count, scale, gamma)
+    out = agler_feasibility(s, x, gamma, tol=1e-10, max_iter=500)
+    if isinstance(out, Inconclusive):
+        event("Inconclusive at the cap")
+        return
+    event("first pass at 1" if out.iterations == 1 else "first pass after 1")
+    if out.iterations > 1:
+        capped = agler_feasibility(s, x, gamma, tol=1e-10, max_iter=out.iterations - 1)
+        assert isinstance(capped, Inconclusive) and capped.iterations == out.iterations - 1
 
 
 @pytest.mark.parametrize(
@@ -278,7 +305,7 @@ def test_disc_front_ends_agree_with_the_schur_algorithm(seed, m, r, radius, scal
 
 def test_cli_polydisc_documents_keep_their_iteration_counts(monkeypatch, tmp_path):
     """The benchmark's seed-1 polydisc ``scan`` (r=6, gamma=(1,2)) and
-    ``certify`` (r=8, gamma=(2,2)) commands report 20 and 60 iterations."""
+    ``certify`` (r=8, gamma=(2,2)) commands report 11 and 54 iterations."""
     monkeypatch.syspath_prepend(str(INSTANCES.parent))
     loaded = set(sys.modules)
     try:
@@ -289,7 +316,7 @@ def test_cli_polydisc_documents_keep_their_iteration_counts(monkeypatch, tmp_pat
         for name in {"workloads", "checks", "instances"} - loaded:
             sys.modules.pop(name, None)
     ops = {op.size: op for op in ops}
-    for size, iterations in (("polydisc-scan", 20), ("polydisc-certify", 60)):
+    for size, iterations in (("polydisc-scan", 11), ("polydisc-certify", 54)):
         code, text = ops[size].call()
         assert code == 0
         assert json.loads(text)["certificates"]["feasibility"]["iterations"] == iterations

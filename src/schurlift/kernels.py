@@ -107,6 +107,10 @@ class KernelSpec:
         the wrong coordinate count raises ``DimensionMismatch``; otherwise
         the first row not strictly inside raises ``DomainViolation``.
         """
+        return self._interior(points)[0]
+
+    def _interior(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """``interior_points`` and the boundary gap of each of its rows."""
         if isinstance(points, np.ndarray) and points.ndim == 2 and points.shape[1] == self.n:
             pts = points.astype(complex, copy=False)
         else:
@@ -115,10 +119,11 @@ class KernelSpec:
                 if z.size != self.n:
                     raise DimensionMismatch(f"point has {z.size} coordinates, spec expects {self.n}")
             pts = np.array(rows, dtype=complex).reshape(len(rows), self.n)
-        first = self.first_exterior(pts)
-        if first < len(pts):
-            self.require_interior(pts[first])
-        return pts
+        gaps = self._gaps(pts)
+        exterior = np.flatnonzero(gaps <= DOMAIN_MARGIN)
+        if exterior.size:
+            self.require_interior(pts[exterior[0]])
+        return pts, gaps
 
     def first_exterior(self, pts: np.ndarray) -> int:
         """Index of the first row of an ``(N, n)`` array that ``require_interior``
@@ -208,6 +213,11 @@ def kernel_matrix(spec: KernelSpec, p, q) -> np.ndarray:
     same = p is q
     p = spec.interior_points(p)
     q = p if same else spec.interior_points(q)
+    return _kernel_values(spec, p, q)
+
+
+def _kernel_values(spec: KernelSpec, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``kernel_matrix`` of two ``(N, n)`` arrays already checked to be interior."""
     with np.errstate(over="ignore", invalid="ignore"):
         if spec.geometry == BALL:
             planes = p.T[:, :, None] * np.ascontiguousarray(q.T).conj()[:, None, :]

@@ -388,9 +388,10 @@ class CompositeInterpolant:
     def eval_many(self, points) -> np.ndarray:
         """Values at each point, stacked as ``(k, d_out, d_in)``, from one
         batch of each factor; equal to per-point calls.  The batch is stacked
-        and checked by ``KernelSpec.interior_points`` before either factor runs."""
-        pts = self.factor_in.domain.interior_points(points)
-        return self.coeff_space.eval_many(pts) @ self.factor_in.eval_many(pts)
+        and checked once, by ``KernelSpec.interior_points``, before either
+        factor runs; the factors then evaluate it unchecked."""
+        pts, gaps = self.factor_in.domain._interior(points)
+        return self.coeff_space._eval_interior(pts) @ self.factor_in._eval_interior(pts, gaps)
 
 
 @dataclass

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, IllConditioned
-from .kernels import KernelSpec, kernel_matrix
+from .kernels import KernelSpec, _kernel_values, kernel_matrix
 from .linalg import as_matrix, herm, opnorm
 
 #: Relative eigenvalue floor below which a Gram matrix is rejected.
@@ -118,11 +118,16 @@ class KernelSubspace:
     def eval_many(self, points) -> np.ndarray:
         """``eval_map`` at each point, stacked as ``(k, d, dim)``.
 
-        One ``kernel_matrix`` call gives the kernel rows; each row, tensored
-        with ``I_d``, takes one stacked product with ``ortho_factor``.
+        The points are checked by ``KernelSpec.interior_points``; the kernel
+        rows at them, each tensored with ``I_d``, take one stacked product
+        with ``ortho_factor``.
         """
+        return self._eval_interior(self.spec.interior_points(points))
+
+    def _eval_interior(self, pts: np.ndarray) -> np.ndarray:
+        """``eval_many`` at an ``(N, n)`` array already checked to be interior."""
         d = self.spec.d_coeff
-        rows = kernel_matrix(self.spec, points, self.nodes)
+        rows = _kernel_values(self.spec, pts, self.nodes)
         blocks = rows[:, None, :, None] * np.eye(d)[None, :, None, :]
         return blocks.reshape(len(rows), d, self.dim) @ self.ortho_factor
 

@@ -2,8 +2,10 @@
 
 The transfer function of the adjoint of a colligation is evaluated by
 stacked resolvent solves over chunks of points (never an explicit
-inverse), and on polydisc product grids one state block smaller; the
-lifting series is summed by an operator recursion that is linear in the
+inverse), and on polydisc product grids one state block smaller, with
+each line of a bidisc grid in pole-residue form where its eigenvectors
+are well conditioned (values at round-off from the solves); the lifting
+series is summed by an operator recursion that is linear in the
 truncation order, and its limit is read off the values at the joint
 eigenvalues (one Stein solve without a joint eigenbasis); Schur-class
 membership of emitted functions is certified by sampling the Pick-type
@@ -34,6 +36,11 @@ _GATE_LIMIT = COND_LIMIT * 1e-4
 #: Points per stacked resolvent ``cond`` and ``solve`` in ``eval_many``.  It
 #: bounds the stacked working set, and with it the peak memory of long scans.
 EVAL_CHUNK = 256
+
+#: Largest ``||V||_F ||V^{-1}||_F``, a bound on ``cond(V)``, for which a
+#: bidisc grid line is evaluated from the eigenvectors ``V`` of its
+#: reduced state matrix: it scales the round-off of that path.
+_EIGVEC_LIMIT = 1e3
 
 
 @dataclass
@@ -89,14 +96,18 @@ class TransferFunction:
         ``cond`` makes the ``COND_LIMIT`` decision for the points the
         resolvent gate cannot clear.
         """
-        pts = self.domain.interior_points(points)
+        return self._eval_interior(*self.domain._interior(points))
+
+    def _eval_interior(self, pts: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+        """``eval_many`` at an ``(N, n)`` array already checked to be interior,
+        given the boundary gap of each point."""
         values = np.empty((len(pts), self.d_out, self.d_in), dtype=complex)
         for start in range(0, len(pts), EVAL_CHUNK):
             chunk = slice(start, start + EVAL_CHUNK)
-            values[chunk] = self._eval_chunk(pts[chunk])
+            values[chunk] = self._eval_chunk(pts[chunk], gaps[chunk])
         return values
 
-    def _eval_chunk(self, pts: np.ndarray) -> np.ndarray:
+    def _eval_chunk(self, pts: np.ndarray, gaps: np.ndarray) -> np.ndarray:
         """Values at checked points; ``NearSingularResolvent`` at the first cond >= COND_LIMIT."""
         coll = self.colligation
         a_adj = coll.block_a.conj().T
@@ -116,7 +127,7 @@ class TransferFunction:
             zb = weights * coll.block_b.conj().T[None]
         # The resolvents ``I - Z D*`` are built in the buffer of ``zd``.
         resolvents = np.subtract(np.eye(zd.shape[-1], dtype=complex), zd, out=zd)
-        unsure = np.flatnonzero(~self._gate_clears(self.domain._gaps(pts)))
+        unsure = np.flatnonzero(~self._gate_clears(gaps))
         singular = unsure[np.linalg.cond(resolvents[unsure]) >= COND_LIMIT]
         if singular.size:
             raise NearSingularResolvent(f"resolvent nearly singular at {pts[singular[0]]}")
@@ -140,7 +151,15 @@ class TransferFunction:
             A' = A* + z1 C1* E_B,     C' = C2* + z1 C1* E_M,
 
         evaluated by stacked solves of ``I - Z' F``, ``EVAL_CHUNK`` points
-        at a time.  The values agree with ``eval_many`` at round-off.
+        at a time.  For n = 2 each axis value leaves a line in ``z2``; when
+        ``_line_residues`` diagonalizes the ``F`` of every line, the values
+        are taken in pole-residue form, each block's stacked solve becoming
+        a division in the eigenbasis of ``F``.  ``I - z2 F`` is a Schur
+        complement of the resolvent, so the cleared gate bounds
+        ``1 / |1 - z2 pole|`` by ``1 / (1 - t)``, and the eigenvector gate
+        bounds ``cond(V)``: the values agree with ``eval_many`` at round-off
+        on either path, not bit for bit.  A grid with a line that fails the
+        eigenvector gate, or without a second state block, keeps the solves.
         """
         coll = self.colligation
         dims = coll.in_state_dims
@@ -165,6 +184,10 @@ class TransferFunction:
         c_rest = c[:, k1:] + c[:, :k1] @ e_m
 
         per_axis = len(points) // len(axis)
+        lines = _line_residues(f, b_rest, c_rest) if self.n == 2 else None
+        if lines is not None:
+            # In the eigenbasis ``I - z2 F`` is diagonal: its solve is a division.
+            poles, c_rest, b_rest = lines
         weights = np.repeat(points[:per_axis, 1:], dims[1:], axis=1)[:, :, None]
         eye = np.eye(f.shape[-1], dtype=complex)
         values = np.empty((len(points), self.d_out, self.d_in), dtype=complex)
@@ -172,7 +195,10 @@ class TransferFunction:
             index = np.arange(start, min(start + EVAL_CHUNK, len(points)))
             block, rest = np.divmod(index, per_axis)
             zs = weights[rest]
-            states = np.linalg.solve(eye - zs * f[block], zs * b_rest[block])
+            if lines is None:
+                states = np.linalg.solve(eye - zs * f[block], zs * b_rest[block])
+            else:
+                states = zs / (1.0 - zs * poles[block, :, None]) * b_rest[block]
             values[start : start + EVAL_CHUNK] = a_rest[block] + c_rest[block] @ states
         return values
 
@@ -188,6 +214,31 @@ class TransferFunction:
         """
         t = np.sqrt(1.0 - gaps) * self._d_norm
         return 1.0 + t < _GATE_LIMIT * (1.0 - t)
+
+
+def _line_residues(f: np.ndarray, b: np.ndarray, c: np.ndarray):
+    """Poles and residue factors of the lines ``z -> A + C z (I - z F)^{-1} B``
+    of an ``(L, k, k)`` stack ``F``, or None when one ``F`` is not safely
+    diagonalizable.
+
+    One stacked ``eig`` gives ``F = V diag(poles) V^{-1}``, so a line's value
+    at ``z`` is ``A + sum_k (C V)_k (V^{-1} B)_k z / (1 - z poles_k)``.  The
+    decomposition is used only when every ``V`` inverts and
+    ``||V||_F ||V^{-1}||_F`` (``sqrt(k) ||V^{-1}||_F``, as ``eig`` returns
+    unit columns) is at most ``_EIGVEC_LIMIT``: a defective or nearly
+    defective ``F`` returns None.
+    """
+    k = f.shape[-1]
+    if not k:
+        return None
+    try:
+        poles, vecs = np.linalg.eig(f)
+        inverse = np.linalg.inv(vecs)
+    except np.linalg.LinAlgError:
+        return None
+    if not (np.sqrt(k) * np.linalg.norm(inverse, axis=(1, 2)) <= _EIGVEC_LIMIT).all():
+        return None
+    return poles, c @ vecs, inverse @ b
 
 
 def values_at(phi_eval, points) -> np.ndarray:
@@ -404,8 +455,10 @@ def grid_scan(phi_eval, grid: GridSpec, geometry: str, n: int) -> ScanResult:
 
     A polydisc transfer function whose resolvent gate clears the grid is
     evaluated on it one state block smaller (``TransferFunction._grid_values``),
-    so its norms agree with ``sup_norm_scan``'s at round-off.  Every other
-    evaluator and grid is scanned by ``sup_norm_scan`` itself.
+    on a bidisc grid line by line in pole-residue form when every line's
+    eigenvectors pass their gate, so its norms agree with ``sup_norm_scan``'s
+    at round-off, not bit for bit.  Every other evaluator and grid is
+    scanned by ``sup_norm_scan`` itself.
     """
     points = grid_points(grid, geometry, n)
     values = None

@@ -869,8 +869,9 @@ def test_polydisc_grid_scan_solves_below_the_full_state_size(tmp_path, capsys, m
 
 
 def test_kernel_span_solves_take_no_eigenproblem(tmp_path, capsys, monkeypatch):
-    """Model tuples bring their joint eigenbasis, so no kernel-span solve,
-    and no certify or scan of either geometry, calls ``np.linalg.eig``."""
+    """Model tuples bring their joint eigenbasis, so no kernel-span solve and
+    no ball certify calls ``np.linalg.eig``.  A bidisc certify or scan makes
+    exactly one call, on the ``(len(axis), k2, k2)`` stack of its grid lines."""
     calls = []
     eig = np.linalg.eig
 
@@ -891,13 +892,19 @@ def test_kernel_span_solves_take_no_eigenproblem(tmp_path, capsys, monkeypatch):
     nodes = random_polydisc_nodes(rng, 3, 2)
     targets = [0.5 * w for w in scaled_targets(rng, bidisc, nodes, weight_one=False)]
     assert isinstance(np_solve_polydisc(bidisc, nodes, targets), LiftResult)
+    assert calls == []
     for doc in (BALL_CERTIFY, BIDISC):
         path = tmp_path / "inst.json"
         path.write_text(json.dumps(dict(doc, options={"samples": 20, "grid": [2, 3, 0.9]})))
-        assert main(["certify", str(path)]) == EXIT_SOLVED
-        assert main(["scan", str(path), "--csv-out", str(tmp_path / "scan.csv")]) == EXIT_SOLVED
-    capsys.readouterr()
-    assert calls == []
+        for command in (["certify", str(path)], ["scan", str(path), "--csv-out", str(tmp_path / "scan.csv")]):
+            assert main(command) == EXIT_SOLVED
+            report = json.loads(capsys.readouterr().out)
+            if doc is BALL_CERTIFY:
+                assert calls == []
+            else:
+                k2 = report["colligation"]["in_state_dims"][1]
+                assert calls == [(2 * 3, k2, k2)]
+                calls.clear()
     # The general path still takes its eigenproblem through the wrapper.
     joint_eigenbasis(TupleOperator(model_tuple(q2).mats))
     assert calls

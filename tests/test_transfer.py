@@ -757,6 +757,79 @@ def test_grid_values_match_eval_many_on_the_grid(seed, dims, d_out, d_in, grid, 
     assert got[2] == max(got[1])
 
 
+def _grid_values_and_solves(tf, grid):
+    """``_grid_values`` on the bidisc ``grid``, the grid points, and the
+    matrix shape of each ``np.linalg.solve`` call it made."""
+    shapes = []
+
+    def solve(a, b):
+        shapes.append(np.shape(a))
+        return np.linalg.solve(a, b)
+
+    points = grid_points(grid, POLYDISC_DIAGONAL, 2)
+    linalg = types.SimpleNamespace(**{**vars(np.linalg), "solve": solve})
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(transfer, "np", types.SimpleNamespace(**{**vars(np), "linalg": linalg}))
+        values = tf._grid_values(transfer._grid_axis(grid, POLYDISC_DIAGONAL, 2), points)
+    return values, points, shapes
+
+
+def _assert_near_eval_many(tf, values, points):
+    reference = tf.eval_many(points)
+    scale = 1.0 + np.abs(reference).max(axis=(1, 2))
+    assert (np.abs(values - reference).max(axis=(1, 2)) <= 1e-12 * scale).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.lists(st.integers(0, 5), min_size=2, max_size=2).filter(sum),
+    d_out=st.sampled_from([1, 2]),
+    d_in=st.sampled_from([1, 2]),
+    grid=st.sampled_from([GridSpec(1, 1), GridSpec(2, 3, 0.95), GridSpec(3, 5, 0.5),
+                          GridSpec(17, 1, 0.9)]),
+)
+@example(seed=1, dims=[1, 0], d_out=1, d_in=1, grid=GridSpec(2, 3, 0.95))
+@example(seed=2, dims=[0, 4], d_out=2, d_in=1, grid=GridSpec(17, 1, 0.9))
+def test_bidisc_grid_lines_match_eval_many(seed, dims, d_out, d_in, grid):
+    """A random bidisc colligation's grid lines are evaluated in pole-residue
+    form: the block-1 elimination is the only solve, and the values agree
+    with ``eval_many`` at round-off.  Without a second state block
+    (``k2 = 0``) the grid keeps its stacked solves."""
+    rng = np.random.default_rng(seed)
+    k = sum(dims)
+    mat = rng.standard_normal((d_in + k, d_out + k)) + 1j * rng.standard_normal((d_in + k, d_out + k))
+    tf = TransferFunction(_colligation(mat / np.linalg.norm(mat, 2), POLYDISC_DIAGONAL,
+                                       d_out, d_in, dims, dims))
+    values, points, solves = _grid_values_and_solves(tf, grid)
+    _assert_near_eval_many(tf, values, points)
+    chunks = [len(points[start : start + EVAL_CHUNK]) for start in range(0, len(points), EVAL_CHUNK)]
+    pivots = [(grid.radii * grid.angles, dims[0], dims[0])]
+    assert solves == (pivots if dims[1] else pivots + [(size, 0, 0) for size in chunks])
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (1, 2), (0, 4)])
+def test_defective_grid_lines_keep_the_stacked_solves(dims):
+    """With ``M21 = 0`` and ``M22`` a scaled Jordan block, every grid line's
+    reduced matrix ``F = M22`` is defective: the eigenvector gate fails, the
+    grid is evaluated by stacked ``k2 x k2`` solves, and the values still
+    agree with ``eval_many``."""
+    rng = np.random.default_rng(sum(dims))
+    k1, k2 = dims
+    k = k1 + k2
+    mat = rng.standard_normal((1 + k, 1 + k)) + 1j * rng.standard_normal((1 + k, 1 + k))
+    m = mat[1:, 1:].conj().T
+    m[k1:, :k1] = 0.0
+    m[k1:, k1:] = 0.3 * np.eye(k2) + 0.5 * np.eye(k2, k=1)
+    mat[1:, 1:] = m.conj().T
+    tf = TransferFunction(_colligation(mat / np.linalg.norm(mat, 2), POLYDISC_DIAGONAL, 1, 1, dims, dims))
+    jordan = np.broadcast_to(tf.colligation.block_d.conj().T[k1:, k1:], (15, k2, k2))
+    assert transfer._line_residues(jordan, jordan[:, :, :1], jordan[:, :1]) is None
+    values, points, solves = _grid_values_and_solves(tf, GridSpec(3, 5, 0.9))
+    _assert_near_eval_many(tf, values, points)
+    assert len(points) == 225 and solves == [(15, k1, k1), (225, k2, k2)]
+
+
 def _loop_write_scan_csv(result, n, stream):
     """Reference: the CSV written one formatted coordinate at a time."""
     header = ",".join(f"re(z{i+1}),im(z{i+1})" for i in range(n))
@@ -865,3 +938,28 @@ def test_composite_interpolant_batch_equals_pointwise_calls(n):
             with pytest.raises(Exception) as loop_info:
                 _loop_values(composite, bad)
             assert (type(info.value), str(info.value)) == (type(loop_info.value), str(loop_info.value))
+
+
+def test_batch_evaluators_check_each_batch_once(monkeypatch):
+    """``CompositeInterpolant.eval_many`` and ``TransferFunction.eval_many``
+    check a batch once and take its boundary gaps once, however many chunks
+    it spans; the composite's factors evaluate it unchecked."""
+    calls = []
+
+    def counted(name):
+        original = getattr(KernelSpec, name)
+
+        def wrapper(self, points):
+            calls.append(name)
+            return original(self, points)
+
+        return wrapper
+
+    for name in ("interior_points", "_interior", "_gaps"):
+        monkeypatch.setattr(KernelSpec, name, counted(name))
+    composite = _rule_composite(2)
+    points = random_interior_points(np.random.default_rng(5), EVAL_CHUNK + 5, 2)
+    for evaluator in (composite, composite.factor_in):
+        calls.clear()
+        assert len(evaluator.eval_many(points)) == len(points)
+        assert calls == ["_interior", "_gaps"]
